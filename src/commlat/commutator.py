@@ -369,8 +369,10 @@ def enumerate_commutators(lat, cap=None):
     monotonicity, extends, and keeps exactly the extensions that validate.
     Any valid table restricts to a monotone symmetric seed and is the
     extension of that seed, so nothing is missed.  Deterministic order; a
-    cap, if given, truncates the sorted result.
+    cap, if given, truncates the sorted result and must not be negative.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must not be negative, got {cap}")
     if lat.n > ENUMERATION_MAX_N:
         raise LatticeTooLarge(
             f"exhaustive enumeration is capped at n = {ENUMERATION_MAX_N}")

@@ -13,6 +13,7 @@ pure and safe to share across workers.
 from .errors import (
     CycleDetected,
     EmptySublattice,
+    InternalCheckFailed,
     NotACongruence,
     NotAHomomorphism,
     NotALattice,
@@ -58,6 +59,13 @@ class FiniteLattice:
             pred[y].append(x)
 
         order = self._topological_order(succ, pred)
+        # checked before the n^2 tables are built, so e.g. an antichain is
+        # rejected cheaply; then the order starts at bottom and ends at top
+        minimal, maximal = sum(not p for p in pred), sum(not s for s in succ)
+        if minimal != 1 or maximal != 1:
+            raise NotALattice(f"{minimal} minimal and {maximal} maximal "
+                              "elements; a lattice has one of each")
+        self.bottom, self.top = order[0], order[-1]
 
         down = [0] * n
         for v in order:
@@ -83,14 +91,6 @@ class FiniteLattice:
 
         self._meet = self._bound_table(down, "meet")
         self._join = self._bound_table(up, "join")
-
-        bottom = 0
-        top = 0
-        for z in range(1, n):
-            bottom = self._meet[bottom][z]
-            top = self._join[top][z]
-        self.bottom = bottom
-        self.top = top
         self._hash = hash((n, self.covers))
 
     @staticmethod
@@ -294,12 +294,19 @@ class LatticePartition:
 def congruence_generated(lattice, seed):
     """The least congruence of ``lattice`` relating every seed pair.
 
-    Worklist closure: starting from the seed, repeatedly add the meet and
-    join translates of every related pair until nothing changes; union-find
-    keeps the relation an equivalence throughout.
+    Worklist closure (R. Freese, "Computing congruences efficiently",
+    Algebra Universalis 59, 2008): a union-find holds the classes, and each
+    union that merges two classes pushes the pair of their representatives
+    onto a worklist.  Only those pairs are translated by ``z ^ -`` and
+    ``z v -``.  The pushed pairs generate the partition as an equivalence,
+    so once each is translated the partition is a congruence.  There are at
+    most n - 1 unions of O(n) translates each: O(n^2) per call, plus the
+    seed.  The result is checked to be a congruence; a failure is a bug.
     """
     n = lattice.n
+    meet, join = lattice._meet, lattice._join
     parent = list(range(n))
+    merged = []
 
     def find(x):
         while parent[x] != x:
@@ -309,35 +316,32 @@ def congruence_generated(lattice, seed):
 
     def union(x, y):
         rx, ry = find(x), find(y)
-        if rx == ry:
-            return False
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        return True
+        if rx != ry:
+            if rx > ry:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            merged.append((rx, ry))
 
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"seed pair ({x}, {y}) out of range")
         union(x, y)
 
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            for y in range(x + 1, n):
-                if find(x) != find(y):
-                    continue
-                for z in range(n):
-                    if union(lattice.meet(x, z), lattice.meet(y, z)):
-                        changed = True
-                    if union(lattice.join(x, z), lattice.join(y, z)):
-                        changed = True
+    while merged:
+        x, y = merged.pop()
+        for table in (meet, join):
+            for a, b in zip(table[x], table[y]):
+                if a != b:
+                    union(a, b)
 
     groups = {}
     for x in range(n):
         groups.setdefault(find(x), []).append(x)
-    return LatticePartition(lattice, groups.values())
+    try:
+        return LatticePartition(lattice, groups.values())
+    except NotACongruence as exc:
+        raise InternalCheckFailed(
+            f"worklist closure is not a congruence: {exc}") from exc
 
 
 def quotient(lattice, partition):
@@ -371,13 +375,14 @@ def quotient(lattice, partition):
 def is_simple(lattice):
     """Whether the only congruences are the identity and the full relation.
 
-    Every nontrivial congruence of a finite lattice collapses some cover
-    pair, so it suffices to check the congruences generated by single covers.
+    Every congruence but the identity contains con(j-, j) for some join
+    irreducible j (see :func:`all_congruences`), so it suffices that each of
+    those collapses everything: at most |J(L)| closures of O(n^2) each.
     """
     if lattice.n < 2:
         return False
-    return all(congruence_generated(lattice, [pair]).num_blocks == 1
-               for pair in lattice.covers)
+    return all(congruence_generated(lattice, [(lo, j)]).num_blocks == 1
+               for j, lo in sole_covers(lattice.covers).items())
 
 
 def is_complemented(lattice):
@@ -389,29 +394,44 @@ def is_complemented(lattice):
         for x in range(lattice.n))
 
 
+def sole_covers(pairs):
+    """Map each y that is the second member of exactly one pair (x, y) to
+    that x, in O(|pairs|).  On the covers this reads off the join
+    irreducibles and their unique lower covers; on the reversed covers, the
+    meet irreducibles and their unique upper covers."""
+    found, repeated = {}, set()
+    for x, y in pairs:
+        if y in found:
+            repeated.add(y)
+        found[y] = x
+    return {y: x for y, x in found.items() if y not in repeated}
+
+
 def all_congruences(lattice):
     """Every congruence of the lattice, sorted by block structure.
 
-    Computed as the join closure of the principal congruences; every
-    congruence is the join of the principal congruences it contains.
+    Every congruence of a finite lattice is the join of the principal
+    congruences con(j-, j) of the join irreducibles j it collapses (R.
+    Freese, "Computing congruence lattices of finite lattices", Proc. AMS
+    125, 1997).  So Con L is the closure of {identity} under theta ->
+    theta v con(j-, j), each join one :func:`congruence_generated` call
+    seeded with theta's blocks and the pair (j-, j).  That is
+    O(|Con L| * |J(L)| * n^2) in all.
     """
-    found = {LatticePartition.identity(lattice)}
-    for x in range(lattice.n):
-        for y in range(x + 1, lattice.n):
-            if lattice.leq(x, y):
-                found.add(congruence_generated(lattice, [(x, y)]))
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in list(found):
-                seeds = [(b[0], x) for b in p.blocks for x in b[1:]]
-                seeds += [(b[0], x) for b in q.blocks for x in b[1:]]
-                joined = congruence_generated(lattice, seeds)
-                if joined not in found:
-                    found.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
+    joins = sole_covers(lattice.covers).items()
+    identity = LatticePartition.identity(lattice)
+    found = {identity}
+    pending = [identity]
+    while pending:
+        theta = pending.pop()
+        seeds = [(b[0], x) for b in theta.blocks for x in b[1:]]
+        for j, lo in joins:
+            if theta.related(lo, j):
+                continue
+            joined = congruence_generated(lattice, seeds + [(lo, j)])
+            if joined not in found:
+                found.add(joined)
+                pending.append(joined)
     return sorted(found, key=lambda p: p.blocks)
 
 

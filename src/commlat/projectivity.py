@@ -17,8 +17,9 @@ meet is the canonical successor and [eta, eta+] is always a prime interval.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalCheckFailed, NotACongruence, NotModular
-from .lattice import FiniteLattice, LatticeMap, LatticePartition
+from .errors import InternalCheckFailed, NotModular
+from .lattice import (FiniteLattice, LatticeMap, congruence_generated,
+                      sole_covers)
 
 
 @dataclass(frozen=True, order=True)
@@ -67,25 +68,17 @@ def prime_intervals(lat):
 
 
 def meet_irreducibles(lat):
-    """Elements strictly below the meet of their strict upper bounds."""
-    out = []
-    for x in lat.elements:
-        uppers = [y for y in lat.elements if lat.lt(x, y)]
-        plus = lat.meet_all(uppers)
-        if plus != x:
-            out.append(MeetIrreducible(x, plus))
-    return tuple(out)
+    """Elements with exactly one upper cover, which is their ``plus``: the
+    elements strictly below the meet of their strict upper bounds."""
+    plus = sole_covers((y, x) for x, y in lat.covers)
+    return tuple(MeetIrreducible(x, plus[x]) for x in sorted(plus))
 
 
 def join_irreducibles(lat):
-    """Elements strictly above the join of their strict lower bounds."""
-    out = []
-    for x in lat.elements:
-        lowers = [y for y in lat.elements if lat.lt(y, x)]
-        minus = lat.join_all(lowers)
-        if minus != x:
-            out.append(JoinIrreducible(x, minus))
-    return tuple(out)
+    """Elements with exactly one lower cover, which is their ``minus``: the
+    elements strictly above the join of their strict lower bounds."""
+    minus = sole_covers(lat.covers)
+    return tuple(JoinIrreducible(x, minus[x]) for x in sorted(minus))
 
 
 def transposes_up(lat, i, j):
@@ -248,42 +241,24 @@ def splits(lat):
 def separating_congruence(lat, interval):
     """The largest congruence that keeps the endpoints of ``interval`` apart.
 
-    Relates x and y exactly when the interval does not project into
-    [x ^ y, x v y].  The relation is verified to be an equivalence with the
-    congruence property before it is returned; a failure means a bug, not
-    bad input.
+    In a modular lattice con(q) collapses exactly the prime intervals
+    projective to q, and every congruence is the join of the con(q) it
+    contains.  So this is the congruence generated by the prime intervals
+    outside the class of ``interval``: one O(n^2) worklist closure.  The
+    classes come from transpositions, not from the closure, and each prime
+    interval is checked to be collapsed exactly when it lies outside the
+    class; a disagreement means a bug, not bad input.
     """
     _require_prime(lat, interval)
-    _require_modular(lat)
-    n = lat.n
-    related = [[False] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x, n):
-            r = not projects_into(lat, interval, lat.meet(x, y), lat.join(x, y))
-            related[x][y] = related[y][x] = r
-    for x in range(n):
-        if not related[x][x]:
-            raise InternalCheckFailed("separating relation is not reflexive")
-        for y in range(n):
-            if not related[x][y]:
-                continue
-            for z in range(n):
-                if related[y][z] and not related[x][z]:
-                    raise InternalCheckFailed(
-                        f"separating relation is not transitive at {x},{y},{z}")
-    blocks = []
-    seen = set()
-    for x in range(n):
-        if x in seen:
-            continue
-        block = [y for y in range(n) if related[x][y]]
-        seen.update(block)
-        blocks.append(block)
-    try:
-        partition = LatticePartition(lat, blocks)
-    except NotACongruence as exc:
-        raise InternalCheckFailed(
-            f"separating relation is not a congruence: {exc}") from exc
+    classes = projectivity_classes(lat)
+    cid = classes.class_of(interval)
+    partition = congruence_generated(
+        lat, [(q.lo, q.hi) for q in classes.intervals
+              if classes.class_of(q) != cid])
+    for q in classes.intervals:
+        if partition.related(q.lo, q.hi) == (classes.class_of(q) == cid):
+            raise InternalCheckFailed(
+                f"separating congruence disagrees with projectivity at {q}")
     if partition.related(interval.lo, interval.hi):
         raise InternalCheckFailed("separating congruence collapsed its interval")
     return partition

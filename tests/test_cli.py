@@ -104,6 +104,15 @@ def test_enumerate_cap(capsys, tmp_path, b2):
     assert json.loads(out)["count"] == 1
 
 
+def test_enumerate_rejects_negative_cap(capsys, tmp_path, b22):
+    # B2^2 has 4 tables; a negative cap must not silently drop some
+    path = write_lattice(tmp_path / "b22.json", b22)
+    code, out, err = run(capsys, "enumerate", path, "--cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
 def test_enumerate_too_large(capsys, tmp_path):
     path = write_lattice(tmp_path / "c6.json", corpus.chain(6))
     code, _, err = run(capsys, "enumerate", path)

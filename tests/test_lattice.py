@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +8,7 @@ from commlat import corpus
 from commlat.errors import (
     CycleDetected,
     EmptySublattice,
+    InternalCheckFailed,
     NotACongruence,
     NotAHomomorphism,
     NotALattice,
@@ -13,6 +16,7 @@ from commlat.errors import (
     RedundantCover,
 )
 from commlat.lattice import (
+    FiniteLattice,
     LatticeMap,
     LatticePartition,
     SublatticeEmbedding,
@@ -42,11 +46,27 @@ def test_build_rejects_non_lattice():
     # 1 and 2 have no common upper bound, so no join
     with pytest.raises(NotALattice):
         build(4, {(0, 1), (0, 2), (1, 3)})
+    # one bottom and one top, but 1 and 2 have two minimal upper bounds
+    with pytest.raises(NotALattice, match="have no"):
+        build(6, {(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5),
+                  (4, 5)})
 
 
 def test_build_rejects_two_minimal_elements():
     with pytest.raises(NotALattice):
         build(3, {(0, 2), (1, 2)})
+
+
+def test_build_rejects_antichain_before_tables():
+    # the bottom/top check runs before the n^2 meet and join tables exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotALattice):
+            FiniteLattice(2000, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_build_rejects_cycle():
@@ -192,10 +212,50 @@ def test_congruence_generated_is_least(all5):
                         assert len({class_of[x] for x in block}) == 1
 
 
+def _relabel(lat, perm):
+    """The lattice with element x renamed perm[x]."""
+    return build(lat.n, {(perm[x], perm[y]) for x, y in lat.covers})
+
+
+def _shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
 def test_all_congruences_matches_brute_force(all6):
-    for lat in all6:
-        assert [p.blocks for p in all_congruences(lat)] == \
-            _brute_force_congruences(lat)
+    # on the corpus names and on random renamings, which need not extend
+    # the order
+    rng = random.Random(6)
+    for base in all6:
+        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+                             for _ in range(3)]:
+            congruences = _brute_force_congruences(lat)
+            assert [p.blocks for p in all_congruences(lat)] == congruences
+            assert is_simple(lat) == (len(congruences) == 2)
+
+
+def test_all_congruences_on_names_against_the_order():
+    # C4 named top-down, and the glued sum C2+B2 renamed by [2, 1, 3, 0, 4]:
+    # in both some x < y as integers has y below x in the order
+    assert len(all_congruences(build(4, {(3, 2), (2, 1), (1, 0)}))) == 8
+    glued = build(5, {(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)})
+    assert len(all_congruences(_relabel(glued, [2, 1, 3, 0, 4]))) == 8
+
+
+def test_all_congruences_at_scale():
+    # Con C_k is Boolean on k - 1 atoms and Con B_k on k atoms
+    assert len(all_congruences(corpus.chain(10))) == 512
+    assert len(all_congruences(corpus.boolean(5))) == 32
+
+
+def test_congruence_generated_reports_a_failed_check_as_a_bug(m3, monkeypatch):
+    def failing_check(self):
+        raise NotACongruence("forced")
+
+    monkeypatch.setattr(LatticePartition, "_check_congruence", failing_check)
+    with pytest.raises(InternalCheckFailed):
+        congruence_generated(m3, [(0, 1)])
 
 
 def test_partition_rejects_non_congruence(chain3):

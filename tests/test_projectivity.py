@@ -1,10 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from commlat import corpus
-from commlat.errors import NotModular
-from commlat.lattice import congruence_generated
+from commlat import corpus, projectivity
+from commlat.errors import InternalCheckFailed, NotModular
+from commlat.lattice import (
+    LatticePartition,
+    all_congruences,
+    congruence_generated,
+)
 from commlat.projectivity import (
     JoinIrreducible,
     MeetIrreducible,
@@ -27,6 +32,7 @@ from commlat.projectivity import (
     two_element_lattice,
     two_element_quotient,
 )
+from test_lattice import _brute_force_congruences, _relabel, _shuffled
 
 
 def test_irreducibles_on_chain(chain3):
@@ -47,6 +53,21 @@ def test_irreducibles_on_one_element():
     one = corpus.chain(1)
     assert meet_irreducibles(one) == ()
     assert join_irreducibles(one) == ()
+
+
+def test_irreducibles_match_their_definition(all7):
+    # reference: strictly below the meet of the strict upper bounds, and
+    # dually strictly above the join of the strict lower bounds
+    for lat in all7:
+        plus = [lat.meet_all(y for y in lat.elements if lat.lt(x, y))
+                for x in lat.elements]
+        minus = [lat.join_all(y for y in lat.elements if lat.lt(y, x))
+                 for x in lat.elements]
+        assert meet_irreducibles(lat) == tuple(
+            MeetIrreducible(x, plus[x]) for x in lat.elements if plus[x] != x)
+        assert join_irreducibles(lat) == tuple(
+            JoinIrreducible(x, minus[x]) for x in lat.elements
+            if minus[x] != x)
 
 
 def test_irreducible_intervals_are_prime(modular7):
@@ -145,16 +166,37 @@ def test_separating_congruence_examples(chain3, b22):
 
 
 def test_separating_congruence_is_largest(modular6):
-    # every congruence separating the endpoints refines the separating one
-    from commlat.lattice import all_congruences
+    # the largest brute-force congruence keeping the endpoints apart, on the
+    # corpus names and on random renamings
+    rng = random.Random(7)
+    for base in modular6:
+        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+                             for _ in range(2)]:
+            congruences = _brute_force_congruences(lat)
+            for i in prime_intervals(lat):
+                keeping = [LatticePartition(lat, blocks)
+                           for blocks in congruences
+                           if not any(i.lo in b and i.hi in b for b in blocks)]
+                largest = [p for p in keeping
+                           if all(q.refines(p) for q in keeping)]
+                assert [separating_congruence(lat, i)] == largest
 
-    for lat in modular6:
-        for interval in prime_intervals(lat):
-            separating = separating_congruence(lat, interval)
-            assert not separating.related(interval.lo, interval.hi)
-            for other in all_congruences(lat):
-                if not other.related(interval.lo, interval.hi):
-                    assert other.refines(separating)
+
+def test_separating_congruence_checks_every_cover(b22, monkeypatch):
+    # a closure that collapsed too little must not pass as the answer
+    monkeypatch.setattr(projectivity, "congruence_generated",
+                        lambda lat, seed: LatticePartition.identity(lat))
+    with pytest.raises(InternalCheckFailed):
+        separating_congruence(b22, PrimeInterval(0, 1))
+
+
+def test_con_of_a_modular_lattice_is_boolean_on_the_classes(all8):
+    # Con L of a modular lattice is Boolean with one atom per projectivity
+    # class of prime intervals
+    for lat in all8:
+        if lat.is_modular():
+            assert len(all_congruences(lat)) == \
+                2 ** projectivity_classes(lat).num_classes
 
 
 def test_projectivity_matches_principal_congruences(modular7):
