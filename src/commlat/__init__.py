@@ -27,7 +27,6 @@ from .commutator import (
     meet_table,
     residuation,
     series,
-    validate,
     zero_table,
 )
 from .errors import CommlatError, InputError, VerificationError
@@ -38,7 +37,6 @@ from .lattice import (
     SublatticeEmbedding,
     all_congruences,
     build,
-    closure_in_sublattice,
     congruence_generated,
     is_complemented,
     is_simple,

@@ -13,10 +13,9 @@ lattice side.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .commutator import largest_commutator, series
-from .errors import InternalCheckFailed, TheoremViolation
+from .errors import VerificationError
 from .lattice import SublatticeEmbedding, is_complemented, is_simple
 from .projectivity import (
     _require_modular,
@@ -25,8 +24,6 @@ from .projectivity import (
     splitting_pairs,
     two_element_quotient,
 )
-
-DEFAULT_SUBLATTICE_CAP = 12
 
 
 def forces_solvable_type(lat):
@@ -37,8 +34,8 @@ def forces_solvable_type(lat):
     _require_modular(lat)
     verdict = two_element_quotient(lat) is None
     if verdict != series(largest_commutator(lat)).is_solvable:
-        raise TheoremViolation("two-element-image criterion disagrees with "
-                               "the largest multiplication's solvability")
+        raise VerificationError("two-element-image criterion disagrees with "
+                                "the largest multiplication's solvability")
     return verdict
 
 
@@ -51,58 +48,61 @@ def forces_nilpotent_type(lat):
     verdict = all(projective_ceiling(lat, i) == lat.top
                   for i in prime_intervals(lat))
     if verdict != series(largest_commutator(lat)).is_nilpotent:
-        raise TheoremViolation("cover-ceiling criterion disagrees with the "
-                               "largest multiplication's nilpotency")
+        raise VerificationError("cover-ceiling criterion disagrees with the "
+                                "largest multiplication's nilpotency")
     return verdict
 
 
-@lru_cache(maxsize=None)
-def _abelian_sufficient_sublattice(lat, cap):
-    """A (0,1)-sublattice with >= 3 elements that is modular, simple and
-    complemented, or None.  Searches closed subsets up to ``cap`` members
-    (breadth first, deterministic); the search is capped, hence incomplete
-    for large lattices, but a found witness is always genuine."""
-    if lat.n < 3:
-        return None
-    start = SublatticeEmbedding.generated(lat, [lat.bottom, lat.top])
-    queue = [start.members]
-    seen = {start.members}
-    while queue:
-        members = queue.pop(0)
-        sub = SublatticeEmbedding(lat, members)
-        if len(members) >= 3:
-            own, embed = sub.as_lattice()
-            if own.is_modular() and is_simple(own) and is_complemented(own):
-                return embed
-        if len(members) >= cap:
-            continue
-        for extra in lat.elements:
-            if extra in members:
+def _abelian_sufficient_sublattice(lat):
+    """A simple complemented modular (0,1)-sublattice with at least three
+    elements, as the sorted tuple of its members, or None.
+
+    The simple complemented modular lattices with 3 to 15 elements are
+    exactly the M_k (3 <= k <= 13), and each contains M3 as a
+    (0,1)-sublattice, so such a sublattice of at most 15 elements exists iff
+    three elements are pairwise complements.  Returns the lexicographically first such triple
+    with bottom and top, in O(n^3).  Larger ones, such as the subspace
+    lattices of projective planes (16 elements and more), are out of scope:
+    a plane has no three pairwise complements.  The witness is checked to be
+    a genuine M3 before it is returned.
+    """
+    bottom, top = lat.bottom, lat.top
+    complements = [{y for y in range(x + 1, lat.n)
+                    if lat.meet(x, y) == bottom and lat.join(x, y) == top}
+                   for x in range(lat.n)]
+    for a in range(lat.n):
+        for b in sorted(complements[a]):
+            common = complements[a] & complements[b]
+            if not common:
                 continue
-            grown = SublatticeEmbedding.generated(lat, members | {extra}).members
-            if len(grown) <= cap and grown not in seen:
-                seen.add(grown)
-                queue.append(grown)
+            seed = (bottom, top, a, b, min(common))
+            own, embed = SublatticeEmbedding.generated(lat, seed).as_lattice()
+            if not (len(embed) == 5 and own.is_modular() and is_simple(own)
+                    and is_complemented(own)):
+                raise VerificationError(
+                    f"pairwise complements {seed[2:]} do not generate M3")
+            return embed
     return None
 
 
-def forces_abelian_type(lat, sublattice_cap=DEFAULT_SUBLATTICE_CAP):
+def forces_abelian_type(lat):
     """True iff the largest multiplication sends (top, top) to bottom.
 
-    Additionally searches for a simple complemented modular (0,1)-sublattice
-    with at least three elements; finding one is a sufficient condition, so
-    a found witness with a negative verdict raises.
+    Additionally looks for a simple complemented modular (0,1)-sublattice
+    with at least three elements (see :func:`_abelian_sufficient_sublattice`);
+    finding one is a sufficient condition, so a found witness with a
+    negative verdict raises.
     """
     _require_modular(lat)
     table = largest_commutator(lat)
     verdict = table.value(lat.top, lat.top) == lat.bottom
     if verdict != series(table).is_abelian:
-        raise TheoremViolation("top-square criterion disagrees with the "
-                               "largest multiplication's series")
-    witness = _abelian_sufficient_sublattice(lat, sublattice_cap)
+        raise VerificationError("top-square criterion disagrees with the "
+                                "largest multiplication's series")
+    witness = _abelian_sufficient_sublattice(lat)
     if witness is not None and not verdict:
-        raise TheoremViolation("sufficient sublattice found although the "
-                               "largest multiplication is not abelian")
+        raise VerificationError("sufficient sublattice found although the "
+                                "largest multiplication is not abelian")
     return verdict
 
 
@@ -119,7 +119,8 @@ class ForcingReport:
     two-element lattice when one exists (the obstruction to forcing solvable
     type), else None.  ``cover_ceilings`` lists the projective ceiling of
     every cover.  ``abelian_sufficient_condition`` is a witness sublattice
-    for the sufficient abelian criterion when the capped search finds one.
+    for the sufficient abelian criterion (an M3 on three pairwise
+    complements with bottom and top) when one exists, else None.
     """
 
     n: int
@@ -178,7 +179,7 @@ class ForcingReport:
         return "\n".join(lines)
 
 
-def analyze(lat, sublattice_cap=DEFAULT_SUBLATTICE_CAP):
+def analyze(lat):
     """Full forcing report; raises NotModular for nonmodular input and
     verifies the type-nesting invariant before returning."""
     _require_modular(lat)
@@ -194,16 +195,15 @@ def analyze(lat, sublattice_cap=DEFAULT_SUBLATTICE_CAP):
         solvable_obstruction=quot.image if quot is not None else None,
         forces_nilpotent_type=forces_nilpotent_type(lat),
         cover_ceilings=ceilings,
-        forces_abelian_type=forces_abelian_type(lat, sublattice_cap),
+        forces_abelian_type=forces_abelian_type(lat),
         largest_top_square=table.value(lat.top, lat.top),
-        abelian_sufficient_condition=_abelian_sufficient_sublattice(
-            lat, sublattice_cap),
+        abelian_sufficient_condition=_abelian_sufficient_sublattice(lat),
         supernilpotency_shape=supernilpotency_shape(lat),
         splitting_pairs=tuple((p.delta, p.epsilon)
                               for p in splitting_pairs(lat)),
     )
     if report.forces_abelian_type and not report.forces_nilpotent_type:
-        raise InternalCheckFailed("abelian verdict without nilpotent verdict")
+        raise VerificationError("abelian verdict without nilpotent verdict")
     if report.forces_nilpotent_type and not report.forces_solvable_type:
-        raise InternalCheckFailed("nilpotent verdict without solvable verdict")
+        raise VerificationError("nilpotent verdict without solvable verdict")
     return report

@@ -2,9 +2,10 @@
 
 Every command reads lattice/table files as defined in :mod:`commlat.fileio`
 and writes canonical JSON to stdout, so identical inputs and flags produce
-byte-identical output.  Exit status: 0 success, 2 invalid input, 3 failed
-mathematical cross-check (which always indicates a bug in this package, not
-in the input).
+byte-identical output.  Exit status: 0 success, 2 invalid input (or an
+unwritable output directory), 3 failed mathematical cross-check or any other
+unexpected exception (which always indicates a bug in this package, not in
+the input).
 """
 
 import argparse
@@ -51,7 +52,7 @@ def _emit(doc):
 
 def _cmd_analyze(args):
     lat = fileio.load_lattice(args.path)
-    report = classify.analyze(lat, sublattice_cap=args.sublattice_cap)
+    report = classify.analyze(lat)
     if args.format == "json":
         _emit(report.to_doc())
     else:
@@ -168,9 +169,6 @@ def _build_parser():
     p = sub.add_parser("analyze", help="full forcing report for a lattice file")
     p.add_argument("path")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--sublattice-cap", type=int,
-                   default=classify.DEFAULT_SUBLATTICE_CAP,
-                   help="size cap for the sufficient-condition search")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("largest",
@@ -232,12 +230,13 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"commlat: cross-check violation (bug): {exc}", file=sys.stderr)
         return 3
-    except CommlatError as exc:
+    except (CommlatError, ValueError, OSError) as exc:
         print(f"commlat: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"commlat: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"commlat: internal error (bug): {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

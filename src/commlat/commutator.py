@@ -31,13 +31,11 @@ from functools import lru_cache
 
 from .errors import (
     CongruenceMissingSeed,
-    CrossCheckMismatch,
-    InternalCheckFailed,
     InvalidTable,
     LatticeTooLarge,
     NotAHomomorphism,
     NotASplittingPair,
-    TheoremViolation,
+    VerificationError,
 )
 from .lattice import _bits
 from .projectivity import (
@@ -127,11 +125,6 @@ class CommutatorTable:
         return f"CommutatorTable({self.entries})"
 
 
-def validate(table):
-    """Violation list of a candidate table (empty means valid)."""
-    return list(table.violations())
-
-
 def zero_table(lat):
     b = lat.bottom
     return CommutatorTable(lat, [[b] * lat.n for _ in range(lat.n)])
@@ -211,19 +204,19 @@ def series(table):
     fixed_square = any(x != lat.bottom and table.value(x, x) == x
                        for x in lat.elements)
     if solvable == fixed_square:
-        raise CrossCheckMismatch("solvable verdict disagrees with the "
-                                 "existence of a nonzero t-idempotent")
+        raise VerificationError("solvable verdict disagrees with the "
+                                "existence of a nonzero t-idempotent")
     fixed_top = any(x != lat.bottom and table.value(lat.top, x) == x
                     for x in lat.elements)
     if nilpotent == fixed_top:
-        raise CrossCheckMismatch("nilpotent verdict disagrees with the "
-                                 "existence of a nonzero top-fixed element")
+        raise VerificationError("nilpotent verdict disagrees with the "
+                                "existence of a nonzero top-fixed element")
     if lat.is_modular():
         all_top = all(residuation(table, lo, hi) == lat.top
                       for lo, hi in lat.cover_pairs())
         if nilpotent != all_top:
-            raise CrossCheckMismatch("nilpotent verdict disagrees with "
-                                     "cover residuations")
+            raise VerificationError("nilpotent verdict disagrees with "
+                                    "cover residuations")
     return SeriesReport(derived, central, kind)
 
 
@@ -245,12 +238,12 @@ def construct_sublattice(ambient_table, sub):
             raw = ambient_table.value(x, y)
             closed = sub.closure(raw)
             if not sub.ambient.leq(raw, closed):
-                raise InternalCheckFailed("closure went down")
+                raise VerificationError("closure went down")
             entries[i][j] = index[closed]
     out = CommutatorTable(sub_lat, entries)
     if not out.is_valid:
-        raise InternalCheckFailed("sublattice construction produced an "
-                                  f"invalid table: {out.violations()[0]}")
+        raise VerificationError("sublattice construction produced an "
+                                f"invalid table: {out.violations()[0]}")
     return out
 
 
@@ -272,13 +265,13 @@ def construct_pullback(source, hom, target_table):
                 z for z in source.elements if tgt.leq(bound, hom(z)))
     out = CommutatorTable(source, entries)
     if not out.is_valid:
-        raise InternalCheckFailed("pullback produced an invalid table: "
-                                  f"{out.violations()[0]}")
+        raise VerificationError("pullback produced an invalid table: "
+                                f"{out.violations()[0]}")
     for x in source.elements:
         for y in source.elements:
             if not tgt.leq(target_table.value(hom(x), hom(y)),
                            hom(out.value(x, y))):
-                raise InternalCheckFailed("pullback lost its lower bound")
+                raise VerificationError("pullback lost its lower bound")
     return out
 
 
@@ -307,8 +300,8 @@ def construct_splitting(lat, pair, theta):
                 for y in lat.elements] for x in lat.elements]
     out = CommutatorTable(lat, entries)
     if not out.is_valid:
-        raise InternalCheckFailed("splitting construction produced an "
-                                  f"invalid table: {out.violations()[0]}")
+        raise VerificationError("splitting construction produced an "
+                                f"invalid table: {out.violations()[0]}")
     return out
 
 
@@ -351,8 +344,8 @@ def largest_commutator(lat):
                 changed = True
     out = CommutatorTable(lat, t)
     if not out.is_valid:
-        raise InternalCheckFailed("descent fixed point failed validation: "
-                                  f"{out.violations()[0]}")
+        raise VerificationError("descent fixed point failed validation: "
+                                f"{out.violations()[0]}")
     return out
 
 
@@ -438,7 +431,7 @@ def largest_residuation_at_cover(lat, interval):
     value = residuation(largest_commutator(lat), interval.lo, interval.hi)
     ceiling = projective_ceiling(lat, interval)
     if value != ceiling:
-        raise TheoremViolation(
+        raise VerificationError(
             f"residuation {value} differs from projective ceiling {ceiling} "
             f"at cover ({interval.lo}, {interval.hi})")
     return value

@@ -1,10 +1,9 @@
 """Exception hierarchy.
 
-Everything raised on bad *input* derives from :class:`InputError`; everything
-raised when an internal mathematical cross-check fails derives from
-:class:`VerificationError`.  The CLI maps the former to exit status 2 and the
-latter to exit status 3 (a verification failure always indicates a bug, never
-bad data).
+Everything raised on bad *input* derives from :class:`InputError`; a failed
+internal mathematical cross-check raises :class:`VerificationError`.  The CLI
+maps the former to exit status 2 and the latter to exit status 3 (a
+verification failure always indicates a bug, never bad data).
 """
 
 
@@ -70,16 +69,6 @@ class FileFormatError(InputError):
 
 
 class VerificationError(CommlatError):
-    """A mathematical cross-check failed; this signals an implementation bug."""
-
-
-class InternalCheckFailed(VerificationError):
-    """A construction failed an invariant it is guaranteed to satisfy."""
-
-
-class TheoremViolation(VerificationError):
-    """Two routes to the same verdict disagreed."""
-
-
-class CrossCheckMismatch(VerificationError):
-    """A series classification disagreed with its residuation restatement."""
+    """A mathematical cross-check failed: two routes to the same verdict
+    disagreed, or a construction broke an invariant it is guaranteed to
+    satisfy.  This signals an implementation bug."""

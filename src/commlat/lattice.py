@@ -13,12 +13,12 @@ pure and safe to share across workers.
 from .errors import (
     CycleDetected,
     EmptySublattice,
-    InternalCheckFailed,
     NotACongruence,
     NotAHomomorphism,
     NotALattice,
     NotASublattice,
     RedundantCover,
+    VerificationError,
 )
 
 
@@ -340,7 +340,7 @@ def congruence_generated(lattice, seed):
     try:
         return LatticePartition(lattice, groups.values())
     except NotACongruence as exc:
-        raise InternalCheckFailed(
+        raise VerificationError(
             f"worklist closure is not a congruence: {exc}") from exc
 
 
@@ -562,8 +562,3 @@ class SublatticeEmbedding:
 
     def __repr__(self):
         return f"SublatticeEmbedding({self.member_list})"
-
-
-def closure_in_sublattice(sub, x):
-    """The least member of the sublattice above ``x``."""
-    return sub.closure(x)

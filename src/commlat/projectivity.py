@@ -17,7 +17,7 @@ meet is the canonical successor and [eta, eta+] is always a prime interval.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InternalCheckFailed, NotModular
+from .errors import NotModular, VerificationError
 from .lattice import (FiniteLattice, LatticeMap, congruence_generated,
                       sole_covers)
 
@@ -257,10 +257,10 @@ def separating_congruence(lat, interval):
               if classes.class_of(q) != cid])
     for q in classes.intervals:
         if partition.related(q.lo, q.hi) == (classes.class_of(q) == cid):
-            raise InternalCheckFailed(
+            raise VerificationError(
                 f"separating congruence disagrees with projectivity at {q}")
     if partition.related(interval.lo, interval.hi):
-        raise InternalCheckFailed("separating congruence collapsed its interval")
+        raise VerificationError("separating congruence collapsed its interval")
     return partition
 
 
@@ -280,7 +280,7 @@ def two_element_quotient(lat):
         if not is_lonesome_meet_irreducible(lat, eta):
             continue
         if not is_completely_meet_prime(lat, eta.element):
-            raise InternalCheckFailed(
+            raise VerificationError(
                 f"lonesome meet irreducible {eta.element} is not meet prime")
         image = [0 if lat.leq(x, eta.element) else 1 for x in lat.elements]
         return LatticeMap(lat, two_element_lattice(), image)

@@ -61,3 +61,8 @@ def modular6():
 @pytest.fixture(scope="session")
 def modular7():
     return corpus.all_lattices_up_to(7, modular_only=True)
+
+
+@pytest.fixture(scope="session")
+def modular8():
+    return corpus.all_lattices_up_to(8, modular_only=True)

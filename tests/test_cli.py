@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from commlat import corpus, fileio
+from commlat import classify, corpus, fileio
 from commlat.cli import main
 
 
@@ -237,3 +237,30 @@ def test_console_entry_point(tmp_path, m3):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "forces solvable type:   yes" in result.stdout
+
+
+def test_unexpected_exception_is_a_bug(capsys, monkeypatch, m3_file):
+    def boom(lat):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(classify, "analyze", boom)
+    code, out, err = run(capsys, "analyze", m3_file)
+    assert code == 3
+    assert out == ""
+    assert err == "commlat: internal error (bug): RuntimeError: boom\n"
+
+    def interrupt(lat):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(classify, "analyze", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["analyze", m3_file])
+
+
+def test_corpus_unwritable_out_dir_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "corpus", "--max-n", "3",
+                         "--out-dir", str(blocker))
+    assert code == 2
+    assert err.startswith("commlat: ") and "Traceback" not in err

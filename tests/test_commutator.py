@@ -14,7 +14,6 @@ from commlat.commutator import (
     meet_table,
     residuation,
     series,
-    validate,
     zero_table,
 )
 from commlat.errors import (
@@ -48,7 +47,7 @@ def test_meet_table_on_b2_valid(b2):
 
 
 def test_meet_table_on_m3_invalid(m3):
-    violations = validate(meet_table(m3))
+    violations = meet_table(m3).violations()
     assert violations
     assert violations[0].law == "join-distributivity"
     assert violations[0].witness == (1, 2, 3)  # (a v b) ^ c = c but 0 v 0 = 0

@@ -8,12 +8,12 @@ from commlat import corpus
 from commlat.errors import (
     CycleDetected,
     EmptySublattice,
-    InternalCheckFailed,
     NotACongruence,
     NotAHomomorphism,
     NotALattice,
     NotASublattice,
     RedundantCover,
+    VerificationError,
 )
 from commlat.lattice import (
     FiniteLattice,
@@ -22,7 +22,6 @@ from commlat.lattice import (
     SublatticeEmbedding,
     all_congruences,
     build,
-    closure_in_sublattice,
     congruence_generated,
     is_complemented,
     is_simple,
@@ -254,7 +253,7 @@ def test_congruence_generated_reports_a_failed_check_as_a_bug(m3, monkeypatch):
         raise NotACongruence("forced")
 
     monkeypatch.setattr(LatticePartition, "_check_congruence", failing_check)
-    with pytest.raises(InternalCheckFailed):
+    with pytest.raises(VerificationError):
         congruence_generated(m3, [(0, 1)])
 
 
@@ -332,10 +331,10 @@ def test_sublattice_generated(m3):
 
 def test_closure_in_sublattice(m3):
     sub = SublatticeEmbedding(m3, [0, 1, 4])
-    assert closure_in_sublattice(sub, 1) == 1     # already a member
-    assert closure_in_sublattice(sub, 2) == 4     # only member above is top
+    assert sub.closure(1) == 1     # already a member
+    assert sub.closure(2) == 4     # only member above is top
     two_point = SublatticeEmbedding(m3, [0, 4])
-    assert closure_in_sublattice(two_point, 3) == 4
+    assert two_point.closure(3) == 4
 
 
 def test_closure_join_identity(all6):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from commlat import corpus, projectivity
-from commlat.errors import InternalCheckFailed, NotModular
+from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
     LatticePartition,
     all_congruences,
@@ -186,7 +186,7 @@ def test_separating_congruence_checks_every_cover(b22, monkeypatch):
     # a closure that collapsed too little must not pass as the answer
     monkeypatch.setattr(projectivity, "congruence_generated",
                         lambda lat, seed: LatticePartition.identity(lat))
-    with pytest.raises(InternalCheckFailed):
+    with pytest.raises(VerificationError):
         separating_congruence(b22, PrimeInterval(0, 1))
 
 
