@@ -64,7 +64,8 @@ def _abelian_sufficient_sublattice(lat):
     with bottom and top, in O(n^3).  Larger ones, such as the subspace
     lattices of projective planes (16 elements and more), are out of scope:
     a plane has no three pairwise complements.  The witness is checked to be
-    a genuine M3 before it is returned.
+    a genuine M3 before it is returned.  Callers read it through
+    ``lat.fact`` so that it is searched for once per lattice.
     """
     bottom, top = lat.bottom, lat.top
     complements = [{y for y in range(x + 1, lat.n)
@@ -99,7 +100,7 @@ def forces_abelian_type(lat):
     if verdict != series(table).is_abelian:
         raise VerificationError("top-square criterion disagrees with the "
                                 "largest multiplication's series")
-    witness = _abelian_sufficient_sublattice(lat)
+    witness = lat.fact(_abelian_sufficient_sublattice)
     if witness is not None and not verdict:
         raise VerificationError("sufficient sublattice found although the "
                                 "largest multiplication is not abelian")
@@ -197,7 +198,8 @@ def analyze(lat):
         cover_ceilings=ceilings,
         forces_abelian_type=forces_abelian_type(lat),
         largest_top_square=table.value(lat.top, lat.top),
-        abelian_sufficient_condition=_abelian_sufficient_sublattice(lat),
+        # found by forces_abelian_type above, which checks it
+        abelian_sufficient_condition=lat.fact(_abelian_sufficient_sublattice),
         supernilpotency_shape=supernilpotency_shape(lat),
         splitting_pairs=tuple((p.delta, p.epsilon)
                               for p in splitting_pairs(lat)),

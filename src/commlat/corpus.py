@@ -9,16 +9,21 @@ cover-set encoding over all relabelings that respect an iterated
 neighborhood-color invariant.
 
 The hard size cap is 8 elements; beyond that the search space grows too fast
-for the exhaustive approach taken here.
+for the exhaustive approach taken here.  For the same reason the canonical
+form refuses a lattice whose color classes allow more than 8! relabelings.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 from .errors import LatticeTooLarge, NotALattice
 from .lattice import FiniteLattice
 
 MAX_CORPUS_N = 8
+# relabelings canonical_key may try: 8! bounds any lattice with at most
+# MAX_CORPUS_N elements
+MAX_RELABELINGS = math.factorial(MAX_CORPUS_N)
 
 
 def chain(k):
@@ -81,8 +86,15 @@ def canonical_key(lat):
     Each color class is sent to a fixed contiguous index range (classes in
     color order), so the candidate relabelings of isomorphic lattices target
     identical index layouts; the minimum cover encoding is then canonical.
+    Raises :class:`LatticeTooLarge`, before searching, when the classes
+    allow more than ``MAX_RELABELINGS`` relabelings.
     """
     classes = _color_classes(lat)
+    relabelings = math.prod(math.factorial(len(cls)) for cls in classes)
+    if relabelings > MAX_RELABELINGS:
+        raise LatticeTooLarge(
+            f"canonical form would try {relabelings} relabelings; the limit "
+            f"is {MAX_RELABELINGS}")
     starts = []
     offset = 0
     for cls in classes:

@@ -4,15 +4,18 @@ Elements are the integers ``0 .. n-1``.  The only input is the set of cover
 pairs ``(x, y)`` meaning x is covered by y; the order matrix, meet/join
 tables, bottom and top are derived and validated at construction time.  All
 subsets of elements are manipulated as int bitmasks, which keeps every
-operation exact and fast for the intended sizes (n <= 64).
+operation exact and fast for the intended sizes: a lattice has at most
+``MAX_N`` = 64 elements, and a larger one raises :class:`LatticeTooLarge`.
 
-Everything in this module is immutable after construction; all functions are
-pure and safe to share across workers.
+Everything in this module is immutable after construction (a lattice only
+remembers the facts computed by :meth:`FiniteLattice.fact`); all functions
+are pure and safe to share across workers.
 """
 
 from .errors import (
     CycleDetected,
     EmptySublattice,
+    LatticeTooLarge,
     NotACongruence,
     NotAHomomorphism,
     NotALattice,
@@ -20,6 +23,8 @@ from .errors import (
     RedundantCover,
     VerificationError,
 )
+
+MAX_N = 64
 
 
 def _bits(mask):
@@ -34,11 +39,12 @@ class FiniteLattice:
     """A finite lattice on elements ``0 .. n-1`` with a validated cover set.
 
     Raises :class:`CycleDetected`, :class:`RedundantCover` or
-    :class:`NotALattice` when the covers do not describe a lattice order.
+    :class:`NotALattice` when the covers do not describe a lattice order,
+    and :class:`LatticeTooLarge` for more than ``MAX_N`` elements.
     """
 
     __slots__ = ("n", "covers", "_down", "_up", "_meet", "_join",
-                 "bottom", "top", "_hash")
+                 "bottom", "top", "_hash", "_facts")
 
     def __init__(self, n, covers=()):
         if not isinstance(n, int) or n < 1:
@@ -65,6 +71,9 @@ class FiniteLattice:
         if minimal != 1 or maximal != 1:
             raise NotALattice(f"{minimal} minimal and {maximal} maximal "
                               "elements; a lattice has one of each")
+        if n > MAX_N:
+            raise LatticeTooLarge(f"{n} elements; lattices are limited to "
+                                  f"{MAX_N}")
         self.bottom, self.top = order[0], order[-1]
 
         down = [0] * n
@@ -92,6 +101,7 @@ class FiniteLattice:
         self._meet = self._bound_table(down, "meet")
         self._join = self._bound_table(up, "join")
         self._hash = hash((n, self.covers))
+        self._facts = {}
 
     @staticmethod
     def _topological_order(succ, pred):
@@ -181,6 +191,13 @@ class FiniteLattice:
         return sorted(x for (x, b) in self.covers if b == y)
 
     # -- derived structure --------------------------------------------------
+
+    def fact(self, compute):
+        """``compute(self)``, computed once and kept for the lattice's
+        lifetime (no module-level cache holds the lattice alive)."""
+        if compute not in self._facts:
+            self._facts[compute] = compute(self)
+        return self._facts[compute]
 
     def dual(self):
         """The lattice with the order reversed (same element names)."""
@@ -411,27 +428,48 @@ def all_congruences(lattice):
     """Every congruence of the lattice, sorted by block structure.
 
     Every congruence of a finite lattice is the join of the principal
-    congruences con(j-, j) of the join irreducibles j it collapses (R.
-    Freese, "Computing congruence lattices of finite lattices", Proc. AMS
-    125, 1997).  So Con L is the closure of {identity} under theta ->
-    theta v con(j-, j), each join one :func:`congruence_generated` call
-    seeded with theta's blocks and the pair (j-, j).  That is
-    O(|Con L| * |J(L)| * n^2) in all.
+    congruences con(j-, j) of the join irreducibles j it collapses, and
+    theta -> {j : theta collapses (j-, j)} is a bijection from Con L onto
+    the down-sets of the quasiorder k <= j iff con(j-, j) collapses
+    (k-, k) (R. Freese, "Computing congruence lattices of finite
+    lattices", Proc. AMS 125, 1997).  So: one closure per join irreducible
+    gives each con(j-, j) and, as a bitmask over J(L), the down-set it
+    collapses; the down-sets are the unions of those masks, found with
+    integer ORs; and each down-set S not already a principal congruence is
+    one :func:`congruence_generated` call seeded with (k-, k) for k in S.
+    That is O((|Con L| + |J(L)|) * n^2) plus O(|Con L| * |J(L)|) ORs.
+    Each result is checked to collapse (k-, k) exactly for k in its
+    down-set; a disagreement is a bug.
     """
-    joins = sole_covers(lattice.covers).items()
-    identity = LatticePartition.identity(lattice)
-    found = {identity}
-    pending = [identity]
-    while pending:
-        theta = pending.pop()
-        seeds = [(b[0], x) for b in theta.blocks for x in b[1:]]
-        for j, lo in joins:
-            if theta.related(lo, j):
-                continue
-            joined = congruence_generated(lattice, seeds + [(lo, j)])
-            if joined not in found:
-                found.add(joined)
-                pending.append(joined)
+    joins = list(sole_covers(lattice.covers).items())
+
+    def collapsed(theta):
+        return sum(1 << i for i, (j, lo) in enumerate(joins)
+                   if theta.related(lo, j))
+
+    principal = {}
+    for i, (j, lo) in enumerate(joins):
+        theta = congruence_generated(lattice, [(lo, j)])
+        # j is in its own down-set; a closure that missed its seed then
+        # fails the check below
+        principal[collapsed(theta) | 1 << i] = theta
+    downsets = {0}
+    for mask in principal:
+        downsets |= {d | mask for d in downsets}
+    found = []
+    for s in downsets:
+        if s in principal:
+            theta = principal[s]
+        elif s:
+            theta = congruence_generated(
+                lattice, [(joins[i][1], joins[i][0]) for i in _bits(s)])
+        else:
+            theta = LatticePartition.identity(lattice)
+        if collapsed(theta) != s:
+            raise VerificationError(
+                f"congruence {theta.blocks} does not collapse exactly the "
+                "join irreducibles of its down-set")
+        found.append(theta)
     return sorted(found, key=lambda p: p.blocks)
 
 

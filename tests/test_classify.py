@@ -131,6 +131,19 @@ def test_witness_failing_its_check_is_a_bug(m3, monkeypatch):
         analyze(m3)
 
 
+def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
+    calls = []
+    search = classify._abelian_sufficient_sublattice
+
+    def counted(lat):
+        calls.append(lat)
+        return search(lat)
+
+    monkeypatch.setattr(classify, "_abelian_sufficient_sublattice", counted)
+    assert analyze(m3).abelian_sufficient_condition == (0, 1, 2, 3, 4)
+    assert len(calls) == 1
+
+
 def test_supernilpotency_matches_splitting(all6):
     from commlat.projectivity import splits
 

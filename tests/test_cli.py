@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -223,6 +224,25 @@ def test_corpus_out_dir(capsys, tmp_path):
 def test_corpus_max_n_guard(capsys):
     code, _, err = run(capsys, "corpus", "--max-n", "9")
     assert code == 2
+
+
+def test_corpus_stream_is_unchanged(capsys):
+    # the digest of the 300-line stream the canonical forms gave before
+    # canonical_key was bounded; a change of representatives shows here
+    code, out, _ = run(capsys, "corpus", "--max-n", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ca14210584329e4ee07d3f521d12a3d3c1607a380ad8422439574af17207a0c2")
+
+
+def test_analyze_too_large_exits_2(capsys, tmp_path):
+    path = tmp_path / "c65.json"
+    path.write_text(json.dumps(
+        {"n": 65, "covers": [[i, i + 1] for i in range(64)]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "limited to 64" in err
 
 
 def test_cover_order_is_insensitive(m3):

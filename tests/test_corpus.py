@@ -69,3 +69,12 @@ def test_named_lattices(m3, n5, b22):
     assert corpus.b2() == corpus.chain(2)
     assert corpus.boolean(3).n == 8
     assert corpus.boolean(3).is_modular()
+
+
+def test_canonical_key_refuses_factorial_search():
+    # B4's color classes have 4, 6 and 4 elements: 4! * 6! * 4! = 414,720
+    # relabelings, over the 8! limit, so this raises before searching
+    with pytest.raises(LatticeTooLarge):
+        corpus.canonical_key(corpus.boolean(4))
+    with pytest.raises(LatticeTooLarge):
+        corpus.isomorphic(corpus.boolean(4), corpus.boolean(4))

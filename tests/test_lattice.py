@@ -4,10 +4,11 @@ import tracemalloc
 
 import pytest
 
-from commlat import corpus
+from commlat import corpus, lattice
 from commlat.errors import (
     CycleDetected,
     EmptySublattice,
+    LatticeTooLarge,
     NotACongruence,
     NotAHomomorphism,
     NotALattice,
@@ -66,6 +67,12 @@ def test_build_rejects_antichain_before_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_size_limit():
+    with pytest.raises(LatticeTooLarge):
+        corpus.chain(65)
+    assert corpus.boolean(6).n == 64
 
 
 def test_build_rejects_cycle():
@@ -246,6 +253,33 @@ def test_all_congruences_at_scale():
     # Con C_k is Boolean on k - 1 atoms and Con B_k on k atoms
     assert len(all_congruences(corpus.chain(10))) == 512
     assert len(all_congruences(corpus.boolean(5))) == 32
+
+
+@pytest.mark.parametrize("lat", [corpus.chain(10), corpus.boolean(5)],
+                         ids=["C10", "B5"])
+def test_all_congruences_closes_once_per_congruence(lat, monkeypatch):
+    calls = []
+
+    def counted(lat, seed):
+        calls.append(seed)
+        return congruence_generated(lat, seed)
+
+    monkeypatch.setattr(lattice, "congruence_generated", counted)
+    congruences = all_congruences(lat)
+    assert 0 < len(calls) <= len(congruences)
+
+
+def test_all_congruences_checks_the_down_set(monkeypatch):
+    # a closure that collapses everything once seeded with two pairs breaks
+    # the bijection with the down-sets of J(L)
+    def wrong(lat, seed):
+        if len(seed) > 1:
+            return LatticePartition.single_block(lat)
+        return congruence_generated(lat, seed)
+
+    monkeypatch.setattr(lattice, "congruence_generated", wrong)
+    with pytest.raises(VerificationError, match="down-set"):
+        all_congruences(corpus.chain(4))
 
 
 def test_congruence_generated_reports_a_failed_check_as_a_bug(m3, monkeypatch):
