@@ -26,14 +26,18 @@ from .projectivity import (
 )
 
 
+def _largest_series(lat):
+    return series(lat.fact(largest_commutator))
+
+
 def forces_solvable_type(lat):
     """True iff the two-element lattice is not a (0,1)-image of the lattice.
 
     Cross-checked against the largest multiplication being of solvable type.
     """
     _require_modular(lat)
-    verdict = two_element_quotient(lat) is None
-    if verdict != series(largest_commutator(lat)).is_solvable:
+    verdict = lat.fact(two_element_quotient) is None
+    if verdict != lat.fact(_largest_series).is_solvable:
         raise VerificationError("two-element-image criterion disagrees with "
                                 "the largest multiplication's solvability")
     return verdict
@@ -47,7 +51,7 @@ def forces_nilpotent_type(lat):
     _require_modular(lat)
     verdict = all(projective_ceiling(lat, i) == lat.top
                   for i in prime_intervals(lat))
-    if verdict != series(largest_commutator(lat)).is_nilpotent:
+    if verdict != lat.fact(_largest_series).is_nilpotent:
         raise VerificationError("cover-ceiling criterion disagrees with the "
                                 "largest multiplication's nilpotency")
     return verdict
@@ -95,9 +99,9 @@ def forces_abelian_type(lat):
     negative verdict raises.
     """
     _require_modular(lat)
-    table = largest_commutator(lat)
+    table = lat.fact(largest_commutator)
     verdict = table.value(lat.top, lat.top) == lat.bottom
-    if verdict != series(table).is_abelian:
+    if verdict != lat.fact(_largest_series).is_abelian:
         raise VerificationError("top-square criterion disagrees with the "
                                 "largest multiplication's series")
     witness = lat.fact(_abelian_sufficient_sublattice)
@@ -108,8 +112,20 @@ def forces_abelian_type(lat):
 
 
 def supernilpotency_shape(lat):
-    """True iff the lattice does not split (no splitting pair exists)."""
-    return not splitting_pairs(lat)
+    """True iff the lattice does not split (no splitting pair exists).
+
+    A pair (delta, epsilon) splits the lattice iff every a not below delta
+    is above epsilon, so one exists iff some delta < top has
+    meet{a : a not <= delta} > bottom: O(n^2).  Cross-checked against the
+    splitting pairs the report lists.
+    """
+    verdict = all(
+        lat.meet_all(a for a in lat.elements if not lat.leq(a, delta))
+        == lat.bottom for delta in lat.elements if delta != lat.top)
+    if verdict != (not lat.fact(splitting_pairs)):
+        raise VerificationError("meet-of-the-rest criterion disagrees with "
+                                "the splitting pairs")
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -184,10 +200,10 @@ def analyze(lat):
     """Full forcing report; raises NotModular for nonmodular input and
     verifies the type-nesting invariant before returning."""
     _require_modular(lat)
-    quot = two_element_quotient(lat)
+    quot = lat.fact(two_element_quotient)
     ceilings = tuple((i.lo, i.hi, projective_ceiling(lat, i))
                      for i in prime_intervals(lat))
-    table = largest_commutator(lat)
+    table = lat.fact(largest_commutator)
     report = ForcingReport(
         n=lat.n,
         covers=lat.cover_pairs(),
@@ -202,7 +218,7 @@ def analyze(lat):
         abelian_sufficient_condition=lat.fact(_abelian_sufficient_sublattice),
         supernilpotency_shape=supernilpotency_shape(lat),
         splitting_pairs=tuple((p.delta, p.epsilon)
-                              for p in splitting_pairs(lat)),
+                              for p in lat.fact(splitting_pairs)),
     )
     if report.forces_abelian_type and not report.forces_nilpotent_type:
         raise VerificationError("abelian verdict without nilpotent verdict")

@@ -27,7 +27,6 @@ enumeration and against the residuation characterization at covers.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import (
     CongruenceMissingSeed,
@@ -308,7 +307,6 @@ def construct_splitting(lat, pair, theta):
 # -- the largest multiplication ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def largest_commutator(lat):
     """The pointwise join of all commutator multiplications on the lattice,
     computed by the descent documented in the module docstring."""
@@ -428,7 +426,7 @@ def largest_residuation_at_cover(lat, interval):
     the projective ceiling of the cover, and checked to be."""
     _require_modular(lat)
     _require_prime(lat, interval)
-    value = residuation(largest_commutator(lat), interval.lo, interval.hi)
+    value = residuation(lat.fact(largest_commutator), interval.lo, interval.hi)
     ceiling = projective_ceiling(lat, interval)
     if value != ceiling:
         raise VerificationError(

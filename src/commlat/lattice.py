@@ -5,11 +5,12 @@ pairs ``(x, y)`` meaning x is covered by y; the order matrix, meet/join
 tables, bottom and top are derived and validated at construction time.  All
 subsets of elements are manipulated as int bitmasks, which keeps every
 operation exact and fast for the intended sizes: a lattice has at most
-``MAX_N`` = 64 elements, and a larger one raises :class:`LatticeTooLarge`.
+``MAX_N`` = 64 elements, and a larger one raises :class:`LatticeTooLarge`
+before anything is allocated per element.
 
 Everything in this module is immutable after construction (a lattice only
-remembers the facts computed by :meth:`FiniteLattice.fact`); all functions
-are pure and safe to share across workers.
+remembers the facts computed once each by :meth:`FiniteLattice.fact`, which
+are freed with it); all functions are pure and safe to share across workers.
 """
 
 from .errors import (
@@ -25,6 +26,9 @@ from .errors import (
 )
 
 MAX_N = 64
+# all_congruences refuses a lattice with more congruences than this, C16's
+# count; C20 would take minutes and hundreds of MB, C32 all memory
+MAX_CONGRUENCES = 2**15
 
 
 def _bits(mask):
@@ -49,6 +53,9 @@ class FiniteLattice:
     def __init__(self, n, covers=()):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"element count must be a positive int, got {n!r}")
+        if n > MAX_N:
+            raise LatticeTooLarge(f"{n} elements; lattices are limited to "
+                                  f"{MAX_N}")
         cover_set = set()
         for pair in covers:
             x, y = pair
@@ -71,9 +78,6 @@ class FiniteLattice:
         if minimal != 1 or maximal != 1:
             raise NotALattice(f"{minimal} minimal and {maximal} maximal "
                               "elements; a lattice has one of each")
-        if n > MAX_N:
-            raise LatticeTooLarge(f"{n} elements; lattices are limited to "
-                                  f"{MAX_N}")
         self.bottom, self.top = order[0], order[-1]
 
         down = [0] * n
@@ -205,13 +209,7 @@ class FiniteLattice:
 
     def is_modular(self):
         """Whether x <= z implies x v (y ^ z) = (x v y) ^ z for all y."""
-        for x in range(self.n):
-            for z in _bits(self._up[x]):
-                for y in range(self.n):
-                    if self._join[x][self._meet[y][z]] != \
-                            self._meet[self._join[x][y]][z]:
-                        return False
-        return True
+        return self.fact(_is_modular)
 
     def __eq__(self, other):
         return (isinstance(other, FiniteLattice)
@@ -222,6 +220,16 @@ class FiniteLattice:
 
     def __repr__(self):
         return f"FiniteLattice({self.n}, {sorted(self.covers)})"
+
+
+def _is_modular(lat):
+    meet, join = lat._meet, lat._join
+    for x in range(lat.n):
+        for z in _bits(lat._up[x]):
+            for y in range(lat.n):
+                if join[x][meet[y][z]] != meet[join[x][y]][z]:
+                    return False
+    return True
 
 
 def build(n, covers):
@@ -439,7 +447,9 @@ def all_congruences(lattice):
     one :func:`congruence_generated` call seeded with (k-, k) for k in S.
     That is O((|Con L| + |J(L)|) * n^2) plus O(|Con L| * |J(L)|) ORs.
     Each result is checked to collapse (k-, k) exactly for k in its
-    down-set; a disagreement is a bug.
+    down-set; a disagreement is a bug.  The down-sets are counted as they
+    are ORed together, and past ``MAX_CONGRUENCES`` of them
+    :class:`LatticeTooLarge` is raised before any of their closures runs.
     """
     joins = list(sole_covers(lattice.covers).items())
 
@@ -456,6 +466,8 @@ def all_congruences(lattice):
     downsets = {0}
     for mask in principal:
         downsets |= {d | mask for d in downsets}
+        if len(downsets) > MAX_CONGRUENCES:
+            raise LatticeTooLarge(f"more than {MAX_CONGRUENCES} congruences")
     found = []
     for s in downsets:
         if s in principal:

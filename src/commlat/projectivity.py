@@ -15,7 +15,6 @@ meet is the canonical successor and [eta, eta+] is always a prime interval.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import NotModular, VerificationError
 from .lattice import (FiniteLattice, LatticeMap, congruence_generated,
@@ -88,13 +87,14 @@ def transposes_up(lat, i, j):
 
 
 class ProjectivityClasses:
-    """Partition of the prime intervals into projectivity classes."""
+    """Projectivity classes of the prime intervals, with their ceilings."""
 
-    __slots__ = ("intervals", "_class_of")
+    __slots__ = ("intervals", "_class_of", "ceilings")
 
-    def __init__(self, intervals, class_of):
+    def __init__(self, intervals, class_of, ceilings):
         self.intervals = intervals
         self._class_of = class_of
+        self.ceilings = ceilings
 
     def class_of(self, interval):
         try:
@@ -110,23 +110,15 @@ class ProjectivityClasses:
         cid = self.class_of(interval)
         return tuple(i for i in self.intervals if self._class_of[i] == cid)
 
-    def classes(self):
-        groups = {}
-        for i in self.intervals:
-            groups.setdefault(self._class_of[i], []).append(i)
-        return tuple(tuple(groups[c]) for c in sorted(groups))
-
     @property
     def num_classes(self):
-        return len(set(self._class_of.values()))
+        return len(self.ceilings)
 
 
-@lru_cache(maxsize=None)
 def projectivity_classes(lat):
-    """Connected components of the perspectivity graph on prime intervals.
-
-    Cached per lattice; recomputation is harmless, so concurrent first calls
-    are safe.
+    """Connected components of the perspectivity graph on prime intervals,
+    with the projective ceiling of each from one pass over the meet
+    irreducibles.  The package reads it through ``lat.fact``, once per lattice.
     """
     _require_modular(lat)
     intervals = prime_intervals(lat)
@@ -153,7 +145,11 @@ def projectivity_classes(lat):
         if root not in relabel:
             relabel[root] = len(relabel)
         class_of[i] = relabel[root]
-    return ProjectivityClasses(intervals, class_of)
+    ceilings = [lat.bottom] * len(relabel)
+    for m in meet_irreducibles(lat):
+        cid = class_of[m.interval()]
+        ceilings[cid] = lat.join(ceilings[cid], m.element)
+    return ProjectivityClasses(intervals, class_of, tuple(ceilings))
 
 
 def projects_into(lat, interval, lo, hi):
@@ -161,7 +157,7 @@ def projects_into(lat, interval, lo, hi):
     if not lat.leq(lo, hi):
         raise ValueError(f"[{lo}, {hi}] is not an interval")
     _require_prime(lat, interval)
-    classes = projectivity_classes(lat)
+    classes = lat.fact(projectivity_classes)
     return any(lat.leq(lo, p.lo) and lat.leq(p.hi, hi)
                for p in classes.members(interval))
 
@@ -170,18 +166,15 @@ def projective_ceiling(lat, interval):
     """Join of the meet irreducibles whose canonical prime interval is
     projective to the given one (empty join = bottom)."""
     _require_prime(lat, interval)
-    classes = projectivity_classes(lat)
-    cid = classes.class_of(interval)
-    return lat.join_all(
-        m.element for m in meet_irreducibles(lat)
-        if classes.class_of(m.interval()) == cid)
+    classes = lat.fact(projectivity_classes)
+    return classes.ceilings[classes.class_of(interval)]
 
 
 def projective_floor(lat, interval):
     """Join of the join irreducibles whose canonical prime interval is
     projective to the given one (empty join = bottom)."""
     _require_prime(lat, interval)
-    classes = projectivity_classes(lat)
+    classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)
     return lat.join_all(
         j.element for j in join_irreducibles(lat)
@@ -191,7 +184,7 @@ def projective_floor(lat, interval):
 def is_lonesome_meet_irreducible(lat, eta):
     """Whether eta is the only meet irreducible whose canonical interval
     lies in its projectivity class."""
-    classes = projectivity_classes(lat)
+    classes = lat.fact(projectivity_classes)
     cid = classes.class_of(eta.interval())
     return sum(classes.class_of(m.interval()) == cid
                for m in meet_irreducibles(lat)) == 1
@@ -199,7 +192,7 @@ def is_lonesome_meet_irreducible(lat, eta):
 
 def is_lonesome_join_irreducible(lat, rho):
     """Dual of :func:`is_lonesome_meet_irreducible`."""
-    classes = projectivity_classes(lat)
+    classes = lat.fact(projectivity_classes)
     cid = classes.class_of(rho.interval())
     return sum(classes.class_of(j.interval()) == cid
                for j in join_irreducibles(lat)) == 1
@@ -250,7 +243,7 @@ def separating_congruence(lat, interval):
     class; a disagreement means a bug, not bad input.
     """
     _require_prime(lat, interval)
-    classes = projectivity_classes(lat)
+    classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)
     partition = congruence_generated(
         lat, [(q.lo, q.hi) for q in classes.intervals

@@ -1,9 +1,13 @@
+import collections
+import gc
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from commlat import classify, corpus
+from commlat import classify, corpus, fileio, lattice, projectivity
 from commlat.classify import (
     analyze,
     forces_abelian_type,
@@ -144,11 +148,62 @@ def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
     assert len(calls) == 1
 
 
-def test_supernilpotency_matches_splitting(all6):
+def test_supernilpotency_matches_splitting(all8):
     from commlat.projectivity import splits
 
-    for lat in all6:
+    for lat in all8:
         assert supernilpotency_shape(lat) == (not splits(lat))
+
+
+def test_supernilpotency_disagreement_is_a_bug(b22, monkeypatch):
+    monkeypatch.setattr(classify, "splitting_pairs", lambda lat: ())
+    with pytest.raises(VerificationError):
+        supernilpotency_shape(b22)
+
+
+def test_analyze_computes_each_fact_once(monkeypatch):
+    calls = collections.Counter()
+
+    def count(module, name):
+        compute = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return compute(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(lattice, "_is_modular")
+    count(projectivity, "meet_irreducibles")
+    for name in ("largest_commutator", "series", "splitting_pairs",
+                 "two_element_quotient"):
+        count(classify, name)
+    lat = corpus.boolean(4)
+    analyze(lat)
+    # the classes with their ceilings, the quotient, its lonesomeness test;
+    # not once per cover (B4 has 32)
+    assert calls.pop("meet_irreducibles") <= 3
+    assert calls == dict.fromkeys(
+        ["_is_modular", "largest_commutator", "series", "splitting_pairs",
+         "two_element_quotient"], 1)
+
+
+def test_analyze_holds_no_memory_across_lattices():
+    # every fact lives on its lattice, so fresh lattices leave nothing behind
+    rng = random.Random(4)
+    b4 = corpus.boolean(4)
+    tracemalloc.start()
+    try:
+        held = []
+        for _ in range(6):
+            for _ in range(10):
+                analyze(_relabel(b4, rng))
+            gc.collect()
+            held.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    # the caches this replaced kept about 19 KB per call
+    assert held[-1] - held[0] < 50 * 200
 
 
 def _relabel(lat, rng):
@@ -234,3 +289,124 @@ def test_analyze_at_scale(lat, forced, witness):
     assert (report.forces_solvable_type, report.forces_nilpotent_type,
             report.forces_abelian_type) == forced
     assert (report.abelian_sufficient_condition is not None) == witness
+
+
+# SHA-256 of ``commlat analyze --format json`` (fileio.canonical_dumps of
+# the report) per lattice: "mod8-i" is the i-th of the 67 modular lattices
+# with at most 8 elements in corpus order, the rest are named families.
+ANALYZE_SHA256 = {
+    "mod8-00": "2d8b05532d097a604be1233152fa344fa38224ec76ed208f535fa3c71ae24eeb",
+    "mod8-01": "348c9f7b12652a6b304f48a3713700b6e1a9b2da7654019c1a383eb7ad264f72",
+    "mod8-02": "9ae1ce4e8b64432b11ded98a5a9cbd234646807685b0eee8b51d3a132c64a302",
+    "mod8-03": "14442d74c91f724adc5e9a739d3adada2a2d1a7f3a2b30afc6c0f1544f844666",
+    "mod8-04": "62535fc77b5a27b217e1c5b286857cf4dcea4fc0908865bd87539f36dfa8ace2",
+    "mod8-05": "c478bcbc48f8f88755f2d29c78dc76b334f3eb057c8f17e6933154f918254a3a",
+    "mod8-06": "2c24288e377f06bf702525fe50593d8ec20f224956abbd756d3c023c2d2ee08d",
+    "mod8-07": "530d835d2bc1e7babcac9795a0bb1ff629ae890e815cc0421055b132b5c2e2ba",
+    "mod8-08": "b2d56056487d9729e192a9fd80e5d5f30e89cf71b33ef8618bff7d3c5d07e07b",
+    "mod8-09": "fc66555134a39e8297b6edb11f293238df5f9b2119eef34cb0c024e2044f06d1",
+    "mod8-10": "d51705b3fce5ae97628e1535b94163d4ea04882ee15f31f40b4439c6b9038ea9",
+    "mod8-11": "12f2e642cf2cbb9f10def6fb7be8d2e614c8cfb412be635edbbc8a07944da1f9",
+    "mod8-12": "55c4d3579696089439bc2dcee735343e46d3ed6e0f8d340b72653d75886c27d3",
+    "mod8-13": "f6cef4aa253b4e2f57c48c095e5295ab3605d292c35c68bbc86596c5fe467728",
+    "mod8-14": "2a1c837fbadf9411c955540b3be4cc6eee741eb2cf4bc89a8cbf43c3e5341494",
+    "mod8-15": "18dd7e52a4c68d6d96818b625d77220e0f944e2c96138a8ec607bf41b245e43c",
+    "mod8-16": "08d8f2822b7996006de050740eb2238fe2f85efebaca0a3c9f581337a7402a20",
+    "mod8-17": "d91f6bccae94f2b24f91995914fd75c5f7572a7d1ca0e2a14b5e59ac6d371e7b",
+    "mod8-18": "d4f4f3537d4a09983de8bc55cb338b2b9c1d46c7a2243d2315cc6e94a0b0616d",
+    "mod8-19": "f308707ef58cf64a9fed2fb4cc99f69c529a98fe156fd2c6aaf6cc11eb6fca0b",
+    "mod8-20": "09829cb538f7b8188c031974b0a6c019ba1a030cca039ba01104fa2e1df77752",
+    "mod8-21": "47bcb79299f96a316ef74c9bd8f91518e38c08e2a58f316a2e22039a45490ad5",
+    "mod8-22": "61c9b16256bb51bc0a010a963e859e7e99e11a129a4a619b588bb34008ab239e",
+    "mod8-23": "42b6bbf92736cdf7511e4754f58e6bb1f0c2cc1304ae2044d9fb8444775567d0",
+    "mod8-24": "82f3fbbfbf230b9c8bd10d7befb463aabbd34e7161e0ad7a9fe0f17d8eacf030",
+    "mod8-25": "7180576f613570dd2f500c63db2d1fa9a16f24b7608c79f2868db93139678b37",
+    "mod8-26": "c36e20a4a9c0c85439a1cfcbafe449c04aaea9f127c3adb6293a05a1ae1f8b5d",
+    "mod8-27": "0919c346c33c70d1115ee3f4ad7b29cfbadda17c60c347f4096434e72833fc01",
+    "mod8-28": "113a545057ac7f565d2102ae5e23a42295740b02e3c8851e2799e3266d732805",
+    "mod8-29": "171ccad6fd33a6683bfa55f937948455888d096918454d4af55f4a256d2d6a95",
+    "mod8-30": "9a93b842e5fc2341b5537f1cfbacb7080a9ba6aa2df7050a0f310490034d5f69",
+    "mod8-31": "f42be7e2308c2a39b638201151a16c22aedf0069d79bf74cdc3a10a9655be864",
+    "mod8-32": "3c3194776000d26ab9497895bfae0efe8d3ac1deb117857760a0a6464351349e",
+    "mod8-33": "afec339c18f8fda6a785160289c742e9076683fc8f2c716c7240538b55e9793c",
+    "mod8-34": "5005e9d31d2a8e9ae957bf05302ef66b192116d490f4b84becdb80b43e000dc0",
+    "mod8-35": "a811e037998820cf57ea68f46ce10e6c9f909ea91e169d005aa7f1fd89dadba9",
+    "mod8-36": "870a87df75c966ebce7c61d0098a13ea6da03b83949eca43378d8fcb489e4fce",
+    "mod8-37": "469f3a228bf20b0456ad0a20cc516825fbbb6ef8bb3b965149206a7bd947948f",
+    "mod8-38": "a2ca49704d0eae9e9583cb2571effbe028e48a9048d34b6826725568819cc6c9",
+    "mod8-39": "fac918b00bf11f8fc51a4c40af36637a4f08de96ff106408f9f9fa4c1b389cd4",
+    "mod8-40": "18d8dd0b0fd706b964165ef20dfed0588ba3f753568c5b434f43c32a5757920f",
+    "mod8-41": "6ff7cdc6da9f793de411d8c6ec9ba3f344f4f195bbc56dc63e962c2a87ec1d76",
+    "mod8-42": "90aa9eb4da30d0a1f3606cc7999a408968f894855b22d403a77d83b9cdb14efe",
+    "mod8-43": "2a9ebb28696500daacd5c9d64727f58ded2e63024d3f46c5f489bdf9bf56f61f",
+    "mod8-44": "c7111001ab7a958d4ae92c93ac93e5c2d7db398a8d847d541a5fca5e6f6a4fa3",
+    "mod8-45": "0e579e1fd4da3a4bc1536cae5d53b043d09c191548bdf3d8efb30fafc6139e24",
+    "mod8-46": "dee682651143c5414643349de1f18c5d21b36d6f016d9ac9a72186d1f79f47d4",
+    "mod8-47": "73c9726e9c096b7b81357e9cd38996f1c9a31a80df1c80f823ef91a73230ae31",
+    "mod8-48": "77923decfd507a0e7748258e1c5fac0a5c643e4adb1d19a2318f3547677dc241",
+    "mod8-49": "b7b9bbad1350698b4cecf9f5b49779bbbe03f74cbc3d19b85367484775b34872",
+    "mod8-50": "d4b0fccf3791a9e544a18efa73c8942f5bb837340342a87699acf0ce87438dfe",
+    "mod8-51": "38c6b90c5337ceca1599933cfdd809b185daa343ed7d55f9f5153e4b527c3170",
+    "mod8-52": "6df4a830f96e590d5097671f3502d3048fe73de4df507bf24cfef10ab9cdbb79",
+    "mod8-53": "5728be8fb33e100ee61ebb84f7cbd9e76ea1294f7646da03809b3b1eec777bc9",
+    "mod8-54": "2ad42f2567173efa4e6e5f6394bb7d2fe252a0b3c7bbb771ca8405e753d55be7",
+    "mod8-55": "fc9d5b1e51e0d6e44a5534a4f16a6bf389bde4c452c011ea23dcca2abca341a5",
+    "mod8-56": "5a8c7e5abaaa54e7788c68aaf70fd0b80739ade03d5125b450d2c769d9b5f761",
+    "mod8-57": "5f1e5aed4fb1e1bdb78716d2591fd360d5d6c753674bb70691eaafee903a5c03",
+    "mod8-58": "0e518d77aef4233cd25e956105797e39da481e3d379a68d83a4368060d4a1d6f",
+    "mod8-59": "3962d37030209dff470c0fcc2df74e772625c0cc80460029eff662e2cff226d7",
+    "mod8-60": "903dc124e44e93c42f20f87c27aa94d00b66d5bbcf057145b5e6b675e58b2354",
+    "mod8-61": "4bceda78a1c6d7941bd2629a6efe26ed47c49bda794aeca0e01093ac57a7c69c",
+    "mod8-62": "be82d624dbd2ddd4b03d81932fbb417690d9fe5c8766af1ca6fa1dcf8d0cc070",
+    "mod8-63": "9f76cff34b4e77e91eb0bbb15ae0e193af72d06edc99e4d8f236d20e6f54776a",
+    "mod8-64": "a452bac1d9a7c35bde8f0145142932462298b68649b414f5eb3cb4020bf74155",
+    "mod8-65": "75973607971947739072bd9114bb177694e645fc62c2419922a3130f0e945edf",
+    "mod8-66": "53b153d3643962cbfef97dac411e5b0259cba64150d36fe4e481d77ba7345a2c",
+    "C8": "53b153d3643962cbfef97dac411e5b0259cba64150d36fe4e481d77ba7345a2c",
+    "C9": "e8ad17ebd4f86c5a3b89e3792a4bec614ebf1a0cc41bbd29a1d897fdda106959",
+    "C10": "277007776489f7eb168048aeb6ea64d30989abef55e906d473c3484b2ec64fc6",
+    "C11": "a0824f7c98e6778e6a39d0e91598b21467dc2de7b43f8082218d250b03ffc0e2",
+    "C12": "705a302f4c3c2f9aef5a742879f504a089b0446efadac75658f1be1a3c5eba0f",
+    "C13": "f4055abb3b0cd9ddd77e64382c9063f05e4a3d0ddd9a83f5582001d9dc927539",
+    "C14": "69b1e5e49a22d71586e6a159da9027f7cabd8dc46a5ee8d1e5d02c45db1c4331",
+    "B3": "d8aecfdaaf547363722585c20163e986a562f388f71a4cd360f219d545ed8da5",
+    "B4": "a604ec2dfe5809767006a4669066731586e02aba248619b82f1969b69f81f07e",
+    "M3": "c478bcbc48f8f88755f2d29c78dc76b334f3eb057c8f17e6933154f918254a3a",
+    "M4": "fc66555134a39e8297b6edb11f293238df5f9b2119eef34cb0c024e2044f06d1",
+    "M5": "d91f6bccae94f2b24f91995914fd75c5f7572a7d1ca0e2a14b5e59ac6d371e7b",
+    "M6": "afec339c18f8fda6a785160289c742e9076683fc8f2c716c7240538b55e9793c",
+    "M7": "baa75432f5aaafff635061000d386e53afd9afa767f34b239dcbd6dee7184c0c",
+    "M8": "984e2c37d02b6a177634265ba7bf8ae4895b5dce3e6086c10314332d7bff4472",
+    "M9": "f4aff0d4dd9d63ca49ca815beb396a6241ba946929c65c2c6c23a5276ce3a015",
+    "M10": "cf43cd8347c6ae21570fca15999bc2dc91e440d4bf66cbb3ee41acd8eba90e3b",
+    "M3xC2": "61eb4aa984d3c6e591d7cbab699da730b78bcb22ef9a2bb4e9b462cbc1a10a4c",
+    "M3xC4": "e0ea8ea1fd6a0eb4ff5a59700bec70ce948507ca1ac1f184344714c9efa06af7",
+    "M3xM3": "b5a6fcfc53f7281f87d09c578e9ea5d2d606d4038f1d6d17fc3ce0f75d1dff81",
+    "Fano": "4f4abde693155ad0f99c04631c31ecb1df5913315aec8b184e02f3a8aa66e9b8",
+    "C32": "6c408759cc08181c79f30d4f3f8bb9b69236724f85efb09b5d402e8ababe4d81",
+    "B6": "e629f52a149fa6e3aed2fe3f6ad45ea01d9ffa571085556bb87582ff5ee7d827",
+    "M4xM5": "69777b06fe2daf746714b1dce4fa86d333f544163fad71bd5b28b07d1e5cac9a",
+    "M62": "0ae9fa259df4f88a6849b2fabc5e10e7bd37c1503a40e4a5b158eaa18b0e7c32",
+}
+
+
+def _pinned_lattice(name):
+    if name.startswith("mod8-"):
+        return corpus.all_lattices_up_to(8, modular_only=True)[int(name[5:])]
+    named = {
+        "M3xC2": lambda: _product(_m(3), corpus.chain(2)),
+        "M3xC4": lambda: _product(_m(3), corpus.chain(4)),
+        "M3xM3": lambda: _product(_m(3), _m(3)),
+        "M4xM5": lambda: _product(_m(4), _m(5)),
+        "Fano": _fano,
+    }
+    if name in named:
+        return named[name]()
+    build = {"C": corpus.chain, "B": corpus.boolean, "M": _m}[name[0]]
+    return build(int(name[1:]))
+
+
+@pytest.mark.parametrize("name", list(ANALYZE_SHA256))
+def test_analyze_output_is_pinned(name):
+    doc = fileio.canonical_dumps(analyze(_pinned_lattice(name)).to_doc())
+    assert hashlib.sha256(doc.encode()).hexdigest() == ANALYZE_SHA256[name]

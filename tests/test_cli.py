@@ -245,6 +245,16 @@ def test_analyze_too_large_exits_2(capsys, tmp_path):
     assert err.count("\n") == 1 and "limited to 64" in err
 
 
+def test_analyze_huge_element_count_exits_2(capsys, tmp_path):
+    # refused on n alone, before a list per element is built
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1000000, "covers": []}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "limited to 64" in err
+
+
 def test_cover_order_is_insensitive(m3):
     shuffled = {"n": 5, "covers": [[2, 4], [0, 3], [1, 4], [0, 1], [3, 4], [0, 2]]}
     assert fileio.lattice_from_doc(shuffled) == m3

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -58,15 +59,16 @@ def test_build_rejects_two_minimal_elements():
 
 
 def test_build_rejects_antichain_before_tables():
-    # the bottom/top check runs before the n^2 meet and join tables exist
-    tracemalloc.start()
-    try:
-        with pytest.raises(NotALattice):
-            FiniteLattice(2000, ())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    # the size check runs before anything is allocated per element
+    for n in (2000, 10**6):
+        tracemalloc.start()
+        try:
+            with pytest.raises(LatticeTooLarge):
+                FiniteLattice(n, ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 def test_size_limit():
@@ -253,6 +255,24 @@ def test_all_congruences_at_scale():
     # Con C_k is Boolean on k - 1 atoms and Con B_k on k atoms
     assert len(all_congruences(corpus.chain(10))) == 512
     assert len(all_congruences(corpus.boolean(5))) == 32
+
+
+@pytest.mark.parametrize("k", [20, 64])
+def test_all_congruences_refuses_too_many(k, monkeypatch):
+    # C20 has 2^19 congruences and C64 2^63: refused while the down-sets
+    # are counted, before any of their closures runs
+    calls = []
+
+    def counted(lat, seed):
+        calls.append(seed)
+        return congruence_generated(lat, seed)
+
+    monkeypatch.setattr(lattice, "congruence_generated", counted)
+    start = time.perf_counter()
+    with pytest.raises(LatticeTooLarge, match="congruences"):
+        all_congruences(corpus.chain(k))
+    assert time.perf_counter() - start < 0.5
+    assert len(calls) == k - 1     # the principal congruences only
 
 
 @pytest.mark.parametrize("lat", [corpus.chain(10), corpus.boolean(5)],
