@@ -6,7 +6,9 @@ tables, bottom and top are derived and validated at construction time.  All
 subsets of elements are manipulated as int bitmasks, which keeps every
 operation exact and fast for the intended sizes: a lattice has at most
 ``MAX_N`` = 64 elements, and a larger one raises :class:`LatticeTooLarge`
-before anything is allocated per element.
+before anything is allocated per element.  Since n < 256, the rows of the
+meet and join tables are ``bytes``, so a row read through a labelling of
+the elements (classes, or a map's images) is one ``bytes.translate``.
 
 Everything in this module is immutable after construction (a lattice only
 remembers the facts computed once each by :meth:`FiniteLattice.fact`, which
@@ -125,20 +127,21 @@ class FiniteLattice:
         return order
 
     def _bound_table(self, cone, kind):
-        # cone[x] = principal down-set (for meets) or up-set (for joins).
-        n = self.n
-        table = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(x, n):
-                common = cone[x] & cone[y]
-                best = -1
-                for z in _bits(common):
-                    if common & ~cone[z] == 0:
-                        best = z
-                        break
-                if best < 0:
-                    raise NotALattice(f"elements {x} and {y} have no {kind}")
-                table[x][y] = table[y][x] = best
+        """The meet (``cone`` = principal down-sets) or join (up-sets)
+        table.  In a lattice the common cone of x and y is the cone of their
+        bound, so each entry is one O(1) lookup in ``{cone[z]: z}``; a
+        common cone that is no element's cone means x and y have no bound.
+        """
+        bound = {c: z for z, c in enumerate(cone)}
+        table = []
+        for x, cx in enumerate(cone):
+            row = [bound.get(cx & c, -1) for c in cone]
+            if -1 in row:
+                # the first failing row fails first at some y >= x, since
+                # the table is symmetric
+                raise NotALattice(f"elements {x} and {row.index(-1)} have "
+                                  f"no {kind}")
+            table.append(bytes(row))
         return table
 
     # -- order primitives ---------------------------------------------------
@@ -222,6 +225,11 @@ class FiniteLattice:
         return f"FiniteLattice({self.n}, {sorted(self.covers)})"
 
 
+def _translation(values):
+    """The ``bytes.translate`` table sending x to ``values[x]``."""
+    return bytes(values).ljust(256, b"\0")
+
+
 def _is_modular(lat):
     meet, join = lat._meet, lat._join
     for x in range(lat.n):
@@ -247,21 +255,13 @@ class LatticePartition:
     __slots__ = ("lattice", "blocks", "class_of")
 
     def __init__(self, lattice, blocks):
-        seen = set()
-        normalized = []
-        for block in blocks:
-            b = tuple(sorted(set(block)))
-            if not b:
-                continue
-            normalized.append(b)
-            for x in b:
-                if x in seen or not 0 <= x < lattice.n:
-                    raise ValueError(f"blocks do not partition 0..{lattice.n - 1}")
-                seen.add(x)
-        if len(seen) != lattice.n:
-            raise ValueError(f"blocks do not partition 0..{lattice.n - 1}")
-        normalized.sort()
-        class_of = [0] * lattice.n
+        n = lattice.n
+        normalized = sorted(b for b in (tuple(sorted(set(block)))
+                                        for block in blocks) if b)
+        members = [x for b in normalized for x in b]
+        if len(members) != n or set(members) != set(range(n)):
+            raise ValueError(f"blocks do not partition 0..{n - 1}")
+        class_of = [0] * n
         for i, b in enumerate(normalized):
             for x in b:
                 class_of[x] = i
@@ -271,15 +271,26 @@ class LatticePartition:
         self._check_congruence()
 
     def _check_congruence(self):
-        lat, cls = self.lattice, self.class_of
+        # x ~ y must give x^z ~ y^z and xvz ~ yvz for every z: the rows of
+        # x and y, read through the classes, must be equal
+        cls = self.class_of
+        meet, join = self.lattice._meet, self.lattice._join
+        through = _translation(cls)
         for block in self.blocks:
+            if len(block) == 1:
+                continue
             x = block[0]
+            meet_x = meet[x].translate(through)
+            join_x = join[x].translate(through)
             for y in block[1:]:
-                for z in range(lat.n):
-                    if cls[lat.meet(x, z)] != cls[lat.meet(y, z)]:
+                if (meet[y].translate(through) == meet_x
+                        and join[y].translate(through) == join_x):
+                    continue
+                for z in range(len(cls)):
+                    if meet_x[z] != cls[meet[y][z]]:
                         raise NotACongruence(
                             f"meet translation by {z} separates {x} ~ {y}")
-                    if cls[lat.join(x, z)] != cls[lat.join(y, z)]:
+                    if join_x[z] != cls[join[y][z]]:
                         raise NotACongruence(
                             f"join translation by {z} separates {x} ~ {y}")
 
@@ -320,50 +331,50 @@ def congruence_generated(lattice, seed):
     """The least congruence of ``lattice`` relating every seed pair.
 
     Worklist closure (R. Freese, "Computing congruences efficiently",
-    Algebra Universalis 59, 2008): a union-find holds the classes, and each
-    union that merges two classes pushes the pair of their representatives
-    onto a worklist.  Only those pairs are translated by ``z ^ -`` and
-    ``z v -``.  The pushed pairs generate the partition as an equivalence,
-    so once each is translated the partition is a congruence.  There are at
-    most n - 1 unions of O(n) translates each: O(n^2) per call, plus the
+    Algebra Universalis 59, 2008): ``label[x]`` names the class of x and
+    ``members[c]`` lists class c; a merge relabels the smaller class into
+    the larger and pushes the pair that caused it onto a worklist.  Only
+    those pairs are translated by ``z ^ -`` and ``z v -``: the two table
+    rows are read through the labels, and only rows that differ there are
+    compared entry by entry.  The pushed pairs generate the partition as an
+    equivalence, so once each is translated the partition is a congruence.
+    There are at most n - 1 merges, each followed by O(n) translates, and
+    each element is relabeled O(log n) times: O(n^2) per call, plus the
     seed.  The result is checked to be a congruence; a failure is a bug.
     """
     n = lattice.n
     meet, join = lattice._meet, lattice._join
-    parent = list(range(n))
+    label = bytearray(_translation(range(n)))
+    members = [[x] for x in range(n)]
     merged = []
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            merged.append((rx, ry))
+    def merge(a, b):
+        keep, drop = label[a], label[b]
+        if len(members[keep]) < len(members[drop]):
+            keep, drop = drop, keep
+        for v in members[drop]:
+            label[v] = keep
+        members[keep] += members[drop]
+        members[drop] = []
+        merged.append((a, b))
 
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"seed pair ({x}, {y}) out of range")
-        union(x, y)
+        if label[x] != label[y]:
+            merge(x, y)
 
     while merged:
         x, y = merged.pop()
         for table in (meet, join):
+            if table[x].translate(label) == table[y].translate(label):
+                continue
             for a, b in zip(table[x], table[y]):
-                if a != b:
-                    union(a, b)
+                if label[a] != label[b]:
+                    merge(a, b)
 
-    groups = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
     try:
-        return LatticePartition(lattice, groups.values())
+        return LatticePartition(lattice, [m for m in members if m])
     except NotACongruence as exc:
         raise VerificationError(
             f"worklist closure is not a congruence: {exc}") from exc
@@ -373,26 +384,17 @@ def quotient(lattice, partition):
     """The quotient lattice and the canonical (0,1)-projection onto it.
 
     Block ``i`` of the partition (blocks are sorted by their least member)
-    becomes element ``i`` of the quotient.
+    becomes element ``i`` of the quotient.  The covers of the quotient are
+    the images of the covers x < y of the lattice with x and y in different
+    blocks: the projection maps a cover to a cover or to one element, and
+    every cover of the quotient lifts along a maximal chain.  So they take
+    one pass over the covers, and :class:`FiniteLattice` validates them.
     """
     if partition.lattice != lattice:
         raise ValueError("partition belongs to a different lattice")
     cls = partition.class_of
-    reps = [b[0] for b in partition.blocks]
-    k = len(reps)
-
-    def qleq(i, j):
-        return cls[lattice.join(reps[i], reps[j])] == j
-
-    qcovers = set()
-    for i in range(k):
-        for j in range(k):
-            if i == j or not qleq(i, j):
-                continue
-            if not any(m != i and m != j and qleq(i, m) and qleq(m, j)
-                       for m in range(k)):
-                qcovers.add((i, j))
-    image = FiniteLattice(k, qcovers)
+    qcovers = {(cls[x], cls[y]) for x, y in lattice.covers if cls[x] != cls[y]}
+    image = FiniteLattice(partition.num_blocks, qcovers)
     projection = LatticeMap(lattice, image, cls)
     return image, projection
 
@@ -454,8 +456,9 @@ def all_congruences(lattice):
     joins = list(sole_covers(lattice.covers).items())
 
     def collapsed(theta):
+        cls = theta.class_of
         return sum(1 << i for i, (j, lo) in enumerate(joins)
-                   if theta.related(lo, j))
+                   if cls[lo] == cls[j])
 
     principal = {}
     for i, (j, lo) in enumerate(joins):
@@ -496,11 +499,22 @@ class LatticeMap:
             raise ValueError("image length does not match the source lattice")
         if any(not 0 <= v < target.n for v in image):
             raise ValueError("image element out of range")
+        # row x of each source table read through the image must equal row
+        # image[x] of the target table read at the images; tables are
+        # symmetric, so the first failing row fails first past the diagonal
+        smeet, sjoin = source._meet, source._join
+        through, image_row = _translation(image), bytes(image)
+        at_meet = [image_row.translate(_translation(row)) for row in target._meet]
+        at_join = [image_row.translate(_translation(row)) for row in target._join]
         for x in range(source.n):
+            if (smeet[x].translate(through) == at_meet[image[x]]
+                    and sjoin[x].translate(through) == at_join[image[x]]):
+                continue
+            tmeet, tjoin = target._meet[image[x]], target._join[image[x]]
             for y in range(x + 1, source.n):
-                if image[source.meet(x, y)] != target.meet(image[x], image[y]):
+                if image[smeet[x][y]] != tmeet[image[y]]:
                     raise NotAHomomorphism(f"meet of {x}, {y} not preserved")
-                if image[source.join(x, y)] != target.join(image[x], image[y]):
+                if image[sjoin[x][y]] != tjoin[image[y]]:
                     raise NotAHomomorphism(f"join of {x}, {y} not preserved")
         self.source = source
         self.target = target

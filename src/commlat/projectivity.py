@@ -87,14 +87,20 @@ def transposes_up(lat, i, j):
 
 
 class ProjectivityClasses:
-    """Projectivity classes of the prime intervals, with their ceilings."""
+    """Projectivity classes of the prime intervals, with the ceiling of each
+    and the number of meet and of join irreducibles whose canonical
+    interval lies in it."""
 
-    __slots__ = ("intervals", "_class_of", "ceilings")
+    __slots__ = ("intervals", "_class_of", "ceilings", "meet_counts",
+                 "join_counts")
 
-    def __init__(self, intervals, class_of, ceilings):
+    def __init__(self, intervals, class_of, ceilings, meet_counts,
+                 join_counts):
         self.intervals = intervals
         self._class_of = class_of
         self.ceilings = ceilings
+        self.meet_counts = meet_counts
+        self.join_counts = join_counts
 
     def class_of(self, interval):
         try:
@@ -117,8 +123,10 @@ class ProjectivityClasses:
 
 def projectivity_classes(lat):
     """Connected components of the perspectivity graph on prime intervals,
-    with the projective ceiling of each from one pass over the meet
-    irreducibles.  The package reads it through ``lat.fact``, once per lattice.
+    with the projective ceiling and the meet irreducible count of each from
+    one pass over the meet irreducibles, and the join irreducible count from
+    one over the join irreducibles.  The package reads it through
+    ``lat.fact``, once per lattice.
     """
     _require_modular(lat)
     intervals = prime_intervals(lat)
@@ -146,10 +154,16 @@ def projectivity_classes(lat):
             relabel[root] = len(relabel)
         class_of[i] = relabel[root]
     ceilings = [lat.bottom] * len(relabel)
+    meet_counts = [0] * len(relabel)
     for m in meet_irreducibles(lat):
         cid = class_of[m.interval()]
         ceilings[cid] = lat.join(ceilings[cid], m.element)
-    return ProjectivityClasses(intervals, class_of, tuple(ceilings))
+        meet_counts[cid] += 1
+    join_counts = [0] * len(relabel)
+    for j in join_irreducibles(lat):
+        join_counts[class_of[j.interval()]] += 1
+    return ProjectivityClasses(intervals, class_of, tuple(ceilings),
+                               tuple(meet_counts), tuple(join_counts))
 
 
 def projects_into(lat, interval, lo, hi):
@@ -185,17 +199,13 @@ def is_lonesome_meet_irreducible(lat, eta):
     """Whether eta is the only meet irreducible whose canonical interval
     lies in its projectivity class."""
     classes = lat.fact(projectivity_classes)
-    cid = classes.class_of(eta.interval())
-    return sum(classes.class_of(m.interval()) == cid
-               for m in meet_irreducibles(lat)) == 1
+    return classes.meet_counts[classes.class_of(eta.interval())] == 1
 
 
 def is_lonesome_join_irreducible(lat, rho):
     """Dual of :func:`is_lonesome_meet_irreducible`."""
     classes = lat.fact(projectivity_classes)
-    cid = classes.class_of(rho.interval())
-    return sum(classes.class_of(j.interval()) == cid
-               for j in join_irreducibles(lat)) == 1
+    return classes.join_counts[classes.class_of(rho.interval())] == 1
 
 
 def is_completely_meet_prime(lat, eta):
@@ -212,18 +222,13 @@ def is_completely_meet_prime(lat, eta):
 
 def splitting_pairs(lat):
     """All pairs (delta, epsilon) with delta < top, epsilon > bottom and
-    every element <= delta or >= epsilon, in sorted order."""
-    out = []
-    for delta in lat.elements:
-        if delta == lat.top:
-            continue
-        for epsilon in lat.elements:
-            if epsilon == lat.bottom:
-                continue
-            if all(lat.leq(a, delta) or lat.leq(epsilon, a)
-                   for a in lat.elements):
-                out.append(SplittingPair(delta, epsilon))
-    return tuple(out)
+    every element <= delta or >= epsilon, in sorted order: one bitmask OR
+    of the down-set of delta and the up-set of epsilon per pair, O(n^2)."""
+    everything = (1 << lat.n) - 1
+    return tuple(SplittingPair(delta, epsilon)
+                 for delta in lat.elements if delta != lat.top
+                 for epsilon in lat.elements if epsilon != lat.bottom
+                 and lat.lower_set(delta) | lat.upper_set(epsilon) == everything)
 
 
 def splits(lat):
@@ -237,24 +242,35 @@ def separating_congruence(lat, interval):
     In a modular lattice con(q) collapses exactly the prime intervals
     projective to q, and every congruence is the join of the con(q) it
     contains.  So this is the congruence generated by the prime intervals
-    outside the class of ``interval``: one O(n^2) worklist closure.  The
-    classes come from transpositions, not from the closure, and each prime
-    interval is checked to be collapsed exactly when it lies outside the
-    class; a disagreement means a bug, not bad input.
+    outside the class of ``interval``, the same for every interval of the
+    class: one O(n^2) worklist closure, run when the class is first asked
+    about and kept in a per-class slot of ``lat.fact``.  The classes come
+    from transpositions, not from the closure, and each closure is checked
+    cover by cover: a prime interval must be collapsed exactly when it lies
+    outside the class.  A disagreement means a bug, not bad input.
     """
     _require_prime(lat, interval)
     classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)
-    partition = congruence_generated(
-        lat, [(q.lo, q.hi) for q in classes.intervals
-              if classes.class_of(q) != cid])
-    for q in classes.intervals:
-        if partition.related(q.lo, q.hi) == (classes.class_of(q) == cid):
-            raise VerificationError(
-                f"separating congruence disagrees with projectivity at {q}")
+    known = lat.fact(_separating_slots)
+    if known[cid] is None:
+        partition = congruence_generated(
+            lat, [(q.lo, q.hi) for q in classes.intervals
+                  if classes.class_of(q) != cid])
+        for q in classes.intervals:
+            if partition.related(q.lo, q.hi) == (classes.class_of(q) == cid):
+                raise VerificationError(
+                    f"separating congruence disagrees with projectivity at {q}")
+        known[cid] = partition
+    partition = known[cid]
     if partition.related(interval.lo, interval.hi):
         raise VerificationError("separating congruence collapsed its interval")
     return partition
+
+
+def _separating_slots(lat):
+    """One slot per projectivity class for its separating congruence."""
+    return [None] * lat.fact(projectivity_classes).num_classes
 
 
 def two_element_lattice():
@@ -267,6 +283,8 @@ def two_element_quotient(lat):
     Built from the first (lowest element index) lonesome meet irreducible
     eta: everything below eta maps to 0, the rest to 1.  Lonesomeness makes
     eta meet prime, which is exactly what the map needs to preserve meets.
+    Each lonesomeness test is a lookup in the counts that
+    :func:`projectivity_classes` keeps, so the search is O(|M|).
     """
     _require_modular(lat)
     for eta in meet_irreducibles(lat):

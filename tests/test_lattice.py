@@ -319,6 +319,16 @@ def test_partition_rejects_non_congruence(chain3):
         LatticePartition(chain3, [(0, 1)])
 
 
+def test_partition_names_the_separating_translation(chain3, m3):
+    # the check compares whole rows, then names the first z that separates
+    with pytest.raises(NotACongruence,
+                       match=r"^meet translation by 1 separates 0 ~ 2$"):
+        LatticePartition(chain3, [(0, 2), (1,)])
+    with pytest.raises(NotACongruence,
+                       match=r"^join translation by 2 separates 0 ~ 1$"):
+        LatticePartition(m3, [(0, 1), (2,), (3,), (4,)])
+
+
 def test_quotient_identity_and_full(m3):
     image, proj = quotient(m3, LatticePartition.identity(m3))
     assert corpus.isomorphic(image, m3)
@@ -340,6 +350,33 @@ def test_quotient_projection_preserves_structure(all6):
         for part in all_congruences(lat):
             image, proj = quotient(lat, part)
             assert proj.is_zero_one  # constructor already checks meets/joins
+
+
+def _brute_force_quotient_covers(lat, partition):
+    """The covers of the quotient from its order, [x] <= [y] iff
+    [x v y] = [y], in O(k^3) for k blocks."""
+    cls = partition.class_of
+    reps = [b[0] for b in partition.blocks]
+    k = len(reps)
+
+    def leq(i, j):
+        return cls[lat.join(reps[i], reps[j])] == j
+
+    return {(i, j) for i in range(k) for j in range(k)
+            if i != j and leq(i, j)
+            and not any(m != i and m != j and leq(i, m) and leq(m, j)
+                        for m in range(k))}
+
+
+def test_quotient_covers_match_the_quotient_order(all6):
+    # on the corpus names and on random renamings
+    rng = random.Random(9)
+    for base in all6:
+        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+                             for _ in range(2)]:
+            for part in all_congruences(lat):
+                image, _ = quotient(lat, part)
+                assert image.covers == _brute_force_quotient_covers(lat, part)
 
 
 # -- simplicity, complements -------------------------------------------------
@@ -429,3 +466,10 @@ def test_map_validation(chain3, b2):
     assert not not_01.is_zero_one
     with pytest.raises(NotAHomomorphism):
         LatticeMap(chain3, b2, (0, 1, 0))
+
+
+def test_map_names_the_first_pair_not_preserved(chain3, b22, b2):
+    with pytest.raises(NotAHomomorphism, match=r"^meet of 1, 2 not preserved$"):
+        LatticeMap(chain3, b2, (0, 1, 0))
+    with pytest.raises(NotAHomomorphism, match=r"^join of 1, 2 not preserved$"):
+        LatticeMap(b22, b2, (0, 0, 0, 1))

@@ -32,6 +32,7 @@ from commlat.projectivity import (
     two_element_lattice,
     two_element_quotient,
 )
+from test_classify import _m, _product
 from test_lattice import _brute_force_congruences, _relabel, _shuffled
 
 
@@ -147,6 +148,18 @@ def test_splitting_pairs(b22, m3, b2):
         assert splits(corpus.chain(k))
 
 
+def test_splitting_pairs_match_the_cubic_definition(all8):
+    # the same pairs in the same order as every (delta, epsilon) tried
+    # against every element
+    for lat in all8:
+        assert splitting_pairs(lat) == tuple(
+            SplittingPair(delta, epsilon)
+            for delta in lat.elements if delta != lat.top
+            for epsilon in lat.elements if epsilon != lat.bottom
+            and all(lat.leq(a, delta) or lat.leq(epsilon, a)
+                    for a in lat.elements))
+
+
 def test_splitting_pair_defining_property(all6):
     for lat in all6:
         found = set(splitting_pairs(lat))
@@ -188,6 +201,25 @@ def test_separating_congruence_checks_every_cover(b22, monkeypatch):
                         lambda lat, seed: LatticePartition.identity(lat))
     with pytest.raises(VerificationError):
         separating_congruence(b22, PrimeInterval(0, 1))
+
+
+@pytest.mark.parametrize("lat", [corpus.boolean(3),
+                                 _product(_m(3), corpus.chain(2))],
+                         ids=["B3", "M3xC2"])
+def test_separating_congruence_closes_once_per_class(lat, monkeypatch):
+    calls = []
+
+    def counted(lat, seed):
+        calls.append(seed)
+        return congruence_generated(lat, seed)
+
+    monkeypatch.setattr(projectivity, "congruence_generated", counted)
+    first, *rest = prime_intervals(lat)
+    separating_congruence(lat, first)
+    assert len(calls) == 1
+    for i in rest:
+        separating_congruence(lat, i)
+    assert len(calls) <= projectivity_classes(lat).num_classes
 
 
 def test_con_of_a_modular_lattice_is_boolean_on_the_classes(all8):
@@ -262,6 +294,34 @@ def test_two_element_quotient_existence_is_exact(modular6):
     for lat in modular6:
         exists = any(True for _ in _all_b2_images(lat))
         assert (two_element_quotient(lat) is not None) == exists
+
+
+def _recounted_lonesome(lat, irreducibles):
+    # the irreducibles alone in their projectivity class, counted afresh
+    classes = projectivity_classes(lat)
+    return [r for r in irreducibles
+            if sum(classes.same_class(r.interval(), s.interval())
+                   for s in irreducibles) == 1]
+
+
+def test_lonesome_irreducibles_match_a_recount(modular8):
+    for lat in modular8:
+        meets, joins = meet_irreducibles(lat), join_irreducibles(lat)
+        assert [m for m in meets if is_lonesome_meet_irreducible(lat, m)] \
+            == _recounted_lonesome(lat, meets)
+        assert [j for j in joins if is_lonesome_join_irreducible(lat, j)] \
+            == _recounted_lonesome(lat, joins)
+
+
+def test_two_element_quotient_uses_the_first_lonesome_irreducible(modular8):
+    for lat in modular8:
+        lonesome = [m.element for m in
+                    _recounted_lonesome(lat, meet_irreducibles(lat))]
+        hom = two_element_quotient(lat)
+        assert (hom is None) == (not lonesome)
+        if lonesome:
+            assert hom.image == tuple(0 if lat.leq(x, lonesome[0]) else 1
+                                      for x in lat.elements)
 
 
 def test_completely_meet_prime(chain3, m3):
