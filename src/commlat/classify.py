@@ -12,7 +12,7 @@ that makes every such algebra supernilpotent; this module only decides the
 lattice side.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .commutator import largest_commutator, series
 from .errors import VerificationError
@@ -128,8 +128,11 @@ def supernilpotency_shape(lat):
     return verdict
 
 
-@dataclass(frozen=True)
-class ForcingReport:
+class ForcingReport(namedtuple("ForcingReport", (
+        "n covers modular forces_solvable_type solvable_obstruction "
+        "forces_nilpotent_type cover_ceilings forces_abelian_type "
+        "largest_top_square abelian_sufficient_condition "
+        "supernilpotency_shape splitting_pairs"))):
     """All verdicts for one lattice, with witnesses.
 
     ``solvable_obstruction`` is the image vector of a (0,1)-map onto the
@@ -140,18 +143,7 @@ class ForcingReport:
     complements with bottom and top) when one exists, else None.
     """
 
-    n: int
-    covers: tuple
-    modular: bool
-    forces_solvable_type: bool
-    solvable_obstruction: tuple | None
-    forces_nilpotent_type: bool
-    cover_ceilings: tuple
-    forces_abelian_type: bool
-    largest_top_square: int
-    abelian_sufficient_condition: tuple | None
-    supernilpotency_shape: bool
-    splitting_pairs: tuple
+    __slots__ = ()
 
     def to_doc(self):
         return {

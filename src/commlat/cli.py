@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 
-from . import classify, corpus, fileio
+from . import classify, fileio
 from .commutator import (
     construct_pullback,
     construct_splitting,
@@ -127,6 +127,8 @@ def _cmd_construct(args):
 
 
 def _cmd_corpus(args):
+    from . import corpus  # only this command needs it; keeps start-up lean
+
     lattices = corpus.generate_corpus(args.max_n,
                                       modular_only=args.modular_only,
                                       dedupe_iso=not args.keep_isomorphic)

@@ -26,7 +26,7 @@ re-validated at runtime, and the test suite checks it against exhaustive
 enumeration and against the residuation characterization at covers.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CongruenceMissingSeed,
@@ -45,11 +45,8 @@ from .projectivity import (
 )
 
 
-@dataclass(frozen=True)
-class Violation:
-    law: str
-    witness: tuple
-    detail: str
+class Violation(namedtuple("Violation", "law witness detail")):
+    __slots__ = ()
 
 
 class CommutatorTable:
@@ -145,14 +142,11 @@ def residuation(table, x, y):
 _KIND_RANK = {"none": 0, "solvable": 1, "nilpotent": 2, "abelian": 3}
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(namedtuple("SeriesReport", "derived lower_central kind")):
     """Derived and lower central series of a table, with the most specific
     of {abelian, nilpotent, solvable, none} that applies."""
 
-    derived: tuple
-    lower_central: tuple
-    kind: str
+    __slots__ = ()
 
     @property
     def is_solvable(self):

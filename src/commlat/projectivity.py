@@ -14,41 +14,36 @@ bottom of a chain qualifies, but the top of the lattice never does); that
 meet is the canonical successor and [eta, eta+] is always a prime interval.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotModular, VerificationError
 from .lattice import (FiniteLattice, LatticeMap, congruence_generated,
                       sole_covers)
 
 
-@dataclass(frozen=True, order=True)
-class PrimeInterval:
-    lo: int
-    hi: int
+# The value records here, in ``commutator`` and in ``classify`` are named
+# tuples: they need only ``collections``, which ``argparse`` imports anyway,
+# so they add little to the start-up that every CLI child pays.
+class PrimeInterval(namedtuple("PrimeInterval", "lo hi")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class MeetIrreducible:
-    element: int
-    plus: int
+class MeetIrreducible(namedtuple("MeetIrreducible", "element plus")):
+    __slots__ = ()
 
     def interval(self):
         return PrimeInterval(self.element, self.plus)
 
 
-@dataclass(frozen=True, order=True)
-class JoinIrreducible:
-    element: int
-    minus: int
+class JoinIrreducible(namedtuple("JoinIrreducible", "element minus")):
+    __slots__ = ()
 
     def interval(self):
         return PrimeInterval(self.minus, self.element)
 
 
-@dataclass(frozen=True, order=True)
-class SplittingPair:
-    delta: int
-    epsilon: int
+class SplittingPair(namedtuple("SplittingPair", "delta epsilon")):
+    __slots__ = ()
 
 
 def _require_modular(lat):

@@ -22,10 +22,15 @@ from commlat.commutator import (
     residuation,
     series,
 )
-from commlat.classify import analyze
+from commlat.classify import (
+    analyze,
+    forces_abelian_type,
+    forces_nilpotent_type,
+)
 from commlat.lattice import (
     SublatticeEmbedding,
     all_congruences,
+    build,
     congruence_generated,
     quotient,
 )
@@ -106,7 +111,7 @@ def test_criterion_3_residuation_equals_ceiling(modular7):
           f"({elapsed:.2f}s)")
 
 
-def test_criterion_4_forcing_equivalences(modular7):
+def test_criterion_4_forcing_equivalences(modular5, modular7):
     from commlat.projectivity import two_element_quotient
 
     for lat in modular7:
@@ -116,8 +121,22 @@ def test_criterion_4_forcing_equivalences(modular7):
         assert ceilings_full == report.is_nilpotent, lat
         no_two_element_image = two_element_quotient(lat) is None
         assert no_two_element_image == report.is_solvable, lat
+    # abelian leg: the enumeration reaches every multiplication without the
+    # descent, so it is an independent route to "every [top, top] is bottom"
+    assert len(modular5) == 9
+    for lat in modular5:
+        every_square_bottom = all(t.value(lat.top, lat.top) == lat.bottom
+                                  for t in enumerate_commutators(lat))
+        assert forces_abelian_type(lat) == every_square_bottom, lat
+    # the one modular lattice with n <= 8 that is nilpotent but not abelian
+    lat = build(8, {(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
+                    (3, 6), (4, 7), (5, 7), (6, 7)})
+    assert lat.is_modular()
+    assert not forces_abelian_type(lat) and forces_nilpotent_type(lat)
+    assert largest_commutator(lat).value(lat.top, lat.top) == 3
     print("ACCEPTANCE 4: PASS - nilpotent-type and solvable-type criteria "
-          "match the largest multiplication on the <= 7 modular corpus")
+          "match the largest multiplication on the <= 7 modular corpus, and "
+          "the abelian verdict matches the enumeration on the <= 5 one")
 
 
 def _check_residuation_laws(lat, table):

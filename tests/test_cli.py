@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -294,3 +295,17 @@ def test_corpus_unwritable_out_dir_exits_2(capsys, tmp_path):
                          "--out-dir", str(blocker))
     assert code == 2
     assert err.startswith("commlat: ") and "Traceback" not in err
+
+
+def test_cli_import_stays_lean():
+    # every `python -m commlat` child pays for what importing the CLI pulls
+    # in; this runs in a fresh interpreter because pytest imports `inspect`
+    probe = ("import commlat.cli, sys; "
+             "print(sorted({'dataclasses', 'inspect', 'commlat.corpus'}"
+             " & set(sys.modules)))")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
