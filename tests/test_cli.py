@@ -236,6 +236,19 @@ def test_corpus_stream_is_unchanged(capsys):
         "ca14210584329e4ee07d3f521d12a3d3c1607a380ad8422439574af17207a0c2")
 
 
+@pytest.mark.parametrize("flag, lines, digest", [
+    ("--modular-only", 67,
+     "e108db1037f9245bec82021cc33220eb5b700a9971738a4235f4a60def036cae"),
+    ("--keep-isomorphic", 4008,
+     "8807949ae66a6f5060077767715853357cbcde8a13379d9beab68c6e4560f0ae"),
+], ids=["modular-only", "keep-isomorphic"])
+def test_corpus_variant_streams_are_unchanged(capsys, flag, lines, digest):
+    code, out, _ = run(capsys, "corpus", "--max-n", "8", flag)
+    assert code == 0
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_analyze_too_large_exits_2(capsys, tmp_path):
     path = tmp_path / "c65.json"
     path.write_text(json.dumps(

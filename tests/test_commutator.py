@@ -1,8 +1,10 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
-from commlat import corpus
+from commlat import corpus, fileio
 from commlat.commutator import (
     CommutatorTable,
     construct_pullback,
@@ -32,6 +34,7 @@ from commlat.lattice import (
     quotient,
 )
 from commlat.projectivity import PrimeInterval, SplittingPair
+from test_classify import _fano, _m, _product, _relabel
 
 
 # -- validation ---------------------------------------------------------------
@@ -344,3 +347,22 @@ def test_largest_residuation_at_cover_examples(m3, b22, chain3):
 def test_largest_residuation_requires_modular(n5):
     with pytest.raises(NotModular):
         largest_residuation_at_cover(n5, PrimeInterval(0, 1))
+
+
+def test_largest_tables_are_pinned():
+    # SHA-256 of the `commlat largest` documents, concatenated, on the 300
+    # lattices with n <= 8, nine named families and two seeded renamings of
+    # each of the four n = 64 ones; any change to the descent shows here
+    big = [corpus.chain(64), corpus.boolean(6), _m(62), _product(_m(4), _m(5))]
+    rng = random.Random(10)
+    lattices = (corpus.generate_corpus(8)
+                + [corpus.chain(14), corpus.boolean(4), _m(10),
+                   _product(_m(3), _m(3)), _fano()]
+                + big + [_relabel(lat, rng) for lat in big for _ in range(2)])
+    digest = hashlib.sha256()
+    for lat in lattices:
+        doc = fileio.table_to_doc(largest_commutator(lat))
+        digest.update(fileio.canonical_dumps(doc).encode())
+    assert len(lattices) == 317
+    assert digest.hexdigest() == (
+        "49058986ceb148005975e10b93e8d907bbdc193a3f96344fa0953b4e96461f7f")
