@@ -13,17 +13,28 @@ three constructions (sublattice closure, pullback along a (0,1)-map, and the
 splitting construction), enumerates all multiplications on very small
 lattices, and computes the pointwise largest multiplication.
 
-The largest multiplication is found by descent: start from the meet table,
-which dominates every multiplication, and repeatedly repair violations by
-replacing an entry with its meet against the bound the violated law imposes.
-Every repair preserves "pointwise above every commutator multiplication"
-(each bound is itself above the corresponding true value), entries only ever
-decrease, so the descent reaches a fixed point; a fixed point satisfies all
-the laws (the one-sided repairs plus symmetry/monotonicity give both
-directions), so it *is* a commutator multiplication, and being above all of
-them it is the pointwise join of all of them.  The fixed point is
-re-validated at runtime, and the test suite checks it against exhaustive
-enumeration and against the residuation characterization at covers.
+The largest multiplication is found by a descent that repairs one law.  It
+starts from the meet table, which dominates every multiplication.  For every
+pair of indices x < x', every y and j = x v x', it lowers t(j, y) to
+t(j, y) ^ (t(x, y) v t(x', y)), then lowers t(x, y) and t(x', y) to their
+meets with the new t(j, y); each write also goes to the mirrored entry.
+Each written value is the meet of the cell's current value with a bound that
+lies above the same entry of every multiplication m, since
+m(j, y) = m(x, y) v m(x', y) and m(x, y) <= m(j, y).  So the table stays
+pointwise above every multiplication, its entries only decrease, and the
+repair reaches a fixed point.  The other laws need no repair of their own:
+
+- symmetry holds from the start, since the meet table is symmetric, and
+  mirrored writes keep it; boundedness too, since entries never rise;
+- bottom annihilation: row bottom starts at bottom and entries never rise;
+- monotonicity is the second half of the repair, since every y >= x is x v y.
+
+At the fixed point t(j, y) <= t(x, y) v t(x', y) <= t(j, y), so join
+distributivity holds with equality: the table is a multiplication, and being
+above all of them it is the largest one, their pointwise join.  The fixed
+point is re-validated at runtime, and the test suite checks it against
+exhaustive enumeration and against the residuation characterization at
+covers.
 """
 
 from collections import namedtuple
@@ -303,37 +314,29 @@ def construct_splitting(lat, pair, theta):
 
 def largest_commutator(lat):
     """The pointwise join of all commutator multiplications on the lattice,
-    computed by the descent documented in the module docstring."""
+    computed by the one-law descent documented in the module docstring."""
     n = lat.n
-    t = [[lat.meet(x, y) for y in range(n)] for x in range(n)]
+    meet, join = lat._meet, lat._join
+    t = [list(row) for row in meet]
     changed = True
     while changed:
         changed = False
         for x in range(n):
-            for y in range(n):
-                v = lat.meet(t[x][y], t[y][x])
-                if v != t[x][y]:
-                    t[x][y] = v
-                    changed = True
-        for x in range(n):
-            for above in _bits(lat.upper_set(x)):
+            for x2 in range(x + 1, n):
+                j = join[x][x2]
+                tx, tx2, tj = t[x], t[x2], t[j]
                 for y in range(n):
-                    v = lat.meet(t[x][y], t[above][y])
-                    if v != t[x][y]:
-                        t[x][y] = v
+                    a, b, c = tx[y], tx2[y], tj[y]
+                    v = meet[c][join[a][b]]
+                    if v != c:
+                        tj[y] = t[y][j] = v
                         changed = True
-        for x in range(n):
-            for x2 in range(x, n):
-                j = lat.join(x, x2)
-                for y in range(n):
-                    v = lat.meet(t[j][y], lat.join(t[x][y], t[x2][y]))
-                    if v != t[j][y]:
-                        t[j][y] = v
+                    if meet[a][v] != a:
+                        tx[y] = t[y][x] = meet[a][v]
                         changed = True
-        for y in range(n):
-            if t[lat.bottom][y] != lat.bottom:
-                t[lat.bottom][y] = lat.bottom
-                changed = True
+                    if meet[b][v] != b:
+                        tx2[y] = t[y][x2] = meet[b][v]
+                        changed = True
     out = CommutatorTable(lat, t)
     if not out.is_valid:
         raise VerificationError("descent fixed point failed validation: "
