@@ -13,28 +13,21 @@ three constructions (sublattice closure, pullback along a (0,1)-map, and the
 splitting construction), enumerates all multiplications on very small
 lattices, and computes the pointwise largest multiplication.
 
-The largest multiplication is found by a descent that repairs one law.  It
-starts from the meet table, which dominates every multiplication.  For every
-pair of indices x < x', every y and j = x v x', it lowers t(j, y) to
-t(j, y) ^ (t(x, y) v t(x', y)), then lowers t(x, y) and t(x', y) to their
-meets with the new t(j, y); each write also goes to the mirrored entry.
-Each written value is the meet of the cell's current value with a bound that
-lies above the same entry of every multiplication m, since
-m(j, y) = m(x, y) v m(x', y) and m(x, y) <= m(j, y).  So the table stays
-pointwise above every multiplication, its entries only decrease, and the
-repair reaches a fixed point.  The other laws need no repair of their own:
-
-- symmetry holds from the start, since the meet table is symmetric, and
-  mirrored writes keep it; boundedness too, since entries never rise;
-- bottom annihilation: row bottom starts at bottom and entries never rise;
-- monotonicity is the second half of the repair, since every y >= x is x v y.
-
-At the fixed point t(j, y) <= t(x, y) v t(x', y) <= t(j, y), so join
-distributivity holds with equality: the table is a multiplication, and being
-above all of them it is the largest one, their pointwise join.  The fixed
-point is re-validated at runtime, and the test suite checks it against
-exhaustive enumeration and against the residuation characterization at
-covers.
+The largest multiplication is found by descent from the meet table, which
+dominates every multiplication, repairing one law.  For indices x < x',
+every y and j = x v x', it lowers t(j, y) to t(j, y) ^ (t(x, y) v t(x', y)),
+then t(x, y) and t(x', y) to their meets with the new t(j, y), writing each
+value to the mirrored entry too.  Every multiplication m has
+m(j, y) = m(x, y) v m(x', y) >= m(x, y), so each write keeps the table
+pointwise above every m; entries only decrease, so a fixed point is reached.
+No other law needs a sweep: symmetry holds in the meet table and mirrored
+writes keep it; boundedness and bottom annihilation hold there and entries
+never rise; monotonicity is the second half of the repair, as every y >= x
+is x v y.  At the fixed point t(j, y) <= t(x, y) v t(x', y) <= t(j, y), so
+the table is a multiplication, and being above all of them it is their
+pointwise join, the largest one.  The fixed point is re-validated at
+runtime, and the test suite checks it against exhaustive enumeration and
+against the residuation characterization at covers.
 """
 
 from collections import namedtuple
@@ -288,7 +281,8 @@ def construct_splitting(lat, pair, theta):
 
     where s(x) is the least member of x's theta class."""
     delta, epsilon = pair.delta, pair.epsilon
-    if (delta == lat.top or epsilon == lat.bottom
+    if (delta not in lat.elements or epsilon not in lat.elements
+            or delta == lat.top or epsilon == lat.bottom
             or not all(lat.leq(a, delta) or lat.leq(epsilon, a)
                        for a in lat.elements)):
         raise NotASplittingPair(f"({delta}, {epsilon}) does not split the lattice")

@@ -1,10 +1,11 @@
 """Named small lattices and exhaustive generation up to isomorphism.
 
-The generator walks every partial order on the interior elements that is
-compatible with the natural order of the indices (bottom 0, top n-1, interior
-ascending); every finite lattice has such a labeling, so filtering for the
-lattice property and rejecting isomorphic duplicates yields each class
-exactly once.  Duplicates are detected with a canonical form: the minimum
+The generator builds every partial order that extends the natural order of
+the indices (bottom 0, top n-1, interior ascending), element by element, by
+choosing the elements below each one as an order ideal of those before it;
+every finite lattice has such a labeling, so keeping the orders that are
+lattices and rejecting isomorphic duplicates yields each class exactly
+once.  Duplicates are detected with a canonical form: the minimum
 cover-set encoding over all relabelings that respect an iterated
 neighborhood-color invariant.
 
@@ -18,7 +19,7 @@ import math
 from functools import lru_cache
 
 from .errors import LatticeTooLarge, NotALattice
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, _bits
 
 MAX_CORPUS_N = 8
 # relabelings canonical_key may try: 8! bounds any lattice with at most
@@ -55,8 +56,11 @@ def pentagon():
 
 def _color_classes(lat):
     """Iterated refinement of an isomorphism-invariant element coloring."""
-    up_covers = {x: lat.upper_covers(x) for x in lat.elements}
-    down_covers = {x: lat.lower_covers(x) for x in lat.elements}
+    up_covers = [[] for _ in lat.elements]
+    down_covers = [[] for _ in lat.elements]
+    for x, y in lat.covers:
+        up_covers[x].append(y)
+        down_covers[y].append(x)
     colors = [
         (bin(lat.lower_set(x)).count("1"), bin(lat.upper_set(x)).count("1"),
          len(down_covers[x]), len(up_covers[x]))
@@ -123,36 +127,43 @@ def isomorphic(a, b):
     return canonical_key(a) == canonical_key(b)
 
 
-def _natural_order_lattices(n):
+def _natural_order_lattices(n, modular_only=False):
     """All lattices on 0..n-1 whose order extends the order of the indices,
     with bottom 0 and top n-1.  Yields every isomorphism class at least once.
+
+    The order grows one element at a time: the bitmask of the elements
+    below i is an order ideal of the order already built on 0..i-1 (a
+    nonempty one for an interior i, all of 0..i-1 for the top), so each
+    partial order is built once and no relation needs a transitivity check.
+    The covers are read off the bitmasks, and :class:`FiniteLattice` keeps
+    the orders that are lattices.
     """
     if n == 1:
         yield FiniteLattice(1)
         return
-    interior = range(1, n - 1)
-    slots = [(i, j) for i in interior for j in interior if i < j]
-    for mask in range(1 << len(slots)):
-        rel = [[False] * n for _ in range(n)]
-        for bit, (i, j) in enumerate(slots):
-            if mask >> bit & 1:
-                rel[i][j] = True
-        if any(rel[i][j] and rel[j][k] and not rel[i][k]
-               for (i, j) in slots for k in interior if rel[j][k]):
+    top_below = (1 << n - 1) - 1
+    stack = [[0]]
+    while stack:
+        below = stack.pop()
+        if len(below) < n - 1:
+            ideals = {0}
+            for k, mask in enumerate(below):
+                ideals |= {d | mask | 1 << k for d in ideals}
+            stack += [below + [d] for d in ideals if d]
             continue
-        for x in range(1, n):
-            rel[0][x] = True
-        for x in range(n - 1):
-            rel[x][n - 1] = True
-        covers = {
-            (x, y)
-            for x in range(n) for y in range(n)
-            if rel[x][y] and not any(rel[x][z] and rel[z][y] for z in range(n))
-        }
+        below.append(top_below)
+        covers = set()
+        for y, mask in enumerate(below):
+            under = 0
+            for z in _bits(mask):
+                under |= below[z]
+            covers |= {(x, y) for x in _bits(mask & ~under)}
         try:
-            yield FiniteLattice(n, covers)
+            lat = FiniteLattice(n, covers)
         except NotALattice:
             continue
+        if not modular_only or lat.is_modular():
+            yield lat
 
 
 @lru_cache(maxsize=None)
@@ -162,36 +173,27 @@ def all_lattices(n, modular_only=False):
     if n > MAX_CORPUS_N:
         raise LatticeTooLarge(f"corpus generation is capped at n = {MAX_CORPUS_N}")
     seen = {}
-    for candidate in _natural_order_lattices(n):
-        if modular_only and not candidate.is_modular():
-            continue
+    for candidate in _natural_order_lattices(n, modular_only):
         key = canonical_key(candidate)
         if key not in seen:
             seen[key] = FiniteLattice(*key)
     return tuple(seen[key] for key in sorted(seen))
 
 
-def all_lattices_up_to(max_n, modular_only=False):
-    """All lattices with at most max_n elements, up to isomorphism."""
-    out = []
-    for n in range(1, max_n + 1):
-        out.extend(all_lattices(n, modular_only))
-    return out
-
-
 def generate_corpus(max_n, modular_only=False, dedupe_iso=True):
-    """The lattice stream the corpus command emits, in deterministic order."""
+    """All lattices with at most max_n elements, the stream the corpus
+    command emits: ordered by size, then by cover list.  With ``dedupe_iso``
+    it holds one canonically labeled lattice per isomorphism class, without
+    it every naturally labeled one (see :func:`_natural_order_lattices`)."""
     if max_n > MAX_CORPUS_N:
         raise LatticeTooLarge(f"corpus generation is capped at n = {MAX_CORPUS_N}")
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    if dedupe_iso:
-        return all_lattices_up_to(max_n, modular_only)
     out = []
     for n in range(1, max_n + 1):
-        for candidate in _natural_order_lattices(n):
-            if modular_only and not candidate.is_modular():
-                continue
-            out.append(candidate)
-    out.sort(key=lambda lat: (lat.n, lat.cover_pairs()))
+        if dedupe_iso:
+            out += all_lattices(n, modular_only)
+        else:
+            out += sorted(_natural_order_lattices(n, modular_only),
+                          key=FiniteLattice.cover_pairs)
     return out

@@ -191,12 +191,6 @@ class FiniteLattice:
         """The cover pairs in sorted order."""
         return tuple(sorted(self.covers))
 
-    def upper_covers(self, x):
-        return sorted(y for (a, y) in self.covers if a == x)
-
-    def lower_covers(self, y):
-        return sorted(x for (x, b) in self.covers if b == y)
-
     # -- derived structure --------------------------------------------------
 
     def fact(self, compute):
@@ -593,7 +587,9 @@ class SublatticeEmbedding:
         if not above:
             raise EmptySublattice(f"no member of the sublattice lies above {x}")
         out = self.ambient.meet_all(above)
-        assert out in self.members
+        if out not in self.members:
+            raise VerificationError(f"the meet of the members above {x} is "
+                                    "not a member")
         return out
 
     def as_lattice(self):

@@ -30,39 +30,39 @@ def chain3():
 
 @pytest.fixture(scope="session")
 def all5():
-    return corpus.all_lattices_up_to(5)
+    return corpus.generate_corpus(5)
 
 
 @pytest.fixture(scope="session")
 def all6():
-    return corpus.all_lattices_up_to(6)
+    return corpus.generate_corpus(6)
 
 
 @pytest.fixture(scope="session")
 def all7():
-    return corpus.all_lattices_up_to(7)
+    return corpus.generate_corpus(7)
 
 
 @pytest.fixture(scope="session")
 def all8():
-    return corpus.all_lattices_up_to(8)
+    return corpus.generate_corpus(8)
 
 
 @pytest.fixture(scope="session")
 def modular5():
-    return corpus.all_lattices_up_to(5, modular_only=True)
+    return corpus.generate_corpus(5, modular_only=True)
 
 
 @pytest.fixture(scope="session")
 def modular6():
-    return corpus.all_lattices_up_to(6, modular_only=True)
+    return corpus.generate_corpus(6, modular_only=True)
 
 
 @pytest.fixture(scope="session")
 def modular7():
-    return corpus.all_lattices_up_to(7, modular_only=True)
+    return corpus.generate_corpus(7, modular_only=True)
 
 
 @pytest.fixture(scope="session")
 def modular8():
-    return corpus.all_lattices_up_to(8, modular_only=True)
+    return corpus.generate_corpus(8, modular_only=True)

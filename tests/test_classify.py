@@ -392,7 +392,7 @@ ANALYZE_SHA256 = {
 
 def _pinned_lattice(name):
     if name.startswith("mod8-"):
-        return corpus.all_lattices_up_to(8, modular_only=True)[int(name[5:])]
+        return corpus.generate_corpus(8, modular_only=True)[int(name[5:])]
     named = {
         "M3xC2": lambda: _product(_m(3), corpus.chain(2)),
         "M3xC4": lambda: _product(_m(3), corpus.chain(4)),

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -200,6 +201,15 @@ def test_construct_rejects_bad_splitting_pair(capsys, m3_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("pair", ["9,2", "-1,2"])
+def test_construct_rejects_splitting_pair_out_of_range(capsys, b22_file, pair):
+    code, out, err = run(capsys, "construct", b22_file, "splitting",
+                         f"--splitting={pair}")
+    assert code == 2
+    assert out == ""
+    assert "does not split" in err
+
+
 def test_corpus_stream_deterministic(capsys):
     code, first, _ = run(capsys, "corpus", "--max-n", "4", "--modular-only")
     code, second, _ = run(capsys, "corpus", "--max-n", "4", "--modular-only")
@@ -322,3 +332,18 @@ def test_cli_import_stays_lean():
                             text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_no_assert_in_the_package():
+    # `python -O` strips assert statements, so a cross-check written as one
+    # would silently stop running; cross-checks raise VerificationError
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "commlat")
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), name)
+            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []

@@ -208,6 +208,13 @@ def test_construct_splitting_errors(m3, b22):
                             LatticePartition.identity(b22))
 
 
+@pytest.mark.parametrize("pair", [(9, 2), (-1, 2), (1, 4), (1, -2)])
+def test_construct_splitting_rejects_elements_out_of_range(b22, pair):
+    theta = LatticePartition.single_block(b22)
+    with pytest.raises(NotASplittingPair):
+        construct_splitting(b22, SplittingPair(*pair), theta)
+
+
 def test_constructions_always_validate(all5):
     for lat in all5:
         big = largest_commutator(lat)

@@ -428,6 +428,13 @@ def test_closure_in_sublattice(m3):
     assert two_point.closure(3) == 4
 
 
+def test_closure_failing_its_check_is_a_bug(m3, monkeypatch):
+    sub = SublatticeEmbedding(m3, [0, 1, 4])
+    monkeypatch.setattr(FiniteLattice, "meet_all", lambda self, xs: 2)
+    with pytest.raises(VerificationError):
+        sub.closure(1)
+
+
 def test_closure_join_identity(all6):
     # closure of a join equals the join of the closures, for (0,1)-sublattices
     for lat in all6:

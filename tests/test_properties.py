@@ -6,8 +6,8 @@ from commlat import corpus
 from commlat.commutator import enumerate_commutators, residuation
 from commlat.lattice import FiniteLattice, congruence_generated
 
-LATTICES = corpus.all_lattices_up_to(6)
-SMALL = [lat for lat in corpus.all_lattices_up_to(4)]
+LATTICES = corpus.generate_corpus(6)
+SMALL = [lat for lat in corpus.generate_corpus(4)]
 TABLES = {lat: enumerate_commutators(lat) for lat in SMALL}
 
 
