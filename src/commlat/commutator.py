@@ -40,7 +40,7 @@ from .errors import (
     NotASplittingPair,
     VerificationError,
 )
-from .lattice import _bits
+from .lattice import _bits, _translation
 from .projectivity import (
     join_irreducibles,
     projective_ceiling,
@@ -78,28 +78,44 @@ class CommutatorTable:
         return self._violations
 
     def _check(self):
+        # reads the rows of the lattice's tables and its down-sets.  The
+        # checks over x' at one (x, y) are two bytes.translate calls: t(x v x',
+        # y) is row x of the join table read through column y of t, and
+        # t(x, y) v t(x', y) is column y read through row t(x, y) of the join
+        # table.  Only an x with a failing (x, y) is scanned entry by entry,
+        # so the violations come in the same order either way.
         lat, t = self.lattice, self.entries
         n = lat.n
+        meet, join, down = lat._meet, lat._join, lat._down
+        columns = [bytes(column) for column in zip(*t)]
         for x in range(n):
+            if bytes(t[x]) == columns[x]:
+                continue
             for y in range(x + 1, n):
                 if t[x][y] != t[y][x]:
                     yield Violation("symmetry", (x, y),
                                     f"t({x},{y})={t[x][y]} != t({y},{x})={t[y][x]}")
         for x in range(n):
-            for y in range(n):
-                if not lat.leq(t[x][y], lat.meet(x, y)):
+            for y, (v, m) in enumerate(zip(t[x], meet[x])):
+                if not down[m] >> v & 1:
                     yield Violation("boundedness", (x, y),
-                                    f"t({x},{y})={t[x][y]} above {x}^{y}")
+                                    f"t({x},{y})={v} above {x}^{y}")
+        through = [_translation(column) for column in columns]
+        joined = [_translation(row) for row in join]
         for x in range(n):
+            tx, tail = t[x], join[x][x:]
+            if all(tail.translate(through[y]) == columns[y][x:].translate(joined[v])
+                   for y, v in enumerate(tx)):
+                continue
             for x2 in range(x, n):
-                j = lat.join(x, x2)
+                tj, tx2 = t[join[x][x2]], t[x2]
                 for y in range(n):
-                    if t[j][y] != lat.join(t[x][y], t[x2][y]):
+                    if tj[y] != join[tx[y]][tx2[y]]:
                         yield Violation(
                             "join-distributivity", (x, x2, y),
-                            f"t({x}v{x2},{y})={t[j][y]} != "
+                            f"t({x}v{x2},{y})={tj[y]} != "
                             f"t({x},{y})vt({x2},{y})="
-                            f"{lat.join(t[x][y], t[x2][y])}")
+                            f"{join[tx[y]][tx2[y]]}")
         for y in range(n):
             if t[lat.bottom][y] != lat.bottom:
                 yield Violation("bottom-annihilation", (y,),

@@ -1,11 +1,14 @@
 """Named small lattices and exhaustive generation up to isomorphism.
 
-The generator builds every partial order that extends the natural order of
-the indices (bottom 0, top n-1, interior ascending), element by element, by
-choosing the elements below each one as an order ideal of those before it;
-every finite lattice has such a labeling, so keeping the orders that are
-lattices and rejecting isomorphic duplicates yields each class exactly
-once.  Duplicates are detected with a canonical form: the minimum
+The generator grows every lattice whose order extends the natural order of
+the indices (bottom 0, top n-1, interior ascending), element by element:
+the elements below each new one form an order ideal of those before it, and
+every finite lattice has such a labeling.  Each prefix 0..i of such a
+labeling is a down-set, so it holds the meet of any two of its elements
+and is a meet-semilattice; an ideal is kept only if it keeps the prefix
+one, and a finite meet-semilattice with a top is a lattice.  So only
+lattices are built, and rejecting isomorphic duplicates yields each class
+exactly once.  Duplicates are detected with a canonical form: the minimum
 cover-set encoding over all relabelings that respect an iterated
 neighborhood-color invariant.
 
@@ -18,7 +21,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .errors import LatticeTooLarge, NotALattice
+from .errors import LatticeTooLarge, NotALattice, VerificationError
 from .lattice import FiniteLattice, _bits
 
 MAX_CORPUS_N = 8
@@ -131,39 +134,56 @@ def _natural_order_lattices(n, modular_only=False):
     """All lattices on 0..n-1 whose order extends the order of the indices,
     with bottom 0 and top n-1.  Yields every isomorphism class at least once.
 
-    The order grows one element at a time: the bitmask of the elements
-    below i is an order ideal of the order already built on 0..i-1 (a
-    nonempty one for an interior i, all of 0..i-1 for the top), so each
-    partial order is built once and no relation needs a transitivity check.
-    The covers are read off the bitmasks, and :class:`FiniteLattice` keeps
-    the orders that are lattices.
+    The order grows one element at a time: the bitmask ``d`` of the elements
+    below i is a nonempty order ideal of the order already built on 0..i-1
+    (all of 0..i-1 for the top), so each partial order is built once and no
+    relation needs a transitivity check.  Since 0..i-1 is a meet-semilattice
+    (see the module docstring), i has a meet with k exactly when ``d`` cut
+    with the principal ideal of k is principal, and ``d`` is kept only if
+    that holds for every k.  With ``modular_only`` an element whose lower
+    covers differ in height is skipped too: a modular lattice is graded
+    (Jordan-Dedekind), and so is each of its down-sets.  The covers are
+    the maximal elements of each ``d``; :class:`FiniteLattice` validates
+    every candidate, and one it rejects is a bug.
     """
     if n == 1:
         yield FiniteLattice(1)
         return
-    top_below = (1 << n - 1) - 1
-    stack = [[0]]
+    # per prefix 0..i-1: the strict down-set, the height and the covers
+    stack = [((0,), (0,), ())]
     while stack:
-        below = stack.pop()
-        if len(below) < n - 1:
+        below, height, covers = stack.pop()
+        i = len(below)
+        principal = [mask | 1 << k for k, mask in enumerate(below)]
+        if i < n - 1:
             ideals = {0}
-            for k, mask in enumerate(below):
-                ideals |= {d | mask | 1 << k for d in ideals}
-            stack += [below + [d] for d in ideals if d]
-            continue
-        below.append(top_below)
-        covers = set()
-        for y, mask in enumerate(below):
+            for p in principal:
+                ideals |= {d | p for d in ideals}
+            # the empty ideal fails too: its cuts are empty
+            keys = set(principal)
+            downs = [d for d in ideals if all(d & p in keys for p in principal)]
+        else:
+            downs = [(1 << i) - 1]
+        for d in downs:
             under = 0
-            for z in _bits(mask):
+            for z in _bits(d):
                 under |= below[z]
-            covers |= {(x, y) for x in _bits(mask & ~under)}
-        try:
-            lat = FiniteLattice(n, covers)
-        except NotALattice:
-            continue
-        if not modular_only or lat.is_modular():
-            yield lat
+            lower = list(_bits(d & ~under))
+            if modular_only and len({height[x] for x in lower}) > 1:
+                continue
+            grown = covers + tuple((x, i) for x in lower)
+            if i < n - 1:
+                stack.append((below + (d,), height + (height[lower[0]] + 1,),
+                              grown))
+                continue
+            try:
+                lat = FiniteLattice(n, grown)
+            except NotALattice as exc:
+                raise VerificationError(
+                    f"a grown meet-semilattice with a top is no lattice: {exc}"
+                ) from exc
+            if not modular_only or lat.is_modular():
+                yield lat
 
 
 @lru_cache(maxsize=None)

@@ -205,7 +205,8 @@ class FiniteLattice:
         return FiniteLattice(self.n, {(y, x) for (x, y) in self.covers})
 
     def is_modular(self):
-        """Whether x <= z implies x v (y ^ z) = (x v y) ^ z for all y."""
+        """Whether x <= z implies x v (y ^ z) = (x v y) ^ z for all y
+        (tested as upper plus lower semimodularity, see ``_is_modular``)."""
         return self.fact(_is_modular)
 
     def __eq__(self, other):
@@ -219,18 +220,32 @@ class FiniteLattice:
         return f"FiniteLattice({self.n}, {sorted(self.covers)})"
 
 
+# the one-element blocks, shared by every partition
+_SINGLETONS = tuple((x,) for x in range(MAX_N))
+
+
 def _translation(values):
     """The ``bytes.translate`` table sending x to ``values[x]``."""
     return bytes(values).ljust(256, b"\0")
 
 
 def _is_modular(lat):
+    """Upper and lower semimodularity, which together are modularity in a
+    finite lattice (Birkhoff; G. Gratzer, *Lattice Theory: Foundation*,
+    2011): for each cover a < b and each c, b ^ c = a must give c < b v c
+    a cover, and a v c = b must give a ^ c < c a cover.  O(n * |covers|).
+    """
     meet, join = lat._meet, lat._join
-    for x in range(lat.n):
-        for z in _bits(lat._up[x]):
-            for y in range(lat.n):
-                if join[x][meet[y][z]] != meet[join[x][y]][z]:
-                    return False
+    upper = [0] * lat.n
+    for a, b in lat.covers:
+        upper[a] |= 1 << b
+    for a, b in lat.covers:
+        join_b, meet_a = join[b], meet[a]
+        for c, (down, up) in enumerate(zip(meet[b], join[a])):
+            if down == a and not upper[c] >> join_b[c] & 1:
+                return False
+            if up == b and not upper[meet_a[c]] >> c & 1:
+                return False
     return True
 
 
@@ -244,6 +259,9 @@ class LatticePartition:
     x = y implies x^z = y^z and xvz = yvz for every z.
 
     For finite lattices this is the same as a complete congruence.
+    ``blocks`` are sorted tuples, the one-element ones shared by every
+    partition, and ``class_of[x]`` is the index of x's block, as ``bytes``
+    (n < 256): facts keep partitions on their lattice, so they stay small.
     """
 
     __slots__ = ("lattice", "blocks", "class_of")
@@ -255,13 +273,14 @@ class LatticePartition:
         members = [x for b in normalized for x in b]
         if len(members) != n or set(members) != set(range(n)):
             raise ValueError(f"blocks do not partition 0..{n - 1}")
-        class_of = [0] * n
+        class_of = bytearray(n)
         for i, b in enumerate(normalized):
             for x in b:
                 class_of[x] = i
         self.lattice = lattice
-        self.blocks = tuple(normalized)
-        self.class_of = tuple(class_of)
+        self.blocks = tuple(_SINGLETONS[b[0]] if len(b) == 1 else b
+                            for b in normalized)
+        self.class_of = bytes(class_of)
         self._check_congruence()
 
     def _check_congruence(self):
@@ -398,12 +417,13 @@ def is_simple(lattice):
 
     Every congruence but the identity contains con(j-, j) for some join
     irreducible j (see :func:`all_congruences`), so it suffices that each of
-    those collapses everything: at most |J(L)| closures of O(n^2) each.
+    those collapses everything: |J(L)| closures of O(n^2) each, kept on the
+    lattice and shared with :func:`all_congruences`.
     """
     if lattice.n < 2:
         return False
-    return all(congruence_generated(lattice, [(lo, j)]).num_blocks == 1
-               for j, lo in sole_covers(lattice.covers).items())
+    return all(theta.num_blocks == 1
+               for _, _, theta in lattice.fact(_principal_congruences))
 
 
 def is_complemented(lattice):
@@ -428,6 +448,14 @@ def sole_covers(pairs):
     return {y: x for y, x in found.items() if y not in repeated}
 
 
+def _principal_congruences(lattice):
+    """(j, j-, con(j-, j)) for each join irreducible j, in the order of
+    :func:`sole_covers`; the closures go through the module-level
+    :func:`congruence_generated`."""
+    return tuple((j, lo, congruence_generated(lattice, [(lo, j)]))
+                 for j, lo in sole_covers(lattice.covers).items())
+
+
 def all_congruences(lattice):
     """Every congruence of the lattice, sorted by block structure.
 
@@ -446,17 +474,17 @@ def all_congruences(lattice):
     down-set; a disagreement is a bug.  The down-sets are counted as they
     are ORed together, and past ``MAX_CONGRUENCES`` of them
     :class:`LatticeTooLarge` is raised before any of their closures runs.
+    The principal closures are kept on the lattice for :func:`is_simple`.
     """
-    joins = list(sole_covers(lattice.covers).items())
+    joins = lattice.fact(_principal_congruences)
 
     def collapsed(theta):
         cls = theta.class_of
-        return sum(1 << i for i, (j, lo) in enumerate(joins)
+        return sum(1 << i for i, (j, lo, _) in enumerate(joins)
                    if cls[lo] == cls[j])
 
     principal = {}
-    for i, (j, lo) in enumerate(joins):
-        theta = congruence_generated(lattice, [(lo, j)])
+    for i, (_, _, theta) in enumerate(joins):
         # j is in its own down-set; a closure that missed its seed then
         # fails the check below
         principal[collapsed(theta) | 1 << i] = theta

@@ -1,7 +1,7 @@
 import pytest
 
 from commlat import corpus
-from commlat.errors import LatticeTooLarge
+from commlat.errors import LatticeTooLarge, NotALattice, VerificationError
 from commlat.lattice import FiniteLattice
 
 # unlabeled lattice counts, and the modular subcounts, for 1..8 elements
@@ -78,3 +78,25 @@ def test_canonical_key_refuses_factorial_search():
         corpus.canonical_key(corpus.boolean(4))
     with pytest.raises(LatticeTooLarge):
         corpus.isomorphic(corpus.boolean(4), corpus.boolean(4))
+
+
+@pytest.mark.parametrize("n, count", [(7, 320), (8, 3637)])
+def test_natural_order_lattice_counts(n, count):
+    # only lattices are grown, so each candidate is yielded
+    assert sum(1 for _ in corpus._natural_order_lattices(n)) == count
+
+
+def test_graded_prefixes_drop_no_modular_lattice():
+    every = corpus.generate_corpus(8, dedupe_iso=False)
+    modular = corpus.generate_corpus(8, modular_only=True, dedupe_iso=False)
+    assert ([lat.cover_pairs() for lat in modular]
+            == [lat.cover_pairs() for lat in every if lat.is_modular()])
+
+
+def test_a_rejected_candidate_is_a_bug(monkeypatch):
+    def rejecting(n, covers=()):
+        raise NotALattice("forced")
+
+    monkeypatch.setattr(corpus, "FiniteLattice", rejecting)
+    with pytest.raises(VerificationError, match="forced"):
+        list(corpus._natural_order_lattices(4))

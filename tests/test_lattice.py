@@ -133,6 +133,52 @@ def test_modularity(m3, n5, chain3, b22):
     assert b22.is_modular()
 
 
+def _modular_by_identity(lat):
+    """The O(n^3) modular law: x <= z gives x v (y ^ z) = (x v y) ^ z."""
+    return all(lat.join(x, lat.meet(y, z)) == lat.meet(lat.join(x, y), z)
+               for x in lat.elements for z in lat.elements if lat.leq(x, z)
+               for y in lat.elements)
+
+
+def _m(k):
+    return build(k + 2, {(0, a) for a in range(1, k + 1)}
+                 | {(a, k + 1) for a in range(1, k + 1)})
+
+
+def _product(a, b):
+    """Element (x, y) is numbered x * b.n + y."""
+    covers = {(x * b.n + y, hi * b.n + y) for (x, hi) in a.covers
+              for y in b.elements}
+    covers |= {(x * b.n + y, x * b.n + hi) for (y, hi) in b.covers
+               for x in a.elements}
+    return build(a.n * b.n, covers)
+
+
+def test_is_modular_matches_the_identity_on_the_corpus(all8):
+    # on the corpus names and three seeded renamings of each lattice
+    rng = random.Random(11)
+    for base in all8:
+        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+                             for _ in range(3)]:
+            assert lattice._is_modular(lat) == _modular_by_identity(lat), lat
+
+
+@pytest.mark.parametrize("lat, modular", [
+    (corpus.chain(64), True),
+    (corpus.boolean(6), True),
+    (_m(62), True),
+    (_product(corpus.chain(2), corpus.chain(32)), True),
+    (_product(_m(4), _m(5)), True),
+    # modular, nilpotent and not abelian (its [top, top] is 3)
+    (build(8, {(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
+               (3, 6), (4, 7), (5, 7), (6, 7)}), True),
+    (_product(corpus.pentagon(), corpus.chain(8)), False),
+    (_product(_m(3), corpus.pentagon()), False),
+], ids=["C64", "B6", "M62", "C2xC32", "M4xM5", "n8", "N5xC8", "M3xN5"])
+def test_is_modular_matches_the_identity_at_scale(lat, modular):
+    assert lattice._is_modular(lat) == _modular_by_identity(lat) == modular
+
+
 def test_dual_involution(all6):
     for lat in all6:
         assert lat.dual().dual() == lat
@@ -287,6 +333,23 @@ def test_all_congruences_closes_once_per_congruence(lat, monkeypatch):
     monkeypatch.setattr(lattice, "congruence_generated", counted)
     congruences = all_congruences(lat)
     assert 0 < len(calls) <= len(congruences)
+
+
+def test_is_simple_reuses_the_principal_closures(monkeypatch):
+    calls = []
+
+    def counted(lat, seed):
+        calls.append(seed)
+        return congruence_generated(lat, seed)
+
+    monkeypatch.setattr(lattice, "congruence_generated", counted)
+    lat = corpus.boolean(3)
+    all_congruences(lat)
+    closures = len(calls)
+    assert not is_simple(lat)
+    assert len(calls) == closures
+    assert is_simple(corpus.diamond())
+    assert len(calls) == closures + 3
 
 
 def test_all_congruences_checks_the_down_set(monkeypatch):
