@@ -262,17 +262,26 @@ class LatticePartition:
     ``blocks`` are sorted tuples, the one-element ones shared by every
     partition, and ``class_of[x]`` is the index of x's block, as ``bytes``
     (n < 256): facts keep partitions on their lattice, so they stay small.
+    Blocks that repeat an element, miss one or are empty raise
+    :class:`ValueError`; they are not repaired.
     """
 
     __slots__ = ("lattice", "blocks", "class_of")
 
     def __init__(self, lattice, blocks):
         n = lattice.n
-        normalized = sorted(b for b in (tuple(sorted(set(block)))
-                                        for block in blocks) if b)
+        normalized = sorted(tuple(sorted(block)) for block in blocks)
         members = [x for b in normalized for x in b]
         if len(members) != n or set(members) != set(range(n)):
+            seen = set()
+            for x in members:
+                if x in seen:
+                    raise ValueError(f"element {x} appears twice in the blocks")
+                seen.add(x)
             raise ValueError(f"blocks do not partition 0..{n - 1}")
+        if not normalized[0]:
+            empty = next(i for i, b in enumerate(blocks) if not b)
+            raise ValueError(f"block {empty} is empty")
         class_of = bytearray(n)
         for i, b in enumerate(normalized):
             for x in b:

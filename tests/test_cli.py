@@ -195,6 +195,21 @@ def test_construct_splitting_with_congruence_file(capsys, tmp_path, b22_file):
     assert json.loads(out)["table"][3][3] == 2
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([[0, 0, 1], [2, 3]], "element 0 appears twice"),
+    ([[0, 1], [], [2, 3]], "block 1 is empty"),
+])
+def test_construct_rejects_a_congruence_file_with_bad_blocks(
+        capsys, tmp_path, b22_file, blocks, message):
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps({"blocks": blocks}))
+    code, out, err = run(capsys, "construct", b22_file, "splitting",
+                         "--splitting", "1,2", "--congruence", str(theta))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_construct_rejects_bad_splitting_pair(capsys, m3_file):
     code, _, err = run(capsys, "construct", m3_file, "splitting",
                        "--splitting", "1,2")

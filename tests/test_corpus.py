@@ -86,6 +86,23 @@ def test_natural_order_lattice_counts(n, count):
     assert sum(1 for _ in corpus._natural_order_lattices(n)) == count
 
 
+@pytest.mark.parametrize("n, modular_only, count",
+                         [(7, False, 122), (8, False, 758), (8, True, 51)])
+def test_size_ordered_lattice_counts(n, modular_only, count):
+    grown = corpus._natural_order_lattices(n, modular_only, _size_ordered=True)
+    assert sum(1 for _ in grown) == count
+
+
+@pytest.mark.parametrize("modular_only", [False, True])
+@pytest.mark.parametrize("n", range(1, corpus.MAX_CORPUS_N + 1))
+def test_size_ordering_keeps_every_class(n, modular_only):
+    def keys(**kwargs):
+        return {corpus.canonical_key(lat) for lat in
+                corpus._natural_order_lattices(n, modular_only, **kwargs)}
+
+    assert keys(_size_ordered=True) == keys()
+
+
 def test_graded_prefixes_drop_no_modular_lattice():
     every = corpus.generate_corpus(8, dedupe_iso=False)
     modular = corpus.generate_corpus(8, modular_only=True, dedupe_iso=False)

@@ -382,6 +382,18 @@ def test_partition_rejects_non_congruence(chain3):
         LatticePartition(chain3, [(0, 1)])
 
 
+@pytest.mark.parametrize("blocks, message", [
+    ([(0, 0, 1), (2,)], r"^element 0 appears twice in the blocks$"),
+    ([(0, 1), (1, 2)], r"^element 1 appears twice in the blocks$"),
+    ([(0, 1), (), (2,)], r"^block 1 is empty$"),
+    ([(0, 1), (2, 3)], r"^blocks do not partition 0\.\.2$"),
+])
+def test_partition_refuses_bad_blocks_instead_of_repairing(chain3, blocks,
+                                                           message):
+    with pytest.raises(ValueError, match=message):
+        LatticePartition(chain3, blocks)
+
+
 def test_partition_names_the_separating_translation(chain3, m3):
     # the check compares whole rows, then names the first z that separates
     with pytest.raises(NotACongruence,

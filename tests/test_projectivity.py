@@ -103,6 +103,53 @@ def test_projectivity_classes(m3, b22, chain3):
     assert projectivity_classes(chain3).num_classes == 2
 
 
+def _perspectivity_components(lat):
+    """Class ids, in order of first appearance, of the components of the
+    perspectivity graph, testing every pair of prime intervals."""
+    intervals = prime_intervals(lat)
+    component = list(range(len(intervals)))
+    for a, i in enumerate(intervals):
+        for b, j in enumerate(intervals[:a]):
+            if transposes_up(lat, i, j) or transposes_up(lat, j, i):
+                old, new = component[a], component[b]
+                component = [new if c == old else c for c in component]
+    ids = {}
+    return {i: ids.setdefault(c, len(ids))
+            for i, c in zip(intervals, component)}
+
+
+def _assert_classes_match_all_pairs(lat):
+    classes = projectivity_classes(lat)
+    assert classes.intervals == prime_intervals(lat)
+    assert ({i: classes.class_of(i) for i in classes.intervals}
+            == _perspectivity_components(lat))
+
+
+def test_projectivity_classes_match_all_pairs_on_the_corpus(modular8):
+    # the corpus names and two seeded renamings of each of the 67 lattices
+    rng = random.Random(14)
+    assert len(modular8) == 67
+    for base in modular8:
+        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+                             for _ in range(2)]:
+            _assert_classes_match_all_pairs(lat)
+
+
+@pytest.mark.parametrize("lat", [
+    corpus.boolean(6), corpus.chain(64), _m(62),
+    _product(corpus.chain(2), corpus.chain(32)), _product(_m(4), _m(5)),
+], ids=["B6", "C64", "M62", "C2xC32", "M4xM5"])
+def test_projectivity_classes_match_all_pairs_at_scale(lat):
+    _assert_classes_match_all_pairs(lat)
+
+
+def test_a_transpose_that_is_no_cover_is_a_bug(n5, monkeypatch):
+    # N5's (0, 3) transposes up to (1, 4), which is no cover
+    monkeypatch.setattr(projectivity, "_require_modular", lambda lat: None)
+    with pytest.raises(VerificationError, match=r"\(1, 4\)"):
+        projectivity_classes(n5)
+
+
 def test_nonmodular_rejected(n5):
     with pytest.raises(NotModular):
         projectivity_classes(n5)
