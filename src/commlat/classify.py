@@ -1,10 +1,11 @@
 """Forcing verdicts for a finite modular lattice.
 
 A lattice forces a type (abelian, nilpotent, solvable) when its pointwise
-largest commutator multiplication has that type.  Each verdict here is
-decided by the cheap lattice-side criterion and cross-checked against the
-series of the largest multiplication; the two always agree, so a mismatch
-raises instead of warning.
+largest commutator multiplication has that type.  The nilpotent and
+solvable verdicts are decided by the cheap lattice-side criterion and
+cross-checked against the series of the largest multiplication; the
+abelian verdict is read off that multiplication and certified through an
+M3 witness when there is one.  A mismatch raises instead of warning.
 
 The non-splitting verdict is included because, for congruence lattices of
 algebras in congruence modular varieties, not splitting is exactly the shape
@@ -14,7 +15,7 @@ lattice side.
 
 from collections import namedtuple
 
-from .commutator import largest_commutator, series
+from .commutator import construct_sublattice, largest_commutator, series
 from .errors import VerificationError
 from .lattice import SublatticeEmbedding, is_complemented, is_simple
 from .projectivity import (
@@ -93,21 +94,24 @@ def _abelian_sufficient_sublattice(lat):
 def forces_abelian_type(lat):
     """True iff the largest multiplication sends (top, top) to bottom.
 
-    Additionally looks for a simple complemented modular (0,1)-sublattice
-    with at least three elements (see :func:`_abelian_sufficient_sublattice`);
-    finding one is a sufficient condition, so a found witness with a
-    negative verdict raises.
+    The certificate of a negative verdict is the validated largest table, a
+    multiplication with [top, top] above bottom.  A positive one has a
+    second route when an M3 witness is found (see
+    :func:`_abelian_sufficient_sublattice`): restricted to it, the largest
+    table is a valid multiplication on M3, and M3 carries only the zero
+    table.  A negative verdict or a nonzero restriction then raises.  A
+    positive verdict without a witness (the Fano plane) has no second route.
     """
     _require_modular(lat)
     table = lat.fact(largest_commutator)
     verdict = table.value(lat.top, lat.top) == lat.bottom
-    if verdict != lat.fact(_largest_series).is_abelian:
-        raise VerificationError("top-square criterion disagrees with the "
-                                "largest multiplication's series")
     witness = lat.fact(_abelian_sufficient_sublattice)
-    if witness is not None and not verdict:
-        raise VerificationError("sufficient sublattice found although the "
-                                "largest multiplication is not abelian")
+    if witness is not None:
+        own = construct_sublattice(table, SublatticeEmbedding(lat, witness))
+        square = own.value(own.lattice.top, own.lattice.top)
+        if not verdict or square != own.lattice.bottom:
+            raise VerificationError("the M3 witness does not certify the "
+                                    "abelian verdict")
     return verdict
 
 

@@ -28,6 +28,12 @@ the table is a multiplication, and being above all of them it is their
 pointwise join, the largest one.  The fixed point is re-validated at
 runtime, and the test suite checks it against exhaustive enumeration and
 against the residuation characterization at covers.
+
+The transfers compute each value once: the pullback along h: L -> K lifts
+each b in K to the least z with h(z) >= b, O(|L| |K|), and reads every
+entry off that lift table; the sublattice restriction closes each distinct
+value once; the residuation (x : y) reads row y of the symmetric table,
+O(n).  Each construction validates its output, O(n^3) at worst.
 """
 
 from collections import namedtuple
@@ -152,11 +158,15 @@ def meet_table(lat):
 
 
 def residuation(table, x, y):
-    """The largest z with t(z, y) <= x, i.e. the join of all such z."""
+    """The largest z with t(z, y) <= x, i.e. the join of all such z; a valid
+    table is symmetric, so those z are read off row y in O(n)."""
     table.require_valid()
     lat = table.lattice
-    return lat.join_all(z for z in lat.elements
-                        if lat.leq(table.value(z, y), x))
+    if not (0 <= x < lat.n and 0 <= y < lat.n):
+        raise ValueError(f"residuation at ({x}, {y}) out of range")
+    below = lat.lower_set(x)
+    return lat.join_all(z for z, v in enumerate(table.entries[y])
+                        if below >> v & 1)
 
 
 _KIND_RANK = {"none": 0, "solvable": 1, "nilpotent": 2, "abelian": 3}
@@ -238,22 +248,21 @@ def series(table):
 
 def construct_sublattice(ambient_table, sub):
     """Restrict a multiplication to a sublattice by closing each value
-    upward into the sublattice.  The result is always valid and lies
-    pointwise above the plain restriction."""
+    upward into the sublattice, once per distinct value.  The result is
+    always valid and lies pointwise above the plain restriction."""
     ambient_table.require_valid()
     if sub.ambient != ambient_table.lattice:
         raise ValueError("sublattice does not live in the table's lattice")
     sub_lat, embed = sub.as_lattice()
     index = {m: i for i, m in enumerate(embed)}
-    entries = [[0] * sub_lat.n for _ in range(sub_lat.n)]
-    for i, x in enumerate(embed):
-        for j, y in enumerate(embed):
-            raw = ambient_table.value(x, y)
-            closed = sub.closure(raw)
-            if not sub.ambient.leq(raw, closed):
-                raise VerificationError("closure went down")
-            entries[i][j] = index[closed]
-    out = CommutatorTable(sub_lat, entries)
+    rows = [[ambient_table.value(x, y) for y in embed] for x in embed]
+    closed = {}
+    for raw in dict.fromkeys(v for row in rows for v in row):
+        member = sub.closure(raw)
+        if not sub.ambient.leq(raw, member):
+            raise VerificationError("closure went down")
+        closed[raw] = index[member]
+    out = CommutatorTable(sub_lat, [[closed[v] for v in row] for row in rows])
     if not out.is_valid:
         raise VerificationError("sublattice construction produced an "
                                 f"invalid table: {out.violations()[0]}")
@@ -261,8 +270,9 @@ def construct_sublattice(ambient_table, sub):
 
 
 def construct_pullback(source, hom, target_table):
-    """Pull a multiplication back along a (0,1)-map h:
-    t(x, y) = meet of all z with h(z) >= t_K(h(x), h(y))."""
+    """Pull a multiplication back along a (0,1)-map h: t(x, y) =
+    lift[t_K(h(x), h(y))], lift[b] being the meet of all z with h(z) >= b
+    (never empty, as h(top) = top), computed once per target element b."""
     target_table.require_valid()
     if hom.source != source or hom.target != target_table.lattice:
         raise ValueError("map endpoints do not match the inputs")
@@ -270,13 +280,11 @@ def construct_pullback(source, hom, target_table):
         raise NotAHomomorphism("pullback needs a map sending bottom to "
                                "bottom and top to top")
     tgt = target_table.lattice
-    entries = [[0] * source.n for _ in range(source.n)]
-    for x in source.elements:
-        for y in source.elements:
-            bound = target_table.value(hom(x), hom(y))
-            entries[x][y] = source.meet_all(
-                z for z in source.elements if tgt.leq(bound, hom(z)))
-    out = CommutatorTable(source, entries)
+    lift = [source.meet_all(z for z in source.elements if tgt.leq(b, hom(z)))
+            for b in tgt.elements]
+    out = CommutatorTable(source, [[lift[target_table.value(hom(x), hom(y))]
+                                    for y in source.elements]
+                                   for x in source.elements])
     if not out.is_valid:
         raise VerificationError("pullback produced an invalid table: "
                                 f"{out.violations()[0]}")

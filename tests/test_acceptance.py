@@ -6,6 +6,7 @@ them modular); each test prints a PASS line once its criterion holds.
 Runtime bounds are asserted where the criterion states one.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -253,8 +254,15 @@ def test_criterion_6_projectivity_propositions(modular7):
           "hold on the <= 7 modular corpus")
 
 
+def _document(table):
+    return fileio.canonical_dumps(fileio.table_to_doc(table)).encode()
+
+
 def test_criterion_7_constructions_are_valid(all7):
     started = time.perf_counter()
+    # SHA-256 of the 7,280 tables built below, as `commlat construct`
+    # documents: any change to what a construction outputs shows here
+    digest = hashlib.sha256()
     for lat in all7:
         big = largest_commutator(lat)
         sources = enumerate_commutators(lat) if lat.n <= 4 else [big]
@@ -263,6 +271,7 @@ def test_criterion_7_constructions_are_valid(all7):
             for table in sources:
                 out = construct_sublattice(table, sub)
                 assert out.is_valid
+                digest.update(_document(out))
                 for i, x in enumerate(embed):
                     for j, y in enumerate(embed):
                         assert lat.leq(table.value(x, y), embed[out.value(i, j)])
@@ -271,11 +280,14 @@ def test_criterion_7_constructions_are_valid(all7):
             targets = enumerate_commutators(image) if image.n <= 4 \
                 else [largest_commutator(image)]
             for target in targets:
-                assert construct_pullback(lat, projection, target).is_valid
+                out = construct_pullback(lat, projection, target)
+                assert out.is_valid
+                digest.update(_document(out))
         for pair in splitting_pairs(lat):
             theta = congruence_generated(lat, [(pair.epsilon, lat.top)])
             out = construct_splitting(lat, pair, theta)
             assert out.is_valid
+            digest.update(_document(out))
             least = [lat.meet_all(block) for block in theta.blocks]
             s = [least[theta.class_of[x]] for x in lat.elements]
             for x in lat.elements:
@@ -283,6 +295,8 @@ def test_criterion_7_constructions_are_valid(all7):
                     continue
                 for y in lat.elements:
                     assert out.value(x, y) == s[y]
+    assert digest.hexdigest() == (
+        "e13887ecbf9ed9fdf11b5f005472fbaf10d6fb6cae6ef2b57e7958dbf4df55a0")
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE 7: PASS - all three constructions validate on every "
           f"admissible corpus input, including the splitting law "

@@ -15,7 +15,7 @@ from commlat.classify import (
     forces_solvable_type,
     supernilpotency_shape,
 )
-from commlat.commutator import largest_commutator, series
+from commlat.commutator import largest_commutator, meet_table, series
 from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
     FiniteLattice,
@@ -132,6 +132,14 @@ def test_abelian_witness_is_genuine(modular6):
 def test_witness_failing_its_check_is_a_bug(m3, monkeypatch):
     monkeypatch.setattr(classify, "is_simple", lambda lat: False)
     with pytest.raises(VerificationError):
+        analyze(m3)
+
+
+def test_broken_abelian_certificate_is_a_bug(m3, monkeypatch):
+    # a restriction to the M3 witness whose [top, top] is not bottom
+    monkeypatch.setattr(classify, "construct_sublattice",
+                        lambda table, sub: meet_table(sub.as_lattice()[0]))
+    with pytest.raises(VerificationError, match="certify"):
         analyze(m3)
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import random
@@ -27,13 +28,14 @@ from commlat.errors import (
     NotModular,
 )
 from commlat.lattice import (
+    FiniteLattice,
     LatticeMap,
     LatticePartition,
     SublatticeEmbedding,
     congruence_generated,
     quotient,
 )
-from commlat.projectivity import PrimeInterval, SplittingPair
+from commlat.projectivity import PrimeInterval, SplittingPair, splitting_pairs
 from test_classify import _fano, _m, _product, _relabel
 
 
@@ -79,6 +81,12 @@ def test_residuation_examples(b2, m3):
     zt = zero_table(m3)
     assert all(residuation(zt, x, y) == m3.top
                for x in m3.elements for y in m3.elements)
+
+
+@pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (5, 0), (0, 7)])
+def test_residuation_rejects_elements_out_of_range(m3, x, y):
+    with pytest.raises(ValueError, match="out of range"):
+        residuation(zero_table(m3), x, y)
 
 
 def test_residuation_requires_valid_table(m3):
@@ -222,6 +230,62 @@ def test_constructions_always_validate(all5):
         assert construct_sublattice(big, whole).is_valid
         image, proj = quotient(lat, LatticePartition.single_block(lat))
         assert construct_pullback(lat, proj, largest_commutator(image)).is_valid
+
+
+def test_constructions_compute_each_value_once(monkeypatch):
+    # the pullback lifts each element of the target once and the restriction
+    # closes each distinct value once, not once per entry (B4 has 256)
+    lat = corpus.boolean(4)
+    table = largest_commutator(lat)
+    image, projection = quotient(lat, congruence_generated(lat, [(0, 1)]))
+    target = largest_commutator(image)
+    whole = SublatticeEmbedding(lat, lat.elements)
+    calls = collections.Counter()
+
+    def count(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(FiniteLattice, "meet_all")
+    count(SublatticeEmbedding, "closure")
+    construct_pullback(lat, projection, target)
+    assert 0 < calls["meet_all"] <= image.n
+    construct_sublattice(table, whole)
+    assert 0 < calls["closure"] <= len(set(itertools.chain(*table.entries)))
+
+
+def test_constructions_at_scale_are_pinned():
+    # SHA-256 of, per lattice: the restriction of the largest table to the
+    # whole lattice, the pullback of the largest table of L/con(bottom, a),
+    # a the least atom, along its projection, the splitting construction of
+    # the middle splitting pair if there is one, and the residuation of the
+    # largest table at every cover
+    big = [corpus.boolean(6), corpus.chain(64), _m(62),
+           _product(corpus.chain(2), corpus.chain(32)), _product(_m(4), _m(5))]
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    for lat in big + [_relabel(lat, rng) for lat in big]:
+        table = largest_commutator(lat)
+        built = [construct_sublattice(table, SublatticeEmbedding(lat, lat.elements))]
+        atom = min(y for x, y in lat.covers if x == lat.bottom)
+        image, projection = quotient(
+            lat, congruence_generated(lat, [(lat.bottom, atom)]))
+        built.append(construct_pullback(lat, projection, largest_commutator(image)))
+        pairs = splitting_pairs(lat)
+        if pairs:
+            pair = pairs[len(pairs) // 2]
+            theta = congruence_generated(lat, [(pair.epsilon, lat.top)])
+            built.append(construct_splitting(lat, pair, theta))
+        for out in built:
+            digest.update(fileio.canonical_dumps(fileio.table_to_doc(out)).encode())
+        digest.update(bytes(residuation(table, lo, hi) for lo, hi in lat.cover_pairs()))
+    assert digest.hexdigest() == (
+        "90b45603f0cc87adafa586ec5f910d65a188e1b7d0ed3b5da1925a7ad977a16c")
 
 
 # -- enumeration and the largest multiplication --------------------------------

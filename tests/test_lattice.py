@@ -495,12 +495,25 @@ def test_sublattice_generated(m3):
     assert sub.members == {0, 1, 2, 4}
 
 
+@pytest.mark.parametrize("seed", [[7], [1, -1]])
+def test_generated_rejects_elements_out_of_range(m3, seed):
+    with pytest.raises(ValueError, match="out of range"):
+        SublatticeEmbedding.generated(m3, seed)
+
+
 def test_closure_in_sublattice(m3):
     sub = SublatticeEmbedding(m3, [0, 1, 4])
     assert sub.closure(1) == 1     # already a member
     assert sub.closure(2) == 4     # only member above is top
     two_point = SublatticeEmbedding(m3, [0, 4])
     assert two_point.closure(3) == 4
+
+
+@pytest.mark.parametrize("x", [-1, 5])
+def test_closure_rejects_elements_out_of_range(m3, x):
+    sub = SublatticeEmbedding(m3, [0, 1, 4])
+    with pytest.raises(ValueError, match="out of range"):
+        sub.closure(x)
 
 
 def test_closure_failing_its_check_is_a_bug(m3, monkeypatch):
