@@ -132,6 +132,11 @@ def supernilpotency_shape(lat):
     return verdict
 
 
+def _listed(value):
+    """``value`` with every tuple in it turned into a list, recursively."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
+
+
 class ForcingReport(namedtuple("ForcingReport", (
         "n covers modular forces_solvable_type solvable_obstruction "
         "forces_nilpotent_type cover_ceilings forces_abelian_type "
@@ -150,24 +155,7 @@ class ForcingReport(namedtuple("ForcingReport", (
     __slots__ = ()
 
     def to_doc(self):
-        return {
-            "n": self.n,
-            "covers": [list(c) for c in self.covers],
-            "modular": self.modular,
-            "forces_solvable_type": self.forces_solvable_type,
-            "solvable_obstruction":
-                list(self.solvable_obstruction)
-                if self.solvable_obstruction is not None else None,
-            "forces_nilpotent_type": self.forces_nilpotent_type,
-            "cover_ceilings": [[lo, hi, g] for (lo, hi, g) in self.cover_ceilings],
-            "forces_abelian_type": self.forces_abelian_type,
-            "largest_top_square": self.largest_top_square,
-            "abelian_sufficient_condition":
-                list(self.abelian_sufficient_condition)
-                if self.abelian_sufficient_condition is not None else None,
-            "supernilpotency_shape": self.supernilpotency_shape,
-            "splitting_pairs": [[p, q] for (p, q) in self.splitting_pairs],
-        }
+        return {key: _listed(value) for key, value in self._asdict().items()}
 
     def summary(self):
         def yn(v):

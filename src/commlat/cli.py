@@ -69,13 +69,8 @@ def _cmd_largest(args):
 def _cmd_check_table(args):
     table = fileio.load_table(args.path)
     violations = table.violations()
-    _emit({
-        "valid": not violations,
-        "violations": [
-            {"law": v.law, "witness": list(v.witness), "detail": v.detail}
-            for v in violations
-        ],
-    })
+    _emit({"valid": not violations,
+           "violations": [v._asdict() for v in violations]})
     return 0
 
 

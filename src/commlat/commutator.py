@@ -246,6 +246,15 @@ def series(table):
 # -- constructions ----------------------------------------------------------
 
 
+def _checked(table, producer):
+    """The freshly built table, valid by construction; an invalid one is a
+    bug in ``producer`` and raises."""
+    if not table.is_valid:
+        raise VerificationError(f"{producer} produced an invalid table: "
+                                f"{table.violations()[0]}")
+    return table
+
+
 def construct_sublattice(ambient_table, sub):
     """Restrict a multiplication to a sublattice by closing each value
     upward into the sublattice, once per distinct value.  The result is
@@ -263,10 +272,7 @@ def construct_sublattice(ambient_table, sub):
             raise VerificationError("closure went down")
         closed[raw] = index[member]
     out = CommutatorTable(sub_lat, [[closed[v] for v in row] for row in rows])
-    if not out.is_valid:
-        raise VerificationError("sublattice construction produced an "
-                                f"invalid table: {out.violations()[0]}")
-    return out
+    return _checked(out, "sublattice construction")
 
 
 def construct_pullback(source, hom, target_table):
@@ -285,15 +291,12 @@ def construct_pullback(source, hom, target_table):
     out = CommutatorTable(source, [[lift[target_table.value(hom(x), hom(y))]
                                     for y in source.elements]
                                    for x in source.elements])
-    if not out.is_valid:
-        raise VerificationError("pullback produced an invalid table: "
-                                f"{out.violations()[0]}")
     for x in source.elements:
         for y in source.elements:
             if not tgt.leq(target_table.value(hom(x), hom(y)),
                            hom(out.value(x, y))):
                 raise VerificationError("pullback lost its lower bound")
-    return out
+    return _checked(out, "pullback")
 
 
 def construct_splitting(lat, pair, theta):
@@ -320,11 +323,7 @@ def construct_splitting(lat, pair, theta):
     entries = [[lat.bottom if lat.leq(x, delta) and lat.leq(y, delta)
                 else s[lat.meet(x, y)]
                 for y in lat.elements] for x in lat.elements]
-    out = CommutatorTable(lat, entries)
-    if not out.is_valid:
-        raise VerificationError("splitting construction produced an "
-                                f"invalid table: {out.violations()[0]}")
-    return out
+    return _checked(CommutatorTable(lat, entries), "splitting construction")
 
 
 # -- the largest multiplication ---------------------------------------------
@@ -355,11 +354,7 @@ def largest_commutator(lat):
                     if meet[b][v] != b:
                         tx2[y] = t[y][x2] = meet[b][v]
                         changed = True
-    out = CommutatorTable(lat, t)
-    if not out.is_valid:
-        raise VerificationError("descent fixed point failed validation: "
-                                f"{out.violations()[0]}")
-    return out
+    return _checked(CommutatorTable(lat, t), "descent")
 
 
 ENUMERATION_MAX_N = 5

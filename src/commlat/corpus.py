@@ -46,11 +46,6 @@ def boolean(k):
     return FiniteLattice(1 << k, covers)
 
 
-def b2():
-    """The two-element lattice."""
-    return chain(2)
-
-
 def diamond():
     """M3: three atoms between bottom and top; simple, modular."""
     return FiniteLattice(5, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)})
@@ -94,9 +89,11 @@ def _color_classes(lat):
 def canonical_key(lat):
     """A relabeling-invariant encoding: equal keys iff isomorphic lattices.
 
-    Each color class is sent to a fixed contiguous index range (classes in
-    color order), so the candidate relabelings of isomorphic lattices target
-    identical index layouts; the minimum cover encoding is then canonical.
+    A relabeling lists the members of each color class in some order,
+    classes in color order, and labels each element by its position in that
+    list; so each class is sent to a fixed contiguous index range, the
+    candidate relabelings of isomorphic lattices target identical index
+    layouts, and the minimum cover encoding is canonical.
     Raises :class:`LatticeTooLarge`, before searching, when the classes
     allow more than ``MAX_RELABELINGS`` relabelings.
     """
@@ -106,19 +103,10 @@ def canonical_key(lat):
         raise LatticeTooLarge(
             f"canonical form would try {relabelings} relabelings; the limit "
             f"is {MAX_RELABELINGS}")
-    starts = []
-    offset = 0
-    for cls in classes:
-        starts.append(offset)
-        offset += len(cls)
     best = None
-    for perm_parts in itertools.product(
-            *(itertools.permutations(range(len(cls))) for cls in classes)):
-        relabel = [0] * lat.n
-        for cls, start, part in zip(classes, starts, perm_parts):
-            for source, position in zip(cls, part):
-                relabel[source] = start + position
-        encoding = tuple(sorted((relabel[x], relabel[y]) for x, y in lat.covers))
+    for orders in itertools.product(*map(itertools.permutations, classes)):
+        position = {x: i for i, x in enumerate(itertools.chain(*orders))}
+        encoding = tuple(sorted((position[x], position[y]) for x, y in lat.covers))
         if best is None or encoding < best:
             best = encoding
     return lat.n, best

@@ -4,9 +4,10 @@ A lattice file is a JSON object with fields ``n`` and ``covers``; the cover
 list is read order-insensitively but must be duplicate-free and irredundant
 (the lattice constructor rejects redundant or cyclic covers).  A table file
 adds an n x n integer matrix under ``table``; a congruence file holds
-``blocks``.  Writers always emit the canonical form: sorted keys, sorted
-cover list, two-space indent, trailing newline — so equal objects produce
-byte-identical files.
+``blocks``.  Readers refuse a key repeated within one object and ignore
+keys they do not read, so a table file is also a lattice file.  Writers
+always emit the canonical form: sorted keys, sorted cover list, two-space
+indent, trailing newline — so equal objects produce byte-identical files.
 """
 
 import json
@@ -97,6 +98,15 @@ def partition_from_doc(doc, lat):
         raise FileFormatError(str(exc)) from exc
 
 
+def _unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise FileFormatError(f"repeated key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_doc(path):
     try:
         with open(path, encoding="utf-8") as handle:
@@ -104,9 +114,11 @@ def load_doc(path):
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise FileFormatError(f"{path} is nested too deeply to parse") from None
 
 
 def load_lattice(path):

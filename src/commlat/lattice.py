@@ -331,9 +331,6 @@ class LatticePartition:
     def num_blocks(self):
         return len(self.blocks)
 
-    def is_identity(self):
-        return self.num_blocks == self.lattice.n
-
     def refines(self, other):
         """Whether every block of self lies inside a block of ``other``."""
         return all(len({other.class_of[x] for x in b}) == 1 for b in self.blocks)

@@ -280,10 +280,6 @@ def _separating_slots(lat):
     return [None] * lat.fact(projectivity_classes).num_classes
 
 
-def two_element_lattice():
-    return FiniteLattice(2, {(0, 1)})
-
-
 def two_element_quotient(lat):
     """A (0,1)-map onto the two-element lattice, or None if there is none.
 
@@ -301,5 +297,5 @@ def two_element_quotient(lat):
             raise VerificationError(
                 f"lonesome meet irreducible {eta.element} is not meet prime")
         image = [0 if lat.leq(x, eta.element) else 1 for x in lat.elements]
-        return LatticeMap(lat, two_element_lattice(), image)
+        return LatticeMap(lat, FiniteLattice(2, {(0, 1)}), image)
     return None

@@ -5,7 +5,7 @@ from commlat import corpus
 
 @pytest.fixture
 def b2():
-    return corpus.b2()
+    return corpus.chain(2)
 
 
 @pytest.fixture

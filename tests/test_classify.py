@@ -418,3 +418,43 @@ def _pinned_lattice(name):
 def test_analyze_output_is_pinned(name):
     doc = fileio.canonical_dumps(analyze(_pinned_lattice(name)).to_doc())
     assert hashlib.sha256(doc.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+def _verdicts(lat):
+    report = analyze(lat)
+    return (report.forces_abelian_type, report.forces_nilpotent_type,
+            report.forces_solvable_type)
+
+
+def _product_pairs():
+    lattices = [lat for lat in corpus.generate_corpus(8) if lat.n >= 2]
+    small = [(a, b) for i, a in enumerate(lattices) for b in lattices[i:]
+             if a.n * b.n <= 16]
+    rng = random.Random(17)
+    large = [pair for pair in itertools.combinations(lattices, 2)
+             if 16 < pair[0].n * pair[1].n <= 64]
+    named = [(_m(3), _m(3)), (_m(4), _m(5)), (corpus.chain(2), corpus.chain(32)),
+             (_m(3), corpus.boolean(3))]
+    return small + rng.sample(large, 12) + named
+
+
+def test_largest_multiplication_of_a_product_is_componentwise():
+    # on L1 x L2, numbered as in _product and then relabeled, the largest
+    # multiplication is the pair of the factors' largest ones, and for
+    # modular factors each forcing verdict is the AND of the factors'
+    rng = random.Random(17)
+    for a, b in _product_pairs():
+        perm = list(range(a.n * b.n))
+        rng.shuffle(perm)
+        product = FiniteLattice(a.n * b.n, {(perm[p], perm[q])
+                                            for p, q in _product(a, b).covers})
+        ta, tb = largest_commutator(a), largest_commutator(b)
+        table = largest_commutator(product)
+        for (x1, y1), (x2, y2) in itertools.product(
+                itertools.product(a.elements, b.elements), repeat=2):
+            pair = ta.value(x1, x2) * b.n + tb.value(y1, y2)
+            assert table.value(perm[x1 * b.n + y1], perm[x2 * b.n + y2]) \
+                == perm[pair]
+        if a.is_modular() and b.is_modular():
+            assert _verdicts(product) == tuple(
+                u and v for u, v in zip(_verdicts(a), _verdicts(b)))

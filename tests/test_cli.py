@@ -139,6 +139,33 @@ def test_check_table(capsys, tmp_path, m3):
     assert doc["violations"][0]["law"] == "join-distributivity"
 
 
+def test_check_table_violations_are_pinned(capsys, tmp_path, m3, b22, chain3):
+    # SHA-256 of the check-table stdout for four invalid tables that between
+    # them break all four laws: M3's meet table, an asymmetric table, a table
+    # above the meet and a nonzero bottom row
+    from commlat.commutator import CommutatorTable, meet_table
+
+    tables = [
+        meet_table(m3),
+        CommutatorTable(b22, [[0, 0, 0, 0], [0, 1, 0, 1],
+                              [0, 0, 0, 0], [0, 0, 0, 0]]),
+        CommutatorTable(chain3, [[2] * 3] * 3),
+        CommutatorTable(chain3, [[0, 0, 1], [0, 0, 1], [1, 1, 2]]),
+    ]
+    outputs, laws = [], set()
+    for i, table in enumerate(tables):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(fileio.canonical_dumps(fileio.table_to_doc(table)))
+        code, out, _ = run(capsys, "check-table", str(path))
+        assert code == 0
+        outputs.append(out)
+        laws |= {v["law"] for v in json.loads(out)["violations"]}
+    assert laws == {"symmetry", "boundedness", "join-distributivity",
+                    "bottom-annihilation"}
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == (
+        "3ea282087938cf75b7696cefce0ada29a7dea98375a1f6c41cff8ce4fa647af4")
+
+
 def test_dual_twice_is_byte_identical(capsys, tmp_path, m3_file):
     code, once, _ = run(capsys, "dual", m3_file)
     assert code == 0
@@ -292,6 +319,52 @@ def test_analyze_huge_element_count_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "limited to 64" in err
+
+
+M3_KEYS = '"n": 5, "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]'
+B22_KEYS = '"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]'
+
+
+@pytest.mark.parametrize("key, files, argv", [
+    # M3's keys, then C2's: read by the last values, this was C2's report
+    ("n", {"dup.json": "{" + M3_KEYS + ', "n": 2, "covers": [[0, 1]]}'},
+     ["analyze", "dup.json"]),
+    # an invalid table, then the zero table: only the last one was checked
+    ("table", {"dup.json": "{" + M3_KEYS + ', "table": ' + json.dumps([[4] * 5] * 5)
+               + ', "table": ' + json.dumps([[0] * 5] * 5) + "}"},
+     ["check-table", "dup.json"]),
+    ("blocks", {"b22.json": "{" + B22_KEYS + "}",
+                "dup.json": '{"blocks": [[0], [1], [2], [3]], '
+                            '"blocks": [[0, 1], [2, 3]]}'},
+     ["construct", "b22.json", "splitting", "--splitting", "1,2",
+      "--congruence", "dup.json"]),
+], ids=["lattice", "table", "congruence"])
+def test_repeated_key_exits_2(capsys, tmp_path, key, files, argv):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"commlat: repeated key {key!r}\n")
+
+
+def test_unknown_keys_are_ignored(capsys, tmp_path, m3):
+    # a table file is a lattice file with one more key
+    from commlat.commutator import zero_table
+
+    table = tmp_path / "table.json"
+    table.write_text(fileio.canonical_dumps(fileio.table_to_doc(zero_table(m3))))
+    lattice = write_lattice(tmp_path / "m3.json", m3)
+    assert run(capsys, "analyze", str(table)) == run(capsys, "analyze", lattice)
+
+
+@pytest.mark.parametrize("wrap", [lambda b: b, lambda b: f'{{"n": 2, "covers": {b}}}'],
+                         ids=["whole-file", "covers"])
+def test_deep_nesting_exits_2(capsys, tmp_path, wrap):
+    path = tmp_path / "deep.json"
+    path.write_text(wrap("[" * 100_000 + "]" * 100_000))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"commlat: {path} is nested too deeply to parse\n"
 
 
 def test_cover_order_is_insensitive(m3):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from commlat import corpus, fileio
+from commlat import commutator, corpus, fileio
 from commlat.commutator import (
     CommutatorTable,
     construct_pullback,
@@ -26,6 +26,7 @@ from commlat.errors import (
     NotAHomomorphism,
     NotASplittingPair,
     NotModular,
+    VerificationError,
 )
 from commlat.lattice import (
     FiniteLattice,
@@ -59,7 +60,7 @@ def test_meet_table_on_m3_invalid(m3):
 
 
 def test_validation_witnesses():
-    lat = corpus.b2()
+    lat = corpus.chain(2)
     asym = CommutatorTable(lat, [[0, 0], [1, 1]])
     laws = {v.law for v in asym.violations()}
     assert "symmetry" in laws
@@ -286,6 +287,36 @@ def test_constructions_at_scale_are_pinned():
         digest.update(bytes(residuation(table, lo, hi) for lo, hi in lat.cover_pairs()))
     assert digest.hexdigest() == (
         "90b45603f0cc87adafa586ec5f910d65a188e1b7d0ed3b5da1925a7ad977a16c")
+
+
+def _corrupting_table(lattice, entries):
+    # a table whose [bottom, top] entry is top, above bottom ^ top
+    rows = [list(row) for row in entries]
+    rows[lattice.bottom][lattice.top] = lattice.top
+    return CommutatorTable(lattice, rows)
+
+
+@pytest.mark.parametrize("producer", [
+    "descent", "sublattice", "pullback", "splitting"])
+def test_an_invalid_output_table_is_a_bug(producer, b22, chain3, monkeypatch):
+    # every input is valid (built before the patch), so only the output check
+    # can fail, and it names the producer
+    if producer == "descent":
+        build = lambda: largest_commutator(b22)
+    elif producer == "sublattice":
+        ambient, sub = meet_table(b22), SublatticeEmbedding(b22, b22.elements)
+        build = lambda: construct_sublattice(ambient, sub)
+    elif producer == "pullback":
+        target = meet_table(corpus.chain(2))
+        hom = LatticeMap(chain3, target.lattice, (0, 1, 1))
+        build = lambda: construct_pullback(chain3, hom, target)
+    else:
+        theta = congruence_generated(b22, [(2, 3)])
+        build = lambda: construct_splitting(b22, SplittingPair(1, 2), theta)
+    build()
+    monkeypatch.setattr(commutator, "CommutatorTable", _corrupting_table)
+    with pytest.raises(VerificationError, match="produced an invalid table"):
+        build()
 
 
 # -- enumeration and the largest multiplication --------------------------------

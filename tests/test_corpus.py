@@ -66,7 +66,6 @@ def test_named_lattices(m3, n5, b22):
     assert m3.n == 5 and len(m3.covers) == 6
     assert not n5.is_modular()
     assert b22 == corpus.boolean(2)
-    assert corpus.b2() == corpus.chain(2)
     assert corpus.boolean(3).n == 8
     assert corpus.boolean(3).is_modular()
 

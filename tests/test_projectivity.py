@@ -29,7 +29,6 @@ from commlat.projectivity import (
     splits,
     splitting_pairs,
     transposes_up,
-    two_element_lattice,
     two_element_quotient,
 )
 from test_classify import _m, _product
@@ -327,12 +326,12 @@ def test_two_element_quotient(chain3, m3, b2):
 
 def _all_b2_images(lat):
     """Brute force: does any surjective 0/1 labeling preserve meet and join?"""
-    b2 = two_element_lattice()
+    b2 = corpus.chain(2)
     for image in itertools.product((0, 1), repeat=lat.n):
         if 0 not in image or 1 not in image:
             continue
-        if all(image[lat.meet(x, y)] == min(image[x], image[y])
-               and image[lat.join(x, y)] == max(image[x], image[y])
+        if all(image[lat.meet(x, y)] == b2.meet(image[x], image[y])
+               and image[lat.join(x, y)] == b2.join(image[x], image[y])
                for x in range(lat.n) for y in range(lat.n)):
             yield image
 
