@@ -22,6 +22,7 @@ from .projectivity import (
     _require_modular,
     prime_intervals,
     projective_ceiling,
+    projectivity_classes,
     splitting_pairs,
     two_element_quotient,
 )
@@ -45,13 +46,14 @@ def forces_solvable_type(lat):
 
 
 def forces_nilpotent_type(lat):
-    """True iff the projective ceiling of every cover is the top element.
+    """True iff the projective ceiling of every class, and so of every
+    cover, is the top element.
 
     Cross-checked against the largest multiplication being of nilpotent type.
     """
     _require_modular(lat)
-    verdict = all(projective_ceiling(lat, i) == lat.top
-                  for i in prime_intervals(lat))
+    verdict = all(ceiling == lat.top
+                  for ceiling in lat.fact(projectivity_classes).ceilings)
     if verdict != lat.fact(_largest_series).is_nilpotent:
         raise VerificationError("cover-ceiling criterion disagrees with the "
                                 "largest multiplication's nilpotency")

@@ -52,6 +52,7 @@ from .projectivity import (
     projective_ceiling,
     _require_modular,
     _require_prime,
+    splitting_pairs,
 )
 
 
@@ -308,10 +309,7 @@ def construct_splitting(lat, pair, theta):
 
     where s(x) is the least member of x's theta class."""
     delta, epsilon = pair.delta, pair.epsilon
-    if (delta not in lat.elements or epsilon not in lat.elements
-            or delta == lat.top or epsilon == lat.bottom
-            or not all(lat.leq(a, delta) or lat.leq(epsilon, a)
-                       for a in lat.elements)):
+    if pair not in lat.fact(splitting_pairs):
         raise NotASplittingPair(f"({delta}, {epsilon}) does not split the lattice")
     if theta.lattice != lat:
         raise ValueError("congruence belongs to a different lattice")

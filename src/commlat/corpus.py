@@ -58,20 +58,15 @@ def pentagon():
 
 def _color_classes(lat):
     """Iterated refinement of an isomorphism-invariant element coloring."""
-    up_covers = [[] for _ in lat.elements]
-    down_covers = [[] for _ in lat.elements]
-    for x, y in lat.covers:
-        up_covers[x].append(y)
-        down_covers[y].append(x)
     colors = [
-        (bin(lat.lower_set(x)).count("1"), bin(lat.upper_set(x)).count("1"),
-         len(down_covers[x]), len(up_covers[x]))
+        (lat.lower_set(x).bit_count(), lat.upper_set(x).bit_count(),
+         lat._lower[x].bit_count(), lat._upper[x].bit_count())
         for x in lat.elements
     ]
     while True:
         refined = [
-            (colors[x], tuple(sorted(colors[y] for y in up_covers[x])),
-             tuple(sorted(colors[y] for y in down_covers[x])))
+            (colors[x], tuple(sorted(colors[y] for y in _bits(lat._upper[x]))),
+             tuple(sorted(colors[y] for y in _bits(lat._lower[x]))))
             for x in lat.elements
         ]
         ranking = {c: i for i, c in enumerate(sorted(set(refined)))}
@@ -103,13 +98,12 @@ def canonical_key(lat):
         raise LatticeTooLarge(
             f"canonical form would try {relabelings} relabelings; the limit "
             f"is {MAX_RELABELINGS}")
-    best = None
-    for orders in itertools.product(*map(itertools.permutations, classes)):
-        position = {x: i for i, x in enumerate(itertools.chain(*orders))}
-        encoding = tuple(sorted((position[x], position[y]) for x, y in lat.covers))
-        if best is None or encoding < best:
-            best = encoding
-    return lat.n, best
+    pairs = lat.cover_pairs()
+    positions = ({x: i for i, x in enumerate(itertools.chain(*orders))}
+                 for orders in itertools.product(*map(itertools.permutations,
+                                                      classes)))
+    return lat.n, min(tuple(sorted((at[x], at[y]) for x, y in pairs))
+                      for at in positions)
 
 
 def canonical_form(lat):

@@ -113,10 +113,15 @@ def load_doc(path):
             text = handle.read()
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError:  # the interpreter caps the digits of an int literal
+        raise FileFormatError(
+            f"{path} holds an integer with too many digits") from None
     except RecursionError:
         raise FileFormatError(f"{path} is nested too deeply to parse") from None
 

@@ -1,14 +1,17 @@
 """Finite lattices given by their cover relation.
 
 Elements are the integers ``0 .. n-1``.  The only input is the set of cover
-pairs ``(x, y)`` meaning x is covered by y; the order matrix, meet/join
-tables, bottom and top are derived and validated at construction time.  All
-subsets of elements are manipulated as int bitmasks, which keeps every
-operation exact and fast for the intended sizes: a lattice has at most
-``MAX_N`` = 64 elements, and a larger one raises :class:`LatticeTooLarge`
-before anything is allocated per element.  Since n < 256, the rows of the
-meet and join tables are ``bytes``, so a row read through a labelling of
-the elements (classes, or a map's images) is one ``bytes.translate``.
+pairs ``(x, y)`` meaning x is covered by y.  It is stored once, as masks,
+bit x of ``_lower[y]`` and bit y of ``_upper[x]``: the pairs, the
+irreducibles and every other reader of the covers read them, and no layer
+rebuilds them.  The down-sets, up-sets, meet and join tables, bottom and top
+are derived and validated at construction time.  All subsets of elements
+are int bitmasks, exact and fast at the intended sizes: a lattice has at
+most ``MAX_N`` = 64 elements, and a larger one raises
+:class:`LatticeTooLarge` before anything is allocated per element.  Since
+n < 256, the rows of the meet and join tables are ``bytes``, so a row read
+through a labelling of the elements (classes, or a map's images) is one
+``bytes.translate``.
 
 Everything in this module is immutable after construction (a lattice only
 remembers the facts computed once each by :meth:`FiniteLattice.fact`, which
@@ -49,7 +52,7 @@ class FiniteLattice:
     and :class:`LatticeTooLarge` for more than ``MAX_N`` elements.
     """
 
-    __slots__ = ("n", "covers", "_down", "_up", "_meet", "_join",
+    __slots__ = ("n", "_lower", "_upper", "_down", "_up", "_meet", "_join",
                  "bottom", "top", "_hash", "_facts")
 
     def __init__(self, n, covers=()):
@@ -58,73 +61,69 @@ class FiniteLattice:
         if n > MAX_N:
             raise LatticeTooLarge(f"{n} elements; lattices are limited to "
                                   f"{MAX_N}")
-        cover_set = set()
+        lower, upper = [0] * n, [0] * n
         for pair in covers:
             x, y = pair
             if not (0 <= x < n and 0 <= y < n) or x == y:
                 raise ValueError(f"bad cover pair {pair!r} for n={n}")
-            cover_set.add((x, y))
-        self.n = n
-        self.covers = frozenset(cover_set)
+            lower[y] |= 1 << x
+            upper[x] |= 1 << y
+        self.n, self._lower, self._upper = n, lower, upper
 
-        succ = [[] for _ in range(n)]
-        pred = [[] for _ in range(n)]
-        for x, y in cover_set:
-            succ[x].append(y)
-            pred[y].append(x)
-
-        order = self._topological_order(succ, pred)
+        # Kahn's topological sort, reading bits inline, highest first (a
+        # generator per element costs as much as the loop); a lower cover
+        # inside another one's down-set is redundant
+        down = [0] * n
+        order = []
+        placed = 0
+        ready = [v for v, below in enumerate(lower) if not below]
+        while ready:
+            v = ready.pop()
+            order.append(v)
+            placed |= 1 << v
+            m = reach = 0
+            rest = lower[v]
+            while rest:
+                x = rest.bit_length() - 1
+                rest ^= 1 << x
+                m |= down[x]
+                reach |= down[x] ^ 1 << x
+            if reach & lower[v]:
+                x = next(_bits(reach & lower[v]))
+                z = next(z for z in _bits(m) if z != x and down[z] >> x & 1)
+                raise RedundantCover(
+                    f"cover ({x}, {v}) is implied transitively (via {z})")
+            down[v] = m | 1 << v
+            rest = upper[v]
+            while rest:
+                y = rest.bit_length() - 1
+                rest ^= 1 << y
+                if not lower[y] & ~placed:
+                    ready.append(y)
+        if len(order) != n:
+            raise CycleDetected("cover relation contains a directed cycle")
         # checked before the n^2 tables are built, so e.g. an antichain is
         # rejected cheaply; then the order starts at bottom and ends at top
-        minimal, maximal = sum(not p for p in pred), sum(not s for s in succ)
+        minimal, maximal = lower.count(0), upper.count(0)
         if minimal != 1 or maximal != 1:
             raise NotALattice(f"{minimal} minimal and {maximal} maximal "
                               "elements; a lattice has one of each")
         self.bottom, self.top = order[0], order[-1]
-
-        down = [0] * n
-        for v in order:
-            m = 1 << v
-            for x in pred[v]:
-                m |= down[x]
-            down[v] = m
         up = [0] * n
         for v in reversed(order):
             m = 1 << v
-            for y in succ[v]:
+            rest = upper[v]
+            while rest:
+                y = rest.bit_length() - 1
+                rest ^= 1 << y
                 m |= up[y]
             up[v] = m
-        self._down = down
-        self._up = up
-
-        for x, y in cover_set:
-            between = up[x] & down[y] & ~(1 << x) & ~(1 << y)
-            if between:
-                z = next(_bits(between))
-                raise RedundantCover(
-                    f"cover ({x}, {y}) is implied transitively (via {z})")
+        self._down, self._up = down, up
 
         self._meet = self._bound_table(down, "meet")
         self._join = self._bound_table(up, "join")
-        self._hash = hash((n, self.covers))
+        self._hash = hash((n, *upper))
         self._facts = {}
-
-    @staticmethod
-    def _topological_order(succ, pred):
-        n = len(succ)
-        indeg = [len(pred[v]) for v in range(n)]
-        ready = [v for v in range(n) if indeg[v] == 0]
-        order = []
-        while ready:
-            v = ready.pop()
-            order.append(v)
-            for y in succ[v]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    ready.append(y)
-        if len(order) != n:
-            raise CycleDetected("cover relation contains a directed cycle")
-        return order
 
     def _bound_table(self, cone, kind):
         """The meet (``cone`` = principal down-sets) or join (up-sets)
@@ -185,11 +184,22 @@ class FiniteLattice:
         return range(self.n)
 
     def is_cover(self, x, y):
-        return (x, y) in self.covers
+        return (0 <= x < self.n and 0 <= y < self.n
+                and bool(self._upper[x] >> y & 1))
 
     def cover_pairs(self):
         """The cover pairs in sorted order."""
-        return tuple(sorted(self.covers))
+        pairs = []
+        for x, rest in enumerate(self._upper):
+            while rest:
+                pairs.append((x, (rest & -rest).bit_length() - 1))
+                rest &= rest - 1
+        return tuple(pairs)
+
+    @property
+    def covers(self):
+        """The cover pairs as a frozenset."""
+        return frozenset(self.cover_pairs())
 
     # -- derived structure --------------------------------------------------
 
@@ -202,7 +212,7 @@ class FiniteLattice:
 
     def dual(self):
         """The lattice with the order reversed (same element names)."""
-        return FiniteLattice(self.n, {(y, x) for (x, y) in self.covers})
+        return FiniteLattice(self.n, [(y, x) for x, y in self.cover_pairs()])
 
     def is_modular(self):
         """Whether x <= z implies x v (y ^ z) = (x v y) ^ z for all y
@@ -211,13 +221,13 @@ class FiniteLattice:
 
     def __eq__(self, other):
         return (isinstance(other, FiniteLattice)
-                and self.n == other.n and self.covers == other.covers)
+                and self.n == other.n and self._upper == other._upper)
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
-        return f"FiniteLattice({self.n}, {sorted(self.covers)})"
+        return f"FiniteLattice({self.n}, {list(self.cover_pairs())})"
 
 
 # the one-element blocks, shared by every partition
@@ -235,11 +245,8 @@ def _is_modular(lat):
     2011): for each cover a < b and each c, b ^ c = a must give c < b v c
     a cover, and a v c = b must give a ^ c < c a cover.  O(n * |covers|).
     """
-    meet, join = lat._meet, lat._join
-    upper = [0] * lat.n
-    for a, b in lat.covers:
-        upper[a] |= 1 << b
-    for a, b in lat.covers:
+    meet, join, upper = lat._meet, lat._join, lat._upper
+    for a, b in lat.cover_pairs():
         join_b, meet_a = join[b], meet[a]
         for c, (down, up) in enumerate(zip(meet[b], join[a])):
             if down == a and not upper[c] >> join_b[c] & 1:
@@ -412,7 +419,7 @@ def quotient(lattice, partition):
     if partition.lattice != lattice:
         raise ValueError("partition belongs to a different lattice")
     cls = partition.class_of
-    qcovers = {(cls[x], cls[y]) for x, y in lattice.covers if cls[x] != cls[y]}
+    qcovers = {(cls[x], cls[y]) for x, y in lattice.cover_pairs() if cls[x] != cls[y]}
     image = FiniteLattice(partition.num_blocks, qcovers)
     projection = LatticeMap(lattice, image, cls)
     return image, projection
@@ -441,25 +448,18 @@ def is_complemented(lattice):
         for x in range(lattice.n))
 
 
-def sole_covers(pairs):
-    """Map each y that is the second member of exactly one pair (x, y) to
-    that x, in O(|pairs|).  On the covers this reads off the join
-    irreducibles and their unique lower covers; on the reversed covers, the
-    meet irreducibles and their unique upper covers."""
-    found, repeated = {}, set()
-    for x, y in pairs:
-        if y in found:
-            repeated.add(y)
-        found[y] = x
-    return {y: x for y, x in found.items() if y not in repeated}
+def _single_bits(masks):
+    """(v, i) for each ``masks[v]`` with i its only set bit: on ``_lower``
+    the join irreducibles and their j-, on ``_upper`` the meet ones and m+."""
+    return [(v, m.bit_length() - 1) for v, m in enumerate(masks)
+            if m and not m & m - 1]
 
 
 def _principal_congruences(lattice):
-    """(j, j-, con(j-, j)) for each join irreducible j, in the order of
-    :func:`sole_covers`; the closures go through the module-level
-    :func:`congruence_generated`."""
+    """(j, j-, con(j-, j)) for each join irreducible j, in increasing order
+    of j, closed by the module-level :func:`congruence_generated`."""
     return tuple((j, lo, congruence_generated(lattice, [(lo, j)]))
-                 for j, lo in sole_covers(lattice.covers).items())
+                 for j, lo in _single_bits(lattice._lower))
 
 
 def all_congruences(lattice):

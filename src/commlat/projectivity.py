@@ -17,8 +17,8 @@ meet is the canonical successor and [eta, eta+] is always a prime interval.
 from collections import namedtuple
 
 from .errors import NotModular, VerificationError
-from .lattice import (FiniteLattice, LatticeMap, congruence_generated,
-                      sole_covers)
+from .lattice import (FiniteLattice, LatticeMap, _single_bits,
+                      congruence_generated)
 
 
 # The value records here, in ``commutator`` and in ``classify`` are named
@@ -64,15 +64,15 @@ def prime_intervals(lat):
 def meet_irreducibles(lat):
     """Elements with exactly one upper cover, which is their ``plus``: the
     elements strictly below the meet of their strict upper bounds."""
-    plus = sole_covers((y, x) for x, y in lat.covers)
-    return tuple(MeetIrreducible(x, plus[x]) for x in sorted(plus))
+    return tuple(MeetIrreducible(x, plus)
+                 for x, plus in _single_bits(lat._upper))
 
 
 def join_irreducibles(lat):
     """Elements with exactly one lower cover, which is their ``minus``: the
     elements strictly above the join of their strict lower bounds."""
-    minus = sole_covers(lat.covers)
-    return tuple(JoinIrreducible(x, minus[x]) for x in sorted(minus))
+    return tuple(JoinIrreducible(x, minus)
+                 for x, minus in _single_bits(lat._lower))
 
 
 def transposes_up(lat, i, j):

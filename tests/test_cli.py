@@ -367,6 +367,24 @@ def test_deep_nesting_exits_2(capsys, tmp_path, wrap):
     assert err == f"commlat: {path} is nested too deeply to parse\n"
 
 
+def test_invalid_utf8_exits_2_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 2, "covers": [[0, 1]], "name": "\xff"}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"commlat: {path} is not valid UTF-8: ")
+
+
+def test_overlong_integer_exits_2_naming_the_file(capsys, tmp_path):
+    # past the interpreter's cap on the digits of an int literal
+    path = tmp_path / "digits.json"
+    path.write_text('{"n": ' + "9" * 5000 + ', "covers": []}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"commlat: {path} holds an integer with too many digits\n"
+
+
 def test_cover_order_is_insensitive(m3):
     shuffled = {"n": 5, "covers": [[2, 4], [0, 3], [1, 4], [0, 1], [3, 4], [0, 2]]}
     assert fileio.lattice_from_doc(shuffled) == m3

@@ -179,6 +179,69 @@ def test_is_modular_matches_the_identity_at_scale(lat, modular):
     assert lattice._is_modular(lat) == _modular_by_identity(lat) == modular
 
 
+# -- the cover masks ---------------------------------------------------------
+
+
+def _brute_force_covers(lat):
+    """x < y with nothing strictly between, read off the order."""
+    return {(x, y) for x in lat.elements for y in lat.elements
+            if lat.lt(x, y)
+            and not any(lat.lt(x, z) and lat.lt(z, y) for z in lat.elements)}
+
+
+def _assert_masks_are_the_covers(lat, given):
+    covers = _brute_force_covers(lat)
+    assert covers == given
+    assert lat._lower == [sum(1 << x for x, z in covers if z == y)
+                          for y in lat.elements]
+    assert lat._upper == [sum(1 << y for z, y in covers if z == x)
+                          for x in lat.elements]
+    assert lat.covers == given
+    assert lat.cover_pairs() == tuple(sorted(given))
+    assert all(lat.is_cover(x, y) == ((x, y) in given)
+               for x in lat.elements for y in lat.elements)
+
+
+def test_cover_masks_on_the_corpus(all8):
+    # the corpus names and three seeded renamings of each lattice
+    rng = random.Random(18)
+    for base in all8:
+        given = set(base.cover_pairs())
+        _assert_masks_are_the_covers(base, given)
+        for _ in range(3):
+            perm = _shuffled(rng, base.n)
+            renamed = {(perm[x], perm[y]) for x, y in given}
+            _assert_masks_are_the_covers(build(base.n, renamed), renamed)
+
+
+@pytest.mark.parametrize("given", [
+    {(m, m | 1 << b) for m in range(64) for b in range(6) if not m >> b & 1},
+    {(i, i + 1) for i in range(63)},
+    {(0, a) for a in range(1, 63)} | {(a, 63) for a in range(1, 63)},
+    set(_product(corpus.chain(2), corpus.chain(32)).cover_pairs()),
+    set(_product(_m(4), _m(5)).cover_pairs()),
+], ids=["B6", "C64", "M62", "C2xC32", "M4xM5"])
+def test_cover_masks_at_scale(given):
+    n = max(y for _, y in given) + 1
+    _assert_masks_are_the_covers(build(n, given), given)
+
+
+def test_is_cover_outside_the_elements(m3):
+    assert not any(m3.is_cover(x, y) for x, y in [(-1, 0), (0, -1), (4, 5),
+                                                  (5, 4)])
+
+
+@pytest.mark.parametrize("lat", [corpus.pentagon(), corpus.diamond(),
+                                 corpus.chain(3), corpus.boolean(2)],
+                         ids=["N5", "M3", "C3", "B2"])
+def test_equality_and_hash_follow_the_covers(lat):
+    pairs = lat.cover_pairs()
+    forward, backward = build(lat.n, pairs), build(lat.n, pairs[::-1])
+    assert forward == backward and hash(forward) == hash(backward)
+    dual = lat.dual()
+    assert forward != dual and hash(forward) != hash(dual)
+
+
 def test_dual_involution(all6):
     for lat in all6:
         assert lat.dual().dual() == lat

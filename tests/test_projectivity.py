@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from commlat import corpus, projectivity
+from commlat import corpus, lattice, projectivity
 from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
     LatticePartition,
@@ -55,19 +55,39 @@ def test_irreducibles_on_one_element():
     assert join_irreducibles(one) == ()
 
 
-def test_irreducibles_match_their_definition(all7):
+def _assert_irreducibles_match_their_definition(lat):
     # reference: strictly below the meet of the strict upper bounds, and
     # dually strictly above the join of the strict lower bounds
+    plus = [lat.meet_all(y for y in lat.elements if lat.lt(x, y))
+            for x in lat.elements]
+    minus = [lat.join_all(y for y in lat.elements if lat.lt(y, x))
+             for x in lat.elements]
+    assert meet_irreducibles(lat) == tuple(
+        MeetIrreducible(x, plus[x]) for x in lat.elements if plus[x] != x)
+    assert join_irreducibles(lat) == tuple(
+        JoinIrreducible(x, minus[x]) for x in lat.elements
+        if minus[x] != x)
+
+
+def test_irreducibles_match_their_definition(all7):
     for lat in all7:
-        plus = [lat.meet_all(y for y in lat.elements if lat.lt(x, y))
-                for x in lat.elements]
-        minus = [lat.join_all(y for y in lat.elements if lat.lt(y, x))
-                 for x in lat.elements]
-        assert meet_irreducibles(lat) == tuple(
-            MeetIrreducible(x, plus[x]) for x in lat.elements if plus[x] != x)
-        assert join_irreducibles(lat) == tuple(
-            JoinIrreducible(x, minus[x]) for x in lat.elements
-            if minus[x] != x)
+        _assert_irreducibles_match_their_definition(lat)
+
+
+def test_irreducibles_from_the_masks_match_their_definition(all8):
+    # on three seeded renamings of each lattice, which need not extend the
+    # order, and on larger lattices; the principal congruences are kept
+    # for the same join irreducibles
+    rng = random.Random(18)
+    lattices = [_relabel(base, _shuffled(rng, base.n))
+                for base in all8 for _ in range(3)]
+    lattices += [corpus.boolean(6), corpus.chain(64), _m(62),
+                 _product(corpus.chain(2), corpus.chain(32)),
+                 _product(_m(4), _m(5))]
+    for lat in lattices:
+        _assert_irreducibles_match_their_definition(lat)
+        assert [(j, lo) for j, lo, _ in lattice._principal_congruences(lat)] \
+            == list(join_irreducibles(lat))
 
 
 def test_irreducible_intervals_are_prime(modular7):
