@@ -20,8 +20,6 @@ from .errors import VerificationError
 from .lattice import SublatticeEmbedding, is_complemented, is_simple
 from .projectivity import (
     _require_modular,
-    prime_intervals,
-    projective_ceiling,
     projectivity_classes,
     splitting_pairs,
     two_element_quotient,
@@ -187,8 +185,9 @@ def analyze(lat):
     verifies the type-nesting invariant before returning."""
     _require_modular(lat)
     quot = lat.fact(two_element_quotient)
-    ceilings = tuple((i.lo, i.hi, projective_ceiling(lat, i))
-                     for i in prime_intervals(lat))
+    classes = lat.fact(projectivity_classes)
+    ceilings = tuple((i.lo, i.hi, classes.ceilings[classes.class_of(i)])
+                     for i in classes.intervals)
     table = lat.fact(largest_commutator)
     report = ForcingReport(
         n=lat.n,

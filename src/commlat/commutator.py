@@ -50,8 +50,6 @@ from .lattice import _bits, _translation
 from .projectivity import (
     join_irreducibles,
     projective_ceiling,
-    _require_modular,
-    _require_prime,
     splitting_pairs,
 )
 
@@ -431,11 +429,11 @@ def enumerate_commutators(lat, cap=None):
 
 def largest_residuation_at_cover(lat, interval):
     """Residuation of the largest multiplication at a cover; always equal to
-    the projective ceiling of the cover, and checked to be."""
-    _require_modular(lat)
-    _require_prime(lat, interval)
-    value = residuation(lat.fact(largest_commutator), interval.lo, interval.hi)
+    the projective ceiling of the cover, and checked to be.  The ceiling is
+    read first, so a nonmodular lattice or a pair that is no cover is
+    refused before the largest multiplication is computed."""
     ceiling = projective_ceiling(lat, interval)
+    value = residuation(lat.fact(largest_commutator), interval.lo, interval.hi)
     if value != ceiling:
         raise VerificationError(
             f"residuation {value} differs from projective ceiling {ceiling} "

@@ -51,11 +51,6 @@ def _require_modular(lat):
         raise NotModular("operation requires a modular lattice")
 
 
-def _require_prime(lat, interval):
-    if not lat.is_cover(interval.lo, interval.hi):
-        raise ValueError(f"{interval} is not a prime interval of the lattice")
-
-
 def prime_intervals(lat):
     """All cover pairs as intervals, in sorted order."""
     return tuple(PrimeInterval(x, y) for x, y in lat.cover_pairs())
@@ -82,20 +77,24 @@ def transposes_up(lat, i, j):
 
 
 class ProjectivityClasses:
-    """Projectivity classes of the prime intervals, with the ceiling of each
-    and the number of meet and of join irreducibles whose canonical
-    interval lies in it."""
+    """Projectivity classes of the prime intervals, with what each class
+    determines: its ceiling and floor, the number of meet and of join
+    irreducibles whose canonical interval lies in it, and its separating
+    congruence, filled in by :func:`separating_congruence` when first asked
+    for.  ``class_of`` is the one check that a pair is a prime interval."""
 
-    __slots__ = ("intervals", "_class_of", "ceilings", "meet_counts",
-                 "join_counts")
+    __slots__ = ("intervals", "_class_of", "ceilings", "floors",
+                 "meet_counts", "join_counts", "_separating")
 
-    def __init__(self, intervals, class_of, ceilings, meet_counts,
+    def __init__(self, intervals, class_of, ceilings, floors, meet_counts,
                  join_counts):
         self.intervals = intervals
         self._class_of = class_of
         self.ceilings = ceilings
+        self.floors = floors
         self.meet_counts = meet_counts
         self.join_counts = join_counts
+        self._separating = [None] * len(ceilings)
 
     def class_of(self, interval):
         try:
@@ -119,9 +118,9 @@ class ProjectivityClasses:
 def projectivity_classes(lat):
     """Connected components of the perspectivity graph on prime intervals,
     with the projective ceiling and the meet irreducible count of each from
-    one pass over the meet irreducibles, and the join irreducible count from
-    one over the join irreducibles.  The package reads it through
-    ``lat.fact``, once per lattice.
+    one pass over the meet irreducibles, and the projective floor and the
+    join irreducible count from one over the join irreducibles.  The package
+    reads it through ``lat.fact``, once per lattice.
 
     The up-transposes of a cover (a, b) are the intervals (c, b v c) with
     b ^ c = a, read off the rows of b in the meet and join tables, so each
@@ -166,18 +165,23 @@ def projectivity_classes(lat):
         cid = class_of[m.interval()]
         ceilings[cid] = lat.join(ceilings[cid], m.element)
         meet_counts[cid] += 1
+    floors = [lat.bottom] * len(relabel)
     join_counts = [0] * len(relabel)
     for j in join_irreducibles(lat):
-        join_counts[class_of[j.interval()]] += 1
+        cid = class_of[j.interval()]
+        floors[cid] = lat.join(floors[cid], j.element)
+        join_counts[cid] += 1
     return ProjectivityClasses(intervals, class_of, tuple(ceilings),
-                               tuple(meet_counts), tuple(join_counts))
+                               tuple(floors), tuple(meet_counts),
+                               tuple(join_counts))
 
 
 def projects_into(lat, interval, lo, hi):
     """Whether some prime interval projective to ``interval`` lies in [lo, hi]."""
+    if not (0 <= lo < lat.n and 0 <= hi < lat.n):
+        raise ValueError(f"[{lo}, {hi}] out of range")
     if not lat.leq(lo, hi):
         raise ValueError(f"[{lo}, {hi}] is not an interval")
-    _require_prime(lat, interval)
     classes = lat.fact(projectivity_classes)
     return any(lat.leq(lo, p.lo) and lat.leq(p.hi, hi)
                for p in classes.members(interval))
@@ -186,7 +190,6 @@ def projects_into(lat, interval, lo, hi):
 def projective_ceiling(lat, interval):
     """Join of the meet irreducibles whose canonical prime interval is
     projective to the given one (empty join = bottom)."""
-    _require_prime(lat, interval)
     classes = lat.fact(projectivity_classes)
     return classes.ceilings[classes.class_of(interval)]
 
@@ -194,12 +197,8 @@ def projective_ceiling(lat, interval):
 def projective_floor(lat, interval):
     """Join of the join irreducibles whose canonical prime interval is
     projective to the given one (empty join = bottom)."""
-    _require_prime(lat, interval)
     classes = lat.fact(projectivity_classes)
-    cid = classes.class_of(interval)
-    return lat.join_all(
-        j.element for j in join_irreducibles(lat)
-        if classes.class_of(j.interval()) == cid)
+    return classes.floors[classes.class_of(interval)]
 
 
 def is_lonesome_meet_irreducible(lat, eta):
@@ -221,6 +220,8 @@ def is_completely_meet_prime(lat, eta):
     In a finite lattice it suffices that the meet of every element not below
     eta stays not below eta.
     """
+    if not 0 <= eta < lat.n:
+        raise ValueError(f"element {eta} out of range")
     others = [y for y in lat.elements if not lat.leq(y, eta)]
     if not others:
         return False
@@ -251,16 +252,15 @@ def separating_congruence(lat, interval):
     contains.  So this is the congruence generated by the prime intervals
     outside the class of ``interval``, the same for every interval of the
     class: one O(n^2) worklist closure, run when the class is first asked
-    about and kept in a per-class slot of ``lat.fact``.  The classes come
-    from transpositions, not from the closure, and each closure is checked
-    cover by cover: a prime interval must be collapsed exactly when it lies
-    outside the class.  A disagreement means a bug, not bad input.
+    about and kept on the :class:`ProjectivityClasses` record.  The classes
+    come from transpositions, not from the closure, and each closure is
+    checked cover by cover: a prime interval must be collapsed exactly when
+    it lies outside the class, so ``interval`` itself stays apart.  A
+    disagreement means a bug, not bad input.
     """
-    _require_prime(lat, interval)
     classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)
-    known = lat.fact(_separating_slots)
-    if known[cid] is None:
+    if classes._separating[cid] is None:
         partition = congruence_generated(
             lat, [(q.lo, q.hi) for q in classes.intervals
                   if classes.class_of(q) != cid])
@@ -268,16 +268,8 @@ def separating_congruence(lat, interval):
             if partition.related(q.lo, q.hi) == (classes.class_of(q) == cid):
                 raise VerificationError(
                     f"separating congruence disagrees with projectivity at {q}")
-        known[cid] = partition
-    partition = known[cid]
-    if partition.related(interval.lo, interval.hi):
-        raise VerificationError("separating congruence collapsed its interval")
-    return partition
-
-
-def _separating_slots(lat):
-    """One slot per projectivity class for its separating congruence."""
-    return [None] * lat.fact(projectivity_classes).num_classes
+        classes._separating[cid] = partition
+    return classes._separating[cid]
 
 
 def two_element_quotient(lat):

@@ -20,6 +20,7 @@ from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
     FiniteLattice,
     SublatticeEmbedding,
+    all_congruences,
     is_complemented,
     is_simple,
 )
@@ -441,7 +442,10 @@ def _product_pairs():
 def test_largest_multiplication_of_a_product_is_componentwise():
     # on L1 x L2, numbered as in _product and then relabeled, the largest
     # multiplication is the pair of the factors' largest ones, and for
-    # modular factors each forcing verdict is the AND of the factors'
+    # modular factors each forcing verdict is the AND of the factors'; on
+    # the small pairs Con(L1 x L2) = Con L1 x Con L2 (G. Fraser and A. Horn,
+    # Proc. AMS 26, 1970), so the product of two nontrivial factors is not
+    # simple
     rng = random.Random(17)
     for a, b in _product_pairs():
         perm = list(range(a.n * b.n))
@@ -455,6 +459,10 @@ def test_largest_multiplication_of_a_product_is_componentwise():
             pair = ta.value(x1, x2) * b.n + tb.value(y1, y2)
             assert table.value(perm[x1 * b.n + y1], perm[x2 * b.n + y2]) \
                 == perm[pair]
+        if a.n * b.n <= 16:
+            assert len(all_congruences(product)) == \
+                len(all_congruences(a)) * len(all_congruences(b))
+            assert not is_simple(product)
         if a.is_modular() and b.is_modular():
             assert _verdicts(product) == tuple(
                 u and v for u, v in zip(_verdicts(a), _verdicts(b)))

@@ -32,10 +32,31 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_analyze_text(capsys, m3_file):
-    code, out, _ = run(capsys, "analyze", m3_file)
-    assert code == 0
-    assert "forces abelian type:    yes" in out
+M3_REPORT = """\
+lattice on 5 elements, 6 covers
+  modular:                yes
+  forces abelian type:    yes  (largest [top,top] = 0)
+  forces nilpotent type:  yes
+  forces solvable type:   yes
+  supernilpotent shape:   yes  (splitting pairs: 0)
+  abelian witness sublattice: [0, 1, 2, 3, 4]
+"""
+
+B22_REPORT = """\
+lattice on 4 elements, 4 covers
+  modular:                yes
+  forces abelian type:    no  (largest [top,top] = 3)
+  forces nilpotent type:  no
+  forces solvable type:   no
+  supernilpotent shape:   no  (splitting pairs: 2)
+  two-element image:      0011
+"""
+
+
+def test_analyze_text(capsys, m3_file, b22_file):
+    # the whole report, with M3's witness line and B2^2's two-element image
+    assert run(capsys, "analyze", m3_file) == (0, M3_REPORT, "")
+    assert run(capsys, "analyze", b22_file) == (0, B22_REPORT, "")
 
 
 def test_analyze_json(capsys, m3_file):

@@ -4,11 +4,13 @@ import random
 import pytest
 
 from commlat import corpus, lattice, projectivity
+from commlat.commutator import largest_residuation_at_cover
 from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
     LatticePartition,
     all_congruences,
     congruence_generated,
+    is_simple,
 )
 from commlat.projectivity import (
     JoinIrreducible,
@@ -178,6 +180,30 @@ def test_nonmodular_rejected(n5):
         two_element_quotient(n5)
 
 
+_PER_INTERVAL = {
+    "projective_ceiling": projective_ceiling,
+    "projective_floor": projective_floor,
+    "projects_into": lambda lat, i: projects_into(lat, i, lat.bottom, lat.top),
+    "separating_congruence": separating_congruence,
+    "largest_residuation_at_cover": largest_residuation_at_cover,
+    "is_lonesome_meet_irreducible":
+        lambda lat, i: is_lonesome_meet_irreducible(lat, MeetIrreducible(*i)),
+    "class_of": lambda lat, i: projectivity_classes(lat).class_of(i),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PER_INTERVAL))
+def test_per_interval_functions_refuse_what_is_no_cover(name, m3, n5):
+    # a non-cover, a reversed cover and out-of-range elements of M3 are no
+    # prime interval; N5 is refused as nonmodular even at a cover
+    function = _PER_INTERVAL[name]
+    for pair in [(0, 4), (1, 0), (0, 9), (-1, 0)]:
+        with pytest.raises(ValueError, match="not a prime interval"):
+            function(m3, PrimeInterval(*pair))
+    with pytest.raises(NotModular):
+        function(n5, PrimeInterval(0, 1))
+
+
 def test_projects_into(b22):
     assert projects_into(b22, PrimeInterval(0, 1), 0, 1)
     assert projects_into(b22, PrimeInterval(0, 1), 2, 3)
@@ -290,11 +316,13 @@ def test_separating_congruence_closes_once_per_class(lat, monkeypatch):
 
 def test_con_of_a_modular_lattice_is_boolean_on_the_classes(all8):
     # Con L of a modular lattice is Boolean with one atom per projectivity
-    # class of prime intervals
+    # class of prime intervals, so the lattice is simple exactly when it has
+    # one class
     for lat in all8:
         if lat.is_modular():
-            assert len(all_congruences(lat)) == \
-                2 ** projectivity_classes(lat).num_classes
+            num_classes = projectivity_classes(lat).num_classes
+            assert len(all_congruences(lat)) == 2 ** num_classes
+            assert is_simple(lat) == (num_classes == 1)
 
 
 def test_projectivity_matches_principal_congruences(modular7):
@@ -388,6 +416,16 @@ def test_two_element_quotient_uses_the_first_lonesome_irreducible(modular8):
         if lonesome:
             assert hom.image == tuple(0 if lat.leq(x, lonesome[0]) else 1
                                       for x in lat.elements)
+
+
+def test_elements_out_of_range_are_refused(b22):
+    for x in (-1, 4, 5, 7):
+        with pytest.raises(ValueError, match="out of range"):
+            projects_into(b22, PrimeInterval(0, 1), 0, x)
+        with pytest.raises(ValueError, match="out of range"):
+            projects_into(b22, PrimeInterval(0, 1), x, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            is_completely_meet_prime(b22, x)
 
 
 def test_completely_meet_prime(chain3, m3):
