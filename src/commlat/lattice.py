@@ -277,8 +277,8 @@ class LatticePartition:
 
     def __init__(self, lattice, blocks):
         n = lattice.n
-        normalized = sorted(tuple(sorted(block)) for block in blocks)
-        members = [x for b in normalized for x in b]
+        blocks = [tuple(block) for block in blocks]
+        members = [x for b in blocks for x in b]
         if len(members) != n or set(members) != set(range(n)):
             seen = set()
             for x in members:
@@ -286,18 +286,24 @@ class LatticePartition:
                     raise ValueError(f"element {x} appears twice in the blocks")
                 seen.add(x)
             raise ValueError(f"blocks do not partition 0..{n - 1}")
-        if not normalized[0]:
-            empty = next(i for i, b in enumerate(blocks) if not b)
-            raise ValueError(f"block {empty} is empty")
-        class_of = bytearray(n)
-        for i, b in enumerate(normalized):
-            for x in b:
-                class_of[x] = i
+        if not all(blocks):
+            raise ValueError(f"block {blocks.index(())} is empty")
+        label = {x: i for i, b in enumerate(blocks) for x in b}
+        self._fill(lattice, bytes(map(label.__getitem__, range(n))))
+
+    def _fill(self, lattice, label):
+        # the one path from labels to blocks, in order of least member
+        label = bytes(label[:lattice.n])
+        rows = {}
+        for x, c in enumerate(label):
+            rows.setdefault(c, []).append(x)
         self.lattice = lattice
-        self.blocks = tuple(_SINGLETONS[b[0]] if len(b) == 1 else b
-                            for b in normalized)
-        self.class_of = bytes(class_of)
+        self.blocks = tuple([_SINGLETONS[b[0]] if len(b) == 1 else tuple(b)
+                             for b in rows.values()])
+        self.class_of = label.translate(
+            bytes.maketrans(bytes(rows), bytes(range(len(rows)))))
         self._check_congruence()
+        return self
 
     def _check_congruence(self):
         # x ~ y must give x^z ~ y^z and xvz ~ yvz for every z: the rows of
@@ -338,8 +344,13 @@ class LatticePartition:
     def num_blocks(self):
         return len(self.blocks)
 
+    def _require_on(self, lattice):
+        if self.lattice is not lattice and self.lattice != lattice:
+            raise ValueError("partition belongs to a different lattice")
+
     def refines(self, other):
         """Whether every block of self lies inside a block of ``other``."""
+        other._require_on(self.lattice)
         return all(len({other.class_of[x] for x in b}) == 1 for b in self.blocks)
 
     def __eq__(self, other):
@@ -353,8 +364,8 @@ class LatticePartition:
         return f"LatticePartition({self.blocks})"
 
 
-def congruence_generated(lattice, seed):
-    """The least congruence of ``lattice`` relating every seed pair.
+def congruence_generated(lattice, seed, joined=()):
+    """The least congruence containing those in ``joined`` and the seed.
 
     Worklist closure (R. Freese, "Computing congruences efficiently",
     Algebra Universalis 59, 2008): ``label[x]`` names the class of x and
@@ -366,12 +377,18 @@ def congruence_generated(lattice, seed):
     equivalence, so once each is translated the partition is a congruence.
     There are at most n - 1 merges, each followed by O(n) translates, and
     each element is relabeled O(log n) times: O(n^2) per call, plus the
-    seed.  The result is checked to be a congruence; a failure is a bug.
+    seed.  The classes of ``joined[0]`` are the start, and the blocks of
+    the rest merge unpushed, their translates lying inside them: Con L is
+    a sublattice of Eq L (S. Burris and H. P. Sankappanavar, *A Course in
+    Universal Algebra*, II.5), so with no seed this is an equivalence join,
+    O(n).  The result is checked to be a congruence; a failure is a bug.
     """
     n = lattice.n
     meet, join = lattice._meet, lattice._join
-    label = bytearray(_translation(range(n)))
-    members = [[x] for x in range(n)]
+    for theta in joined:
+        theta._require_on(lattice)
+    label = bytearray(_translation(joined[0].class_of if joined else range(n)))
+    members = list(map(list, joined[0].blocks if joined else _SINGLETONS[:n]))
     merged = []
 
     def merge(a, b):
@@ -384,6 +401,12 @@ def congruence_generated(lattice, seed):
         members[drop] = []
         merged.append((a, b))
 
+    for theta in joined[1:]:
+        for block in theta.blocks:
+            for y in block[1:]:
+                if label[block[0]] != label[y]:
+                    merge(block[0], y)
+    merged.clear()      # pairs inside a congruence need no translates
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"seed pair ({x}, {y}) out of range")
@@ -400,7 +423,7 @@ def congruence_generated(lattice, seed):
                     merge(a, b)
 
     try:
-        return LatticePartition(lattice, [m for m in members if m])
+        return LatticePartition.__new__(LatticePartition)._fill(lattice, label)
     except NotACongruence as exc:
         raise VerificationError(
             f"worklist closure is not a congruence: {exc}") from exc
@@ -416,8 +439,7 @@ def quotient(lattice, partition):
     every cover of the quotient lifts along a maximal chain.  So they take
     one pass over the covers, and :class:`FiniteLattice` validates them.
     """
-    if partition.lattice != lattice:
-        raise ValueError("partition belongs to a different lattice")
+    partition._require_on(lattice)
     cls = partition.class_of
     qcovers = {(cls[x], cls[y]) for x, y in lattice.cover_pairs() if cls[x] != cls[y]}
     image = FiniteLattice(partition.num_blocks, qcovers)
@@ -473,47 +495,49 @@ def all_congruences(lattice):
     lattices", Proc. AMS 125, 1997).  So: one closure per join irreducible
     gives each con(j-, j) and, as a bitmask over J(L), the down-set it
     collapses; the down-sets are the unions of those masks, found with
-    integer ORs; and each down-set S not already a principal congruence is
-    one :func:`congruence_generated` call seeded with (k-, k) for k in S.
-    That is O((|Con L| + |J(L)|) * n^2) plus O(|Con L| * |J(L)|) ORs.
-    Each result is checked to collapse (k-, k) exactly for k in its
-    down-set; a disagreement is a bug.  The down-sets are counted as they
-    are ORed together, and past ``MAX_CONGRUENCES`` of them
-    :class:`LatticeTooLarge` is raised before any of their closures runs.
-    The principal closures are kept on the lattice for :func:`is_simple`.
+    integer ORs, each kept with the earlier down-set and principal mask
+    that first made it; and as Con L is a sublattice of Eq L, each other
+    down-set's congruence is the equivalence join of those two, one
+    :func:`congruence_generated` call with nothing to translate.  That is
+    |J(L)| closures of O(n^2), then O(n) steps and the row check per
+    further congruence, plus O(|Con L| * |J(L)|) ORs.  Each result is
+    checked to collapse (k-, k) exactly for k in its down-set; a
+    disagreement is a bug.  Past ``MAX_CONGRUENCES`` down-sets
+    :class:`LatticeTooLarge` is raised before any join runs.  The
+    principal closures are kept on the lattice for :func:`is_simple`.
     """
     joins = lattice.fact(_principal_congruences)
+    bits = [(1 << i, lo, j) for i, (j, lo, _) in enumerate(joins)]
 
     def collapsed(theta):
         cls = theta.class_of
-        return sum(1 << i for i, (j, lo, _) in enumerate(joins)
-                   if cls[lo] == cls[j])
+        return sum(bit for bit, lo, j in bits if cls[lo] == cls[j])
 
     principal = {}
     for i, (_, _, theta) in enumerate(joins):
         # j is in its own down-set; a closure that missed its seed then
         # fails the check below
         principal[collapsed(theta) | 1 << i] = theta
-    downsets = {0}
+    made_from = {0: (0, 0)}
     for mask in principal:
-        downsets |= {d | mask for d in downsets}
-        if len(downsets) > MAX_CONGRUENCES:
+        for d in list(made_from):
+            made_from.setdefault(d | mask, (d, mask))
+        if len(made_from) > MAX_CONGRUENCES:
             raise LatticeTooLarge(f"more than {MAX_CONGRUENCES} congruences")
-    found = []
-    for s in downsets:
+    found = {}
+    for s, (d, mask) in made_from.items():
         if s in principal:
             theta = principal[s]
         elif s:
-            theta = congruence_generated(
-                lattice, [(joins[i][1], joins[i][0]) for i in _bits(s)])
+            theta = congruence_generated(lattice, (), (found[d], principal[mask]))
         else:
             theta = LatticePartition.identity(lattice)
         if collapsed(theta) != s:
             raise VerificationError(
                 f"congruence {theta.blocks} does not collapse exactly the "
                 "join irreducibles of its down-set")
-        found.append(theta)
-    return sorted(found, key=lambda p: p.blocks)
+        found[s] = theta
+    return sorted(found.values(), key=lambda p: p.blocks)
 
 
 class LatticeMap:
@@ -525,7 +549,7 @@ class LatticeMap:
         image = tuple(image)
         if len(image) != source.n:
             raise ValueError("image length does not match the source lattice")
-        if any(not 0 <= v < target.n for v in image):
+        if min(image) < 0 or max(image) >= target.n:
             raise ValueError("image element out of range")
         # row x of each source table read through the image must equal row
         # image[x] of the target table read at the images; tables are

@@ -203,15 +203,21 @@ def projective_floor(lat, interval):
 
 def is_lonesome_meet_irreducible(lat, eta):
     """Whether eta is the only meet irreducible whose canonical interval
-    lies in its projectivity class."""
+    lies in its projectivity class; eta must be one, else ValueError."""
     classes = lat.fact(projectivity_classes)
-    return classes.meet_counts[classes.class_of(eta.interval())] == 1
+    cid = classes.class_of(eta.interval())
+    if lat._upper[eta.element] != 1 << eta.plus:
+        raise ValueError(f"{eta.element} is not meet irreducible")
+    return classes.meet_counts[cid] == 1
 
 
 def is_lonesome_join_irreducible(lat, rho):
     """Dual of :func:`is_lonesome_meet_irreducible`."""
     classes = lat.fact(projectivity_classes)
-    return classes.join_counts[classes.class_of(rho.interval())] == 1
+    cid = classes.class_of(rho.interval())
+    if lat._lower[rho.element] != 1 << rho.minus:
+        raise ValueError(f"{rho.element} is not join irreducible")
+    return classes.join_counts[cid] == 1
 
 
 def is_completely_meet_prime(lat, eta):
@@ -262,10 +268,9 @@ def separating_congruence(lat, interval):
     cid = classes.class_of(interval)
     if classes._separating[cid] is None:
         partition = congruence_generated(
-            lat, [(q.lo, q.hi) for q in classes.intervals
-                  if classes.class_of(q) != cid])
-        for q in classes.intervals:
-            if partition.related(q.lo, q.hi) == (classes.class_of(q) == cid):
+            lat, [q for q, c in classes._class_of.items() if c != cid])
+        for q, c in classes._class_of.items():
+            if partition.related(q.lo, q.hi) == (c == cid):
                 raise VerificationError(
                     f"separating congruence disagrees with projectivity at {q}")
         classes._separating[cid] = partition

@@ -372,9 +372,9 @@ def test_all_congruences_refuses_too_many(k, monkeypatch):
     # are counted, before any of their closures runs
     calls = []
 
-    def counted(lat, seed):
+    def counted(lat, seed, joined=()):
         calls.append(seed)
-        return congruence_generated(lat, seed)
+        return congruence_generated(lat, seed, joined)
 
     monkeypatch.setattr(lattice, "congruence_generated", counted)
     start = time.perf_counter()
@@ -389,9 +389,9 @@ def test_all_congruences_refuses_too_many(k, monkeypatch):
 def test_all_congruences_closes_once_per_congruence(lat, monkeypatch):
     calls = []
 
-    def counted(lat, seed):
+    def counted(lat, seed, joined=()):
         calls.append(seed)
-        return congruence_generated(lat, seed)
+        return congruence_generated(lat, seed, joined)
 
     monkeypatch.setattr(lattice, "congruence_generated", counted)
     congruences = all_congruences(lat)
@@ -401,9 +401,9 @@ def test_all_congruences_closes_once_per_congruence(lat, monkeypatch):
 def test_is_simple_reuses_the_principal_closures(monkeypatch):
     calls = []
 
-    def counted(lat, seed):
+    def counted(lat, seed, joined=()):
         calls.append(seed)
-        return congruence_generated(lat, seed)
+        return congruence_generated(lat, seed, joined)
 
     monkeypatch.setattr(lattice, "congruence_generated", counted)
     lat = corpus.boolean(3)
@@ -415,13 +415,81 @@ def test_is_simple_reuses_the_principal_closures(monkeypatch):
     assert len(calls) == closures + 3
 
 
+def _congruences_by_closures(lat):
+    # the route before joins: one closure seeded with the generators
+    # (k-, k) of each down-set of J(L), the down-sets found as unions of
+    # the principal masks
+    lower = {y: [x for x, z in lat.covers if z == y] for y in lat.elements}
+    generators = [(below[0], j) for j, below in sorted(lower.items())
+                  if len(below) == 1]
+    principal = set()
+    for i, pair in enumerate(generators):
+        theta = congruence_generated(lat, [pair])
+        principal.add(sum(1 << k for k, (lo, j) in enumerate(generators)
+                          if theta.related(lo, j)) | 1 << i)
+    downsets = {0}
+    for mask in principal:
+        downsets |= {d | mask for d in downsets}
+    return sorted((congruence_generated(
+        lat, [pair for k, pair in enumerate(generators) if s >> k & 1])
+        for s in downsets), key=lambda p: p.blocks)
+
+
+def test_all_congruences_joins_as_one_closure_per_down_set(all7, modular8):
+    # every corpus lattice with at most 7 elements, the modular ones with
+    # 8, C10 and B5, each also under three random renamings, which need not
+    # extend the order
+    rng = random.Random(20)
+    bases = (all7 + [lat for lat in modular8 if lat.n == 8]
+             + [corpus.chain(10), corpus.boolean(5)])
+    for base in bases:
+        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+                             for _ in range(3)]:
+            joined = all_congruences(lat)
+            closed = _congruences_by_closures(lat)
+            assert joined == closed
+            assert [p.class_of for p in joined] == [p.class_of for p in closed]
+
+
+def test_congruence_generated_joins_as_the_closure_of_the_block_pairs(all6):
+    rng = random.Random(21)
+    for base in all6:
+        lat = _relabel(base, _shuffled(rng, base.n))
+        congruences = all_congruences(lat)
+        pairs = list(itertools.combinations(lat.elements, 2))
+        for _ in range(20):
+            joined = tuple(rng.choice(congruences)
+                           for _ in range(rng.randrange(1, 3)))
+            seed = rng.sample(pairs, min(len(pairs), rng.randrange(3)))
+            blocks = [(b[0], y) for theta in joined for b in theta.blocks
+                      for y in b[1:]]
+            generated = congruence_generated(lat, seed, joined)
+            closed = congruence_generated(lat, seed + blocks)
+            assert generated == closed
+            assert generated.class_of == closed.class_of
+
+
+def test_partitions_of_another_lattice_are_refused():
+    c2, c3 = corpus.chain(2), corpus.chain(3)
+    theta2, theta3 = LatticePartition.identity(c2), LatticePartition.identity(c3)
+    for theta, other in ((theta3, theta2), (theta2, theta3)):
+        with pytest.raises(ValueError, match="different lattice"):
+            theta.refines(other)
+    for joined in ((theta2,), (theta3, theta2)):
+        with pytest.raises(ValueError, match="different lattice"):
+            congruence_generated(c3, [], joined)
+    # an equal lattice built apart is the same lattice
+    assert theta3.refines(LatticePartition.single_block(corpus.chain(3)))
+    assert congruence_generated(corpus.chain(3), [], (theta3,)) == theta3
+
+
 def test_all_congruences_checks_the_down_set(monkeypatch):
-    # a closure that collapses everything once seeded with two pairs breaks
-    # the bijection with the down-sets of J(L)
-    def wrong(lat, seed):
-        if len(seed) > 1:
+    # a join that collapses everything breaks the bijection with the
+    # down-sets of J(L)
+    def wrong(lat, seed, joined=()):
+        if joined:
             return LatticePartition.single_block(lat)
-        return congruence_generated(lat, seed)
+        return congruence_generated(lat, seed, joined)
 
     monkeypatch.setattr(lattice, "congruence_generated", wrong)
     with pytest.raises(VerificationError, match="down-set"):

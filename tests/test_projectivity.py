@@ -418,6 +418,24 @@ def test_two_element_quotient_uses_the_first_lonesome_irreducible(modular8):
                                       for x in lat.elements)
 
 
+def test_lonesome_tests_refuse_what_is_not_irreducible(b22):
+    # in B2^2, 0 has two upper covers and 3 two lower ones; in B4 the
+    # bottom has four upper covers and the top four lower ones
+    b4 = corpus.boolean(4)
+    for lat, eta in ((b22, MeetIrreducible(0, 1)), (b4, MeetIrreducible(0, 1))):
+        with pytest.raises(ValueError, match=r"^0 is not meet irreducible$"):
+            is_lonesome_meet_irreducible(lat, eta)
+    for lat, rho in ((b22, JoinIrreducible(3, 1)), (b4, JoinIrreducible(15, 7))):
+        with pytest.raises(ValueError,
+                           match=rf"^{rho.element} is not join irreducible$"):
+            is_lonesome_join_irreducible(lat, rho)
+    # a pair that is no cover is no prime interval
+    with pytest.raises(ValueError, match="not a prime interval"):
+        is_lonesome_join_irreducible(b22, JoinIrreducible(-1, 0))
+    assert is_lonesome_meet_irreducible(b22, MeetIrreducible(1, 3))
+    assert is_lonesome_join_irreducible(b22, JoinIrreducible(2, 0))
+
+
 def test_elements_out_of_range_are_refused(b22):
     for x in (-1, 4, 5, 7):
         with pytest.raises(ValueError, match="out of range"):
