@@ -364,69 +364,87 @@ class LatticePartition:
         return f"LatticePartition({self.blocks})"
 
 
-def congruence_generated(lattice, seed, joined=()):
-    """The least congruence containing those in ``joined`` and the seed.
+def _dependencies(lattice):
+    """``(irreducibles, below, steps)``, the facts every congruence reads.
 
-    Worklist closure (R. Freese, "Computing congruences efficiently",
-    Algebra Universalis 59, 2008): ``label[x]`` names the class of x and
-    ``members[c]`` lists class c; a merge relabels the smaller class into
-    the larger and pushes the pair that caused it onto a worklist.  Only
-    those pairs are translated by ``z ^ -`` and ``z v -``: the two table
-    rows are read through the labels, and only rows that differ there are
-    compared entry by entry.  The pushed pairs generate the partition as an
-    equivalence, so once each is translated the partition is a congruence.
-    There are at most n - 1 merges, each followed by O(n) translates, and
-    each element is relabeled O(log n) times: O(n^2) per call, plus the
-    seed.  The classes of ``joined[0]`` are the start, and the blocks of
-    the rest merge unpushed, their translates lying inside them: Con L is
-    a sublattice of Eq L (S. Burris and H. P. Sankappanavar, *A Course in
-    Universal Algebra*, II.5), so with no seed this is an equivalence join,
-    O(n).  The result is checked to be a congruence; a failure is a bug.
+    ``irreducibles`` lists (j, j-) for each join irreducible j in
+    increasing order.  ``below[j]`` is the mask of the join irreducibles k
+    with con(k-, k) <= con(j-, j), and 0 for the other elements: the
+    reflexive and transitive closure of the dependency relation, k D j when
+    some x has k <= j v x and k !<= j- v x (R. Freese, J. Jezek and J. B.
+    Nation, *Free Lattices*, AMS 1995, ch. II; R. Freese, "Computing
+    congruence lattices of finite lattices", Proc. AMS 125, 1997).  Row j
+    of D is the OR over x of down(j v x) minus down(j- v x), read off the
+    join rows of j and j-, and Warshall's algorithm closes it: O(|J| n +
+    |J|^2) mask operations.  ``steps`` lists the elements x by down-set
+    size, a topological order whatever the names, each with its lower
+    covers y and the mask of the join irreducibles <= x and !<= y.
+    """
+    down, lower = lattice._down, lattice._lower
+    irreducibles = _single_bits(lower)
+    every = sum(1 << j for j, _ in irreducibles)
+    below = [0] * lattice.n
+    for j, lo in irreducibles:
+        row = 0
+        for a, b in zip(lattice._join[j], lattice._join[lo]):
+            row |= down[a] & ~down[b]
+        below[j] = row & every
+    for k, _ in irreducibles:
+        for j, _ in irreducibles:
+            if below[j] >> k & 1:
+                below[j] |= below[k]
+    order = sorted(range(lattice.n), key=lambda x: down[x].bit_count())
+    steps = tuple((x, tuple((y, down[x] & ~down[y] & every)
+                            for y in _bits(lower[x])))
+                  for x in order)
+    return irreducibles, below, steps
+
+
+def congruence_generated(lattice, seed):
+    """The least congruence containing the seed pairs.
+
+    A pair (x, y) collapses (k-, k) for each join irreducible k <= x v y
+    with k !<= x ^ y, so the congruence collapses the union S of their
+    ``below`` masks (see :func:`_dependencies`), and a cover collapses
+    exactly when its mask lies inside S.  One pass in topological order
+    builds the blocks: x joins the block of a lower cover that collapses,
+    else starts its own; O(n + |covers|) after the seed.  Two checks run in
+    the pass: the collapsing lower covers of x lie in one block, and the
+    others lie outside it.  With the congruence check they certify the
+    result from the easy direction of Freese's theorem alone (k D j makes
+    con(j-, j) collapse (k-, k)), so a dependency missing from D raises
+    :class:`VerificationError`; it cannot give a wrong partition.
     """
     n = lattice.n
-    meet, join = lattice._meet, lattice._join
-    for theta in joined:
-        theta._require_on(lattice)
-    label = bytearray(_translation(joined[0].class_of if joined else range(n)))
-    members = list(map(list, joined[0].blocks if joined else _SINGLETONS[:n]))
-    merged = []
-
-    def merge(a, b):
-        keep, drop = label[a], label[b]
-        if len(members[keep]) < len(members[drop]):
-            keep, drop = drop, keep
-        for v in members[drop]:
-            label[v] = keep
-        members[keep] += members[drop]
-        members[drop] = []
-        merged.append((a, b))
-
-    for theta in joined[1:]:
-        for block in theta.blocks:
-            for y in block[1:]:
-                if label[block[0]] != label[y]:
-                    merge(block[0], y)
-    merged.clear()      # pairs inside a congruence need no translates
+    down, meet, join = lattice._down, lattice._meet, lattice._join
+    _, below, steps = lattice.fact(_dependencies)
+    reach = 0
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"seed pair ({x}, {y}) out of range")
-        if label[x] != label[y]:
-            merge(x, y)
-
-    while merged:
-        x, y = merged.pop()
-        for table in (meet, join):
-            if table[x].translate(label) == table[y].translate(label):
-                continue
-            for a, b in zip(table[x], table[y]):
-                if label[a] != label[b]:
-                    merge(a, b)
-
+        reach |= down[join[x][y]] & ~down[meet[x][y]]
+    collapsed = 0
+    for k in _bits(reach):
+        collapsed |= below[k]
+    outside = ~collapsed
+    label = bytearray(n)
+    for x, covers in steps:
+        # a block is named by its least element in the order
+        own = x
+        for y, mask in covers:
+            if not mask & outside:
+                own = label[y]
+                break
+        for y, mask in covers:
+            if (label[y] == own) != (not mask & outside):
+                raise VerificationError(
+                    f"cover ({y}, {x}) disagrees with the dependency masks")
+        label[x] = own
     try:
         return LatticePartition.__new__(LatticePartition)._fill(lattice, label)
     except NotACongruence as exc:
         raise VerificationError(
-            f"worklist closure is not a congruence: {exc}") from exc
+            f"label pass is not a congruence: {exc}") from exc
 
 
 def quotient(lattice, partition):
@@ -452,13 +470,12 @@ def is_simple(lattice):
 
     Every congruence but the identity contains con(j-, j) for some join
     irreducible j (see :func:`all_congruences`), so it suffices that each of
-    those collapses everything: |J(L)| closures of O(n^2) each, kept on the
-    lattice and shared with :func:`all_congruences`.
+    those collapses everything: at most |J(L)| label passes.
     """
     if lattice.n < 2:
         return False
-    return all(theta.num_blocks == 1
-               for _, _, theta in lattice.fact(_principal_congruences))
+    return all(congruence_generated(lattice, [(lo, j)]).num_blocks == 1
+               for j, lo in lattice.fact(_dependencies)[0])
 
 
 def is_complemented(lattice):
@@ -477,67 +494,34 @@ def _single_bits(masks):
             if m and not m & m - 1]
 
 
-def _principal_congruences(lattice):
-    """(j, j-, con(j-, j)) for each join irreducible j, in increasing order
-    of j, closed by the module-level :func:`congruence_generated`."""
-    return tuple((j, lo, congruence_generated(lattice, [(lo, j)]))
-                 for j, lo in _single_bits(lattice._lower))
-
-
 def all_congruences(lattice):
     """Every congruence of the lattice, sorted by block structure.
 
     Every congruence of a finite lattice is the join of the principal
     congruences con(j-, j) of the join irreducibles j it collapses, and
     theta -> {j : theta collapses (j-, j)} is a bijection from Con L onto
-    the down-sets of the quasiorder k <= j iff con(j-, j) collapses
-    (k-, k) (R. Freese, "Computing congruence lattices of finite
-    lattices", Proc. AMS 125, 1997).  So: one closure per join irreducible
-    gives each con(j-, j) and, as a bitmask over J(L), the down-set it
-    collapses; the down-sets are the unions of those masks, found with
-    integer ORs, each kept with the earlier down-set and principal mask
-    that first made it; and as Con L is a sublattice of Eq L, each other
-    down-set's congruence is the equivalence join of those two, one
-    :func:`congruence_generated` call with nothing to translate.  That is
-    |J(L)| closures of O(n^2), then O(n) steps and the row check per
-    further congruence, plus O(|Con L| * |J(L)|) ORs.  Each result is
-    checked to collapse (k-, k) exactly for k in its down-set; a
-    disagreement is a bug.  Past ``MAX_CONGRUENCES`` down-sets
-    :class:`LatticeTooLarge` is raised before any join runs.  The
-    principal closures are kept on the lattice for :func:`is_simple`.
+    the down-sets of Freese's quasiorder on J(L) (see :func:`_dependencies`).
+    The down-sets are the unions of the ``below`` masks, found with integer
+    ORs and counted as they grow: past ``MAX_CONGRUENCES``
+    :class:`LatticeTooLarge` is raised before any partition is built.  Then
+    each down-set is one :func:`congruence_generated` call seeded with its
+    pairs (j-, j): O(n + |covers|) plus the row check per congruence, plus
+    O(|Con L| * |J(L)|) ORs.  Each call certifies its partition; two
+    down-sets giving one congruence, as a ``below`` mask that is not closed
+    would, is a bug too.
     """
-    joins = lattice.fact(_principal_congruences)
-    bits = [(1 << i, lo, j) for i, (j, lo, _) in enumerate(joins)]
-
-    def collapsed(theta):
-        cls = theta.class_of
-        return sum(bit for bit, lo, j in bits if cls[lo] == cls[j])
-
-    principal = {}
-    for i, (_, _, theta) in enumerate(joins):
-        # j is in its own down-set; a closure that missed its seed then
-        # fails the check below
-        principal[collapsed(theta) | 1 << i] = theta
-    made_from = {0: (0, 0)}
-    for mask in principal:
-        for d in list(made_from):
-            made_from.setdefault(d | mask, (d, mask))
-        if len(made_from) > MAX_CONGRUENCES:
+    irreducibles, below, _ = lattice.fact(_dependencies)
+    downsets = {0}
+    for mask in {below[j] for j, _ in irreducibles}:
+        downsets |= {d | mask for d in downsets}
+        if len(downsets) > MAX_CONGRUENCES:
             raise LatticeTooLarge(f"more than {MAX_CONGRUENCES} congruences")
-    found = {}
-    for s, (d, mask) in made_from.items():
-        if s in principal:
-            theta = principal[s]
-        elif s:
-            theta = congruence_generated(lattice, (), (found[d], principal[mask]))
-        else:
-            theta = LatticePartition.identity(lattice)
-        if collapsed(theta) != s:
-            raise VerificationError(
-                f"congruence {theta.blocks} does not collapse exactly the "
-                "join irreducibles of its down-set")
-        found[s] = theta
-    return sorted(found.values(), key=lambda p: p.blocks)
+    found = sorted((congruence_generated(
+        lattice, [(lo, j) for j, lo in irreducibles if s >> j & 1])
+        for s in downsets), key=lambda p: p.blocks)
+    if any(a.blocks == b.blocks for a, b in zip(found, found[1:])):
+        raise VerificationError("two down-sets gave one congruence")
+    return found
 
 
 class LatticeMap:

@@ -257,12 +257,13 @@ def separating_congruence(lat, interval):
     projective to q, and every congruence is the join of the con(q) it
     contains.  So this is the congruence generated by the prime intervals
     outside the class of ``interval``, the same for every interval of the
-    class: one O(n^2) worklist closure, run when the class is first asked
-    about and kept on the :class:`ProjectivityClasses` record.  The classes
-    come from transpositions, not from the closure, and each closure is
-    checked cover by cover: a prime interval must be collapsed exactly when
-    it lies outside the class, so ``interval`` itself stays apart.  A
-    disagreement means a bug, not bad input.
+    class: one :func:`congruence_generated` label pass, run when the class
+    is first asked about and kept on the :class:`ProjectivityClasses`
+    record.  The classes come from transpositions, not from the dependency
+    masks, and each partition is checked cover by cover against them: a
+    prime interval must be collapsed exactly when it lies outside the
+    class, so ``interval`` itself stays apart.  A disagreement means a bug,
+    not bad input.
     """
     classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)

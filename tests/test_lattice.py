@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from commlat import corpus, lattice
+from commlat import corpus, fileio, lattice
+from commlat.cli import main
 from commlat.errors import (
     CycleDetected,
     EmptySublattice,
@@ -29,6 +30,7 @@ from commlat.lattice import (
     is_simple,
     quotient,
 )
+from commlat.projectivity import PrimeInterval, separating_congruence
 
 
 def test_one_element_lattice():
@@ -366,107 +368,183 @@ def test_all_congruences_at_scale():
     assert len(all_congruences(corpus.boolean(5))) == 32
 
 
+def _count_calls(monkeypatch):
+    """The seeds of every congruence_generated call and every partition
+    built, from now on."""
+    calls, built = [], []
+    fill = LatticePartition._fill
+
+    def counted(lat, seed):
+        calls.append(seed)
+        return congruence_generated(lat, seed)
+
+    def counted_fill(self, lat, label):
+        built.append(label)
+        return fill(self, lat, label)
+
+    monkeypatch.setattr(lattice, "congruence_generated", counted)
+    monkeypatch.setattr(LatticePartition, "_fill", counted_fill)
+    return calls, built
+
+
 @pytest.mark.parametrize("k", [20, 64])
 def test_all_congruences_refuses_too_many(k, monkeypatch):
     # C20 has 2^19 congruences and C64 2^63: refused while the down-sets
-    # are counted, before any of their closures runs
-    calls = []
-
-    def counted(lat, seed, joined=()):
-        calls.append(seed)
-        return congruence_generated(lat, seed, joined)
-
-    monkeypatch.setattr(lattice, "congruence_generated", counted)
+    # are counted, before any partition is built
+    lat = corpus.chain(k)
+    calls, built = _count_calls(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(LatticeTooLarge, match="congruences"):
-        all_congruences(corpus.chain(k))
+        all_congruences(lat)
     assert time.perf_counter() - start < 0.5
-    assert len(calls) == k - 1     # the principal congruences only
+    assert calls == [] and built == []
 
 
 @pytest.mark.parametrize("lat", [corpus.chain(10), corpus.boolean(5)],
                          ids=["C10", "B5"])
 def test_all_congruences_closes_once_per_congruence(lat, monkeypatch):
-    calls = []
-
-    def counted(lat, seed, joined=()):
-        calls.append(seed)
-        return congruence_generated(lat, seed, joined)
-
-    monkeypatch.setattr(lattice, "congruence_generated", counted)
+    calls, built = _count_calls(monkeypatch)
     congruences = all_congruences(lat)
-    assert 0 < len(calls) <= len(congruences)
+    assert len(calls) == len(built) == len(congruences)
 
 
-def test_is_simple_reuses_the_principal_closures(monkeypatch):
-    calls = []
-
-    def counted(lat, seed, joined=()):
-        calls.append(seed)
-        return congruence_generated(lat, seed, joined)
-
-    monkeypatch.setattr(lattice, "congruence_generated", counted)
-    lat = corpus.boolean(3)
-    all_congruences(lat)
-    closures = len(calls)
-    assert not is_simple(lat)
-    assert len(calls) == closures
-    assert is_simple(corpus.diamond())
-    assert len(calls) == closures + 3
+def test_is_simple_builds_at_most_one_congruence_per_join_irreducible(
+        monkeypatch):
+    calls, _ = _count_calls(monkeypatch)
+    for lat, simple in ((corpus.boolean(3), False), (corpus.diamond(), True),
+                        (corpus.pentagon(), False), (_m(7), True)):
+        del calls[:]
+        assert is_simple(lat) is simple
+        assert 0 < len(calls) <= len(lattice._dependencies(lat)[0])
 
 
-def _congruences_by_closures(lat):
-    # the route before joins: one closure seeded with the generators
-    # (k-, k) of each down-set of J(L), the down-sets found as unions of
-    # the principal masks
-    lower = {y: [x for x, z in lat.covers if z == y] for y in lat.elements}
-    generators = [(below[0], j) for j, below in sorted(lower.items())
-                  if len(below) == 1]
+def _fixpoint(lat, seed):
+    # con(seed) by brute force, sharing no code with the engine: a class is
+    # named by its least member, and whenever a meet or a join translate
+    # separates x from the least member of its class, the two classes merge;
+    # repeat until no translate separates anything
+    cls = list(lat.elements)
+
+    def merge(a, b):
+        keep, drop = sorted((cls[a], cls[b]))
+        cls[:] = [keep if c == drop else c for c in cls]
+
+    for a, b in seed:
+        merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for x, z in itertools.product(lat.elements, repeat=2):
+            for op in (lat.meet, lat.join):
+                if cls[op(x, z)] != cls[op(cls[x], z)]:
+                    merge(op(x, z), op(cls[x], z))
+                    changed = True
+    blocks = {}
+    for x in lat.elements:
+        blocks.setdefault(cls[x], []).append(x)
+    return tuple(map(tuple, blocks.values()))
+
+
+def _fixpoint_congruences(lat):
+    # every congruence: the down-sets of the quasiorder on the join
+    # irreducibles that the principal fixpoints give, each closed from
+    # its generators (k-, k)
+    generators = [(x, j) for x, j in lat.covers
+                  if [y for y, z in lat.covers if z == j] == [x]]
     principal = set()
-    for i, pair in enumerate(generators):
-        theta = congruence_generated(lat, [pair])
-        principal.add(sum(1 << k for k, (lo, j) in enumerate(generators)
-                          if theta.related(lo, j)) | 1 << i)
-    downsets = {0}
+    for pair in generators:
+        blocks = _fixpoint(lat, [pair])
+        principal.add(frozenset(k for k in generators
+                                if any(set(k) <= set(b) for b in blocks)))
+    downsets = {frozenset()}
     for mask in principal:
         downsets |= {d | mask for d in downsets}
-    return sorted((congruence_generated(
-        lat, [pair for k, pair in enumerate(generators) if s >> k & 1])
-        for s in downsets), key=lambda p: p.blocks)
+    return sorted(_fixpoint(lat, d) for d in downsets)
 
 
-def test_all_congruences_joins_as_one_closure_per_down_set(all7, modular8):
-    # every corpus lattice with at most 7 elements, the modular ones with
-    # 8, C10 and B5, each also under three random renamings, which need not
-    # extend the order
+def _oracle_lattices(all7, modular8):
+    # every corpus lattice with at most 7 elements, the modular ones with 8,
+    # C10 and B5, each under three random renamings, which need not extend
+    # the order, and named top-down
     rng = random.Random(20)
     bases = (all7 + [lat for lat in modular8 if lat.n == 8]
              + [corpus.chain(10), corpus.boolean(5)])
     for base in bases:
-        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
-                             for _ in range(3)]:
-            joined = all_congruences(lat)
-            closed = _congruences_by_closures(lat)
-            assert joined == closed
-            assert [p.class_of for p in joined] == [p.class_of for p in closed]
+        for _ in range(3):
+            yield _relabel(base, _shuffled(rng, base.n))
+        yield _relabel(base, range(base.n - 1, -1, -1))
 
 
-def test_congruence_generated_joins_as_the_closure_of_the_block_pairs(all6):
-    rng = random.Random(21)
-    for base in all6:
-        lat = _relabel(base, _shuffled(rng, base.n))
+def _class_of(blocks):
+    return bytes(i for x, i in sorted((x, i) for i, b in enumerate(blocks)
+                                      for x in b))
+
+
+def test_all_congruences_match_the_fixpoint_oracle(all7, modular8):
+    for lat in _oracle_lattices(all7, modular8):
+        expected = _fixpoint_congruences(lat)
         congruences = all_congruences(lat)
-        pairs = list(itertools.combinations(lat.elements, 2))
-        for _ in range(20):
-            joined = tuple(rng.choice(congruences)
-                           for _ in range(rng.randrange(1, 3)))
-            seed = rng.sample(pairs, min(len(pairs), rng.randrange(3)))
-            blocks = [(b[0], y) for theta in joined for b in theta.blocks
-                      for y in b[1:]]
-            generated = congruence_generated(lat, seed, joined)
-            closed = congruence_generated(lat, seed + blocks)
-            assert generated == closed
-            assert generated.class_of == closed.class_of
+        assert [p.blocks for p in congruences] == expected
+        assert [p.class_of for p in congruences] == list(map(_class_of,
+                                                              expected))
+
+
+def test_principal_and_separating_congruences_match_the_fixpoint_oracle(
+        all7, modular8):
+    for lat in _oracle_lattices(all7, modular8):
+        principal = {q: _fixpoint(lat, [q]) for q in lat.cover_pairs()}
+        for q, blocks in principal.items():
+            theta = congruence_generated(lat, [q])
+            assert theta.blocks == blocks
+            assert theta.class_of == _class_of(blocks)
+        if not lat.is_modular():
+            continue
+        # in a modular lattice Con L is Boolean, so the largest congruence
+        # keeping q apart joins the con(c) that keep it apart
+        for q in principal:
+            keeping = [c for c, blocks in principal.items()
+                       if not any(set(q) <= set(b) for b in blocks)]
+            theta = separating_congruence(lat, PrimeInterval(*q))
+            assert theta.blocks == _fixpoint(lat, keeping)
+
+
+def _drop_each_dependency(lat):
+    """Yield once per bit k != j of each below[j] of the lattice, with
+    that bit missing from the dependency fact."""
+    irreducibles, below, steps = lattice._dependencies(lat)
+    for j, _ in irreducibles:
+        for k in range(lat.n):
+            if k != j and below[j] >> k & 1:
+                wrong = list(below)
+                wrong[j] &= ~(1 << k)
+                yield j, (irreducibles, wrong, steps)
+
+
+@pytest.mark.parametrize("lat", [
+    corpus.pentagon(),
+    # modular with n = 8 and [top, top] = 3 in the largest table
+    build(8, {(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
+              (3, 6), (4, 7), (5, 7), (6, 7)}),
+], ids=["N5", "modular8"])
+def test_a_dependency_missing_from_below_is_caught(lat, tmp_path, capsys,
+                                                   monkeypatch):
+    # con(j-, j) collapses every k in the true below[j], so the label pass
+    # from a mask missing one of them cannot pass its checks, and the
+    # down-sets all_congruences lists are no longer all distinct congruences
+    path = tmp_path / "lattice.json"
+    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+    dropped = list(_drop_each_dependency(lat))
+    assert dropped
+    for j, wrong in dropped:
+        minus = lat._lower[j].bit_length() - 1
+        monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
+        with pytest.raises(VerificationError):
+            congruence_generated(lat, [(minus, j)])
+        with pytest.raises(VerificationError):
+            all_congruences(lat)
+        assert main(["quotient", str(path), "--seed-pairs",
+                     f"{minus},{j}"]) == 3
+        assert "cross-check violation" in capsys.readouterr().err
 
 
 def test_partitions_of_another_lattice_are_refused():
@@ -475,25 +553,10 @@ def test_partitions_of_another_lattice_are_refused():
     for theta, other in ((theta3, theta2), (theta2, theta3)):
         with pytest.raises(ValueError, match="different lattice"):
             theta.refines(other)
-    for joined in ((theta2,), (theta3, theta2)):
         with pytest.raises(ValueError, match="different lattice"):
-            congruence_generated(c3, [], joined)
+            quotient(other.lattice, theta)
     # an equal lattice built apart is the same lattice
     assert theta3.refines(LatticePartition.single_block(corpus.chain(3)))
-    assert congruence_generated(corpus.chain(3), [], (theta3,)) == theta3
-
-
-def test_all_congruences_checks_the_down_set(monkeypatch):
-    # a join that collapses everything breaks the bijection with the
-    # down-sets of J(L)
-    def wrong(lat, seed, joined=()):
-        if joined:
-            return LatticePartition.single_block(lat)
-        return congruence_generated(lat, seed, joined)
-
-    monkeypatch.setattr(lattice, "congruence_generated", wrong)
-    with pytest.raises(VerificationError, match="down-set"):
-        all_congruences(corpus.chain(4))
 
 
 def test_congruence_generated_reports_a_failed_check_as_a_bug(m3, monkeypatch):

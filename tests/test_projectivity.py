@@ -78,8 +78,8 @@ def test_irreducibles_match_their_definition(all7):
 
 def test_irreducibles_from_the_masks_match_their_definition(all8):
     # on three seeded renamings of each lattice, which need not extend the
-    # order, and on larger lattices; the principal congruences are kept
-    # for the same join irreducibles
+    # order, and on larger lattices; the dependency fact lists the same
+    # join irreducibles
     rng = random.Random(18)
     lattices = [_relabel(base, _shuffled(rng, base.n))
                 for base in all8 for _ in range(3)]
@@ -88,8 +88,7 @@ def test_irreducibles_from_the_masks_match_their_definition(all8):
                  _product(_m(4), _m(5))]
     for lat in lattices:
         _assert_irreducibles_match_their_definition(lat)
-        assert [(j, lo) for j, lo, _ in lattice._principal_congruences(lat)] \
-            == list(join_irreducibles(lat))
+        assert lattice._dependencies(lat)[0] == list(join_irreducibles(lat))
 
 
 def test_irreducible_intervals_are_prime(modular7):
