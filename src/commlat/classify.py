@@ -15,7 +15,8 @@ lattice side.
 
 from collections import namedtuple
 
-from .commutator import construct_sublattice, largest_commutator, series
+from .commutator import (construct_sublattice, largest_commutator,
+                         largest_residuation_at_cover, series)
 from .errors import VerificationError
 from .lattice import SublatticeEmbedding, is_complemented, is_simple
 from .projectivity import (
@@ -185,9 +186,8 @@ def analyze(lat):
     verifies the type-nesting invariant before returning."""
     _require_modular(lat)
     quot = lat.fact(two_element_quotient)
-    classes = lat.fact(projectivity_classes)
-    ceilings = tuple((i.lo, i.hi, classes.ceilings[classes.class_of(i)])
-                     for i in classes.intervals)
+    ceilings = tuple((lo, hi, largest_residuation_at_cover(lat, (lo, hi)))
+                     for lo, hi in lat.cover_pairs())
     table = lat.fact(largest_commutator)
     report = ForcingReport(
         n=lat.n,

@@ -433,9 +433,9 @@ def largest_residuation_at_cover(lat, interval):
     read first, so a nonmodular lattice or a pair that is no cover is
     refused before the largest multiplication is computed."""
     ceiling = projective_ceiling(lat, interval)
-    value = residuation(lat.fact(largest_commutator), interval.lo, interval.hi)
+    value = residuation(lat.fact(largest_commutator), *interval)
     if value != ceiling:
         raise VerificationError(
             f"residuation {value} differs from projective ceiling {ceiling} "
-            f"at cover ({interval.lo}, {interval.hi})")
+            f"at cover {tuple(interval)}")
     return value

@@ -365,20 +365,20 @@ class LatticePartition:
 
 
 def _dependencies(lattice):
-    """``(irreducibles, below, steps)``, the facts every congruence reads.
+    """``(below, steps)``, the facts every congruence reads.
 
-    ``irreducibles`` lists (j, j-) for each join irreducible j in
-    increasing order.  ``below[j]`` is the mask of the join irreducibles k
-    with con(k-, k) <= con(j-, j), and 0 for the other elements: the
-    reflexive and transitive closure of the dependency relation, k D j when
-    some x has k <= j v x and k !<= j- v x (R. Freese, J. Jezek and J. B.
-    Nation, *Free Lattices*, AMS 1995, ch. II; R. Freese, "Computing
+    ``below[j]`` is the mask of the join irreducibles k with con(k-, k) <=
+    con(j-, j) for each join irreducible j, and 0 for the other elements:
+    the reflexive and transitive closure of the dependency relation, k D j
+    when some x has k <= j v x and k !<= j- v x (R. Freese, J. Jezek and
+    J. B. Nation, *Free Lattices*, AMS 1995, ch. II; R. Freese, "Computing
     congruence lattices of finite lattices", Proc. AMS 125, 1997).  Row j
     of D is the OR over x of down(j v x) minus down(j- v x), read off the
     join rows of j and j-, and Warshall's algorithm closes it: O(|J| n +
-    |J|^2) mask operations.  ``steps`` lists the elements x by down-set
-    size, a topological order whatever the names, each with its lower
-    covers y and the mask of the join irreducibles <= x and !<= y.
+    |J|^2) mask operations.  The join irreducibles are the elements whose
+    ``below`` is not 0.  ``steps`` lists the elements x by down-set size, a
+    topological order whatever the names, each with its lower covers as one
+    ``bytes`` row, which the label pass reads faster than bits of a mask.
     """
     down, lower = lattice._down, lattice._lower
     irreducibles = _single_bits(lower)
@@ -394,10 +394,7 @@ def _dependencies(lattice):
             if below[j] >> k & 1:
                 below[j] |= below[k]
     order = sorted(range(lattice.n), key=lambda x: down[x].bit_count())
-    steps = tuple((x, tuple((y, down[x] & ~down[y] & every)
-                            for y in _bits(lower[x])))
-                  for x in order)
-    return irreducibles, below, steps
+    return below, tuple((x, bytes(_bits(lower[x]))) for x in order)
 
 
 def congruence_generated(lattice, seed):
@@ -405,19 +402,20 @@ def congruence_generated(lattice, seed):
 
     A pair (x, y) collapses (k-, k) for each join irreducible k <= x v y
     with k !<= x ^ y, so the congruence collapses the union S of their
-    ``below`` masks (see :func:`_dependencies`), and a cover collapses
-    exactly when its mask lies inside S.  One pass in topological order
-    builds the blocks: x joins the block of a lower cover that collapses,
-    else starts its own; O(n + |covers|) after the seed.  Two checks run in
-    the pass: the collapsing lower covers of x lie in one block, and the
-    others lie outside it.  With the congruence check they certify the
-    result from the easy direction of Freese's theorem alone (k D j makes
-    con(j-, j) collapse (k-, k)), so a dependency missing from D raises
-    :class:`VerificationError`; it cannot give a wrong partition.
+    ``below`` masks (see :func:`_dependencies`), and a cover y < x collapses
+    exactly when down(x) & kept & ~down(y) is 0, ``kept`` the join
+    irreducibles outside S.  One pass in topological order builds the
+    blocks: x joins the block of a lower cover that collapses, else starts
+    its own; O(n + |covers|) after the seed.  The same loop checks that the
+    collapsing lower covers of x lie in one block and the others outside
+    it.  With the congruence check this certifies the result from the easy
+    direction of Freese's theorem alone (k D j makes con(j-, j) collapse
+    (k-, k)), so a dependency missing from D raises VerificationError; it
+    cannot give a wrong partition.
     """
     n = lattice.n
     down, meet, join = lattice._down, lattice._meet, lattice._join
-    _, below, steps = lattice.fact(_dependencies)
+    below, steps = lattice.fact(_dependencies)
     reach = 0
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
@@ -426,19 +424,23 @@ def congruence_generated(lattice, seed):
     collapsed = 0
     for k in _bits(reach):
         collapsed |= below[k]
-    outside = ~collapsed
+    kept = sum(1 << j for j, mask in enumerate(below) if mask) & ~collapsed
     label = bytearray(n)
     for x, covers in steps:
-        # a block is named by its least element in the order
-        own = x
-        for y, mask in covers:
-            if not mask & outside:
+        # a block is named by its least element in the order; ``apart``
+        # holds the blocks of the lower covers that do not collapse
+        own, apart, left = x, 0, down[x] & kept
+        for y in covers:
+            if left & ~down[y]:
+                apart |= 1 << label[y]
+            elif own == x:
                 own = label[y]
-                break
-        for y, mask in covers:
-            if (label[y] == own) != (not mask & outside):
+            elif label[y] != own:
                 raise VerificationError(
                     f"cover ({y}, {x}) disagrees with the dependency masks")
+        if apart >> own & 1:
+            raise VerificationError(
+                f"a lower cover of {x} disagrees with the dependency masks")
         label[x] = own
     try:
         return LatticePartition.__new__(LatticePartition)._fill(lattice, label)
@@ -472,10 +474,9 @@ def is_simple(lattice):
     irreducible j (see :func:`all_congruences`), so it suffices that each of
     those collapses everything: at most |J(L)| label passes.
     """
-    if lattice.n < 2:
-        return False
-    return all(congruence_generated(lattice, [(lo, j)]).num_blocks == 1
-               for j, lo in lattice.fact(_dependencies)[0])
+    return lattice.n > 1 and all(
+        congruence_generated(lattice, [(lo, j)]).num_blocks == 1
+        for j, lo in _single_bits(lattice._lower))
 
 
 def is_complemented(lattice):
@@ -510,7 +511,8 @@ def all_congruences(lattice):
     down-sets giving one congruence, as a ``below`` mask that is not closed
     would, is a bug too.
     """
-    irreducibles, below, _ = lattice.fact(_dependencies)
+    irreducibles = _single_bits(lattice._lower)
+    below = lattice.fact(_dependencies)[0]
     downsets = {0}
     for mask in {below[j] for j, _ in irreducibles}:
         downsets |= {d | mask for d in downsets}

@@ -81,34 +81,38 @@ class ProjectivityClasses:
     determines: its ceiling and floor, the number of meet and of join
     irreducibles whose canonical interval lies in it, and its separating
     congruence, filled in by :func:`separating_congruence` when first asked
-    for.  ``class_of`` is the one check that a pair is a prime interval."""
+    for.  The class ids are one ``bytes`` table at ``lo * n + hi``, 0xFF
+    where (lo, hi) is no cover (at most |J| <= 63 classes), and the
+    per-class values are ``bytes`` too.  ``class_of``, the one check that a
+    pair is a prime interval, takes any pair of ints, else ValueError."""
 
-    __slots__ = ("intervals", "_class_of", "ceilings", "floors",
-                 "meet_counts", "join_counts", "_separating")
+    __slots__ = ("n", "_table", "ceilings", "floors", "meet_counts",
+                 "join_counts", "_separating")
 
-    def __init__(self, intervals, class_of, ceilings, floors, meet_counts,
-                 join_counts):
-        self.intervals = intervals
-        self._class_of = class_of
-        self.ceilings = ceilings
-        self.floors = floors
-        self.meet_counts = meet_counts
-        self.join_counts = join_counts
+    def __init__(self, n, table, ceilings, floors, meet_counts, join_counts):
+        self.n, self._table = n, table
+        self.ceilings, self.floors = ceilings, floors
+        self.meet_counts, self.join_counts = meet_counts, join_counts
         self._separating = [None] * len(ceilings)
 
     def class_of(self, interval):
         try:
-            return self._class_of[interval]
-        except KeyError:
-            raise ValueError(f"{interval} is not a prime interval") from None
+            lo, hi = interval
+            if (0 <= lo < self.n and 0 <= hi < self.n
+                    and (cid := self._table[lo * self.n + hi]) != 0xFF):
+                return cid
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"{interval} is not a prime interval")
 
     def same_class(self, i, j):
         return self.class_of(i) == self.class_of(j)
 
     def members(self, interval):
-        """All prime intervals projective to the given one."""
+        """All prime intervals projective to the given one, in sorted order."""
         cid = self.class_of(interval)
-        return tuple(i for i in self.intervals if self._class_of[i] == cid)
+        return tuple(PrimeInterval(*divmod(at, self.n))
+                     for at, c in enumerate(self._table) if c == cid)
 
     @property
     def num_classes(self):
@@ -128,9 +132,9 @@ def projectivity_classes(lat):
     modular input each of them is a cover; one that is not is a bug.
     """
     _require_modular(lat)
-    intervals = prime_intervals(lat)
-    index = {i: a for a, i in enumerate(intervals)}
-    parent = list(range(len(intervals)))
+    n, pairs = lat.n, lat.cover_pairs()
+    index = {p: a for a, p in enumerate(pairs)}
+    parent = list(range(len(pairs)))
 
     def find(a):
         while parent[a] != a:
@@ -138,7 +142,7 @@ def projectivity_classes(lat):
             a = parent[a]
         return a
 
-    for a, (lo, hi) in enumerate(intervals):
+    for a, (lo, hi) in enumerate(pairs):
         meet_hi, join_hi = lat._meet[hi], lat._join[hi]
         for c, m in enumerate(meet_hi):
             if m != lo:
@@ -153,27 +157,23 @@ def projectivity_classes(lat):
                 parent[max(ra, rb)] = min(ra, rb)
 
     relabel = {}
-    class_of = {}
-    for a, i in enumerate(intervals):
-        root = find(a)
-        if root not in relabel:
-            relabel[root] = len(relabel)
-        class_of[i] = relabel[root]
-    ceilings = [lat.bottom] * len(relabel)
-    meet_counts = [0] * len(relabel)
-    for m in meet_irreducibles(lat):
-        cid = class_of[m.interval()]
-        ceilings[cid] = lat.join(ceilings[cid], m.element)
+    table = bytearray(b"\xff" * (n * n))
+    for a, (lo, hi) in enumerate(pairs):
+        table[lo * n + hi] = relabel.setdefault(find(a), len(relabel))
+    k = len(relabel)
+    ceilings, floors = [lat.bottom] * k, [lat.bottom] * k
+    meet_counts, join_counts = [0] * k, [0] * k
+    for m, plus in _single_bits(lat._upper):
+        cid = table[m * n + plus]
+        ceilings[cid] = lat.join(ceilings[cid], m)
         meet_counts[cid] += 1
-    floors = [lat.bottom] * len(relabel)
-    join_counts = [0] * len(relabel)
-    for j in join_irreducibles(lat):
-        cid = class_of[j.interval()]
-        floors[cid] = lat.join(floors[cid], j.element)
+    for j, minus in _single_bits(lat._lower):
+        cid = table[minus * n + j]
+        floors[cid] = lat.join(floors[cid], j)
         join_counts[cid] += 1
-    return ProjectivityClasses(intervals, class_of, tuple(ceilings),
-                               tuple(floors), tuple(meet_counts),
-                               tuple(join_counts))
+    return ProjectivityClasses(n, bytes(table), bytes(ceilings),
+                               bytes(floors), bytes(meet_counts),
+                               bytes(join_counts))
 
 
 def projects_into(lat, interval, lo, hi):
@@ -255,23 +255,21 @@ def separating_congruence(lat, interval):
 
     In a modular lattice con(q) collapses exactly the prime intervals
     projective to q, and every congruence is the join of the con(q) it
-    contains.  So this is the congruence generated by the prime intervals
-    outside the class of ``interval``, the same for every interval of the
-    class: one :func:`congruence_generated` label pass, run when the class
-    is first asked about and kept on the :class:`ProjectivityClasses`
-    record.  The classes come from transpositions, not from the dependency
-    masks, and each partition is checked cover by cover against them: a
-    prime interval must be collapsed exactly when it lies outside the
-    class, so ``interval`` itself stays apart.  A disagreement means a bug,
-    not bad input.
+    contains.  So this is the congruence generated by the covers outside
+    the class of ``interval``, read off the class table: one label pass per
+    class, run when it is first asked about and kept on the record.  The
+    classes come from transpositions, not from the dependency masks, and
+    each partition is checked cover by cover against them: a prime
+    interval must be collapsed exactly when it lies outside the class, so
+    ``interval`` itself stays apart.  A disagreement means a bug.
     """
     classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)
     if classes._separating[cid] is None:
-        partition = congruence_generated(
-            lat, [q for q, c in classes._class_of.items() if c != cid])
-        for q, c in classes._class_of.items():
-            if partition.related(q.lo, q.hi) == (c == cid):
+        covers = [(q, classes.class_of(q)) for q in lat.cover_pairs()]
+        partition = congruence_generated(lat, [q for q, c in covers if c != cid])
+        for q, c in covers:
+            if partition.related(*q) == (c == cid):
                 raise VerificationError(
                     f"separating congruence disagrees with projectivity at {q}")
         classes._separating[cid] = partition

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from commlat import classify, corpus, fileio, lattice, projectivity
+from commlat import classify, commutator, corpus, fileio, lattice, projectivity
 from commlat.classify import (
     analyze,
     forces_abelian_type,
@@ -15,6 +15,7 @@ from commlat.classify import (
     forces_solvable_type,
     supernilpotency_shape,
 )
+from commlat.cli import main
 from commlat.commutator import largest_commutator, meet_table, series
 from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
@@ -144,6 +145,20 @@ def test_broken_abelian_certificate_is_a_bug(m3, monkeypatch):
         analyze(m3)
 
 
+def test_a_residuation_that_misses_its_ceiling_is_a_bug(m3, tmp_path, capsys,
+                                                       monkeypatch):
+    # analyze checks each cover's ceiling against the residuation of the
+    # largest table there; M3's ceilings are top, not bottom
+    path = tmp_path / "m3.json"
+    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(m3)))
+    monkeypatch.setattr(commutator, "residuation",
+                        lambda table, x, y: table.lattice.bottom)
+    with pytest.raises(VerificationError, match="projective ceiling"):
+        analyze(m3)
+    assert main(["analyze", str(path)]) == 3
+    assert "cross-check violation" in capsys.readouterr().err
+
+
 def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
     calls = []
     search = classify._abelian_sufficient_sublattice
@@ -173,19 +188,22 @@ def test_supernilpotency_disagreement_is_a_bug(b22, monkeypatch):
 def test_analyze_computes_each_fact_once(monkeypatch):
     calls = collections.Counter()
 
-    def count(module, name):
+    def count(module, name, *others):
         compute = getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
             return compute(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        # one wrapper under every name, so that the fact keeps one key
+        for each in (module, *others):
+            monkeypatch.setattr(each, name, counted)
 
     count(lattice, "_is_modular")
     count(projectivity, "meet_irreducibles")
-    for name in ("largest_commutator", "series", "splitting_pairs",
-                 "two_element_quotient"):
+    # analyze reads the table itself and through the residuation check
+    count(classify, "largest_commutator", commutator)
+    for name in ("series", "splitting_pairs", "two_element_quotient"):
         count(classify, name)
     lat = corpus.boolean(4)
     analyze(lat)

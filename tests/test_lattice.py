@@ -415,7 +415,7 @@ def test_is_simple_builds_at_most_one_congruence_per_join_irreducible(
                         (corpus.pentagon(), False), (_m(7), True)):
         del calls[:]
         assert is_simple(lat) is simple
-        assert 0 < len(calls) <= len(lattice._dependencies(lat)[0])
+        assert 0 < len(calls) <= len(lattice._single_bits(lat._lower))
 
 
 def _fixpoint(lat, seed):
@@ -511,13 +511,13 @@ def test_principal_and_separating_congruences_match_the_fixpoint_oracle(
 def _drop_each_dependency(lat):
     """Yield once per bit k != j of each below[j] of the lattice, with
     that bit missing from the dependency fact."""
-    irreducibles, below, steps = lattice._dependencies(lat)
-    for j, _ in irreducibles:
+    below, steps = lattice._dependencies(lat)
+    for j in range(lat.n):
         for k in range(lat.n):
             if k != j and below[j] >> k & 1:
                 wrong = list(below)
                 wrong[j] &= ~(1 << k)
-                yield j, (irreducibles, wrong, steps)
+                yield j, (wrong, steps)
 
 
 @pytest.mark.parametrize("lat", [
@@ -545,6 +545,29 @@ def test_a_dependency_missing_from_below_is_caught(lat, tmp_path, capsys,
         assert main(["quotient", str(path), "--seed-pairs",
                      f"{minus},{j}"]) == 3
         assert "cross-check violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, covers, order, seed", [
+    # C4 named top-down in index order: 0 comes before its lower cover 1
+    # has a label, so 1 reads as in 0's own block, though the seed keeps
+    # the cover (1, 0) apart
+    (4, {(3, 2), (2, 1), (1, 0)}, (0, 1, 2, 3), (2, 1)),
+    # 0 < 1 < 5, 0 < 2 < 3 < 5 and 2 < 4 < 5 with 5 before its lower cover
+    # 4: the covers 1, 3 and 4 of 5 all collapse but lie in two blocks
+    (6, {(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)},
+     (0, 1, 2, 3, 5, 4), (0, 1)),
+], ids=["apart", "joined"])
+def test_steps_out_of_topological_order_are_caught(n, covers, order, seed,
+                                                   monkeypatch):
+    # each fault is caught by one of the label pass's two checks; without
+    # that check the congruence check lets the pass's partition through
+    lat = build(n, covers)
+    below, steps = lattice._dependencies(lat)
+    rows = dict(steps)
+    wrong = (below, tuple((x, rows[x]) for x in order))
+    monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
+    with pytest.raises(VerificationError, match="dependency masks"):
+        congruence_generated(lat, [seed])
 
 
 def test_partitions_of_another_lattice_are_refused():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,9 +9,11 @@ from commlat import corpus, lattice, projectivity
 from commlat.commutator import largest_residuation_at_cover
 from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
+    FiniteLattice,
     LatticePartition,
     all_congruences,
     congruence_generated,
+    is_complemented,
     is_simple,
 )
 from commlat.projectivity import (
@@ -88,7 +92,10 @@ def test_irreducibles_from_the_masks_match_their_definition(all8):
                  _product(_m(4), _m(5))]
     for lat in lattices:
         _assert_irreducibles_match_their_definition(lat)
-        assert lattice._dependencies(lat)[0] == list(join_irreducibles(lat))
+        below = lattice._dependencies(lat)[0]
+        assert ([(j, lat._lower[j].bit_length() - 1)
+                 for j, mask in enumerate(below) if mask]
+                == list(join_irreducibles(lat)))
 
 
 def test_irreducible_intervals_are_prime(modular7):
@@ -140,9 +147,14 @@ def _perspectivity_components(lat):
 
 def _assert_classes_match_all_pairs(lat):
     classes = projectivity_classes(lat)
-    assert classes.intervals == prime_intervals(lat)
-    assert ({i: classes.class_of(i) for i in classes.intervals}
+    intervals = prime_intervals(lat)
+    assert ({i: classes.class_of(i) for i in intervals}
             == _perspectivity_components(lat))
+    # every other pair is refused
+    for pair in itertools.product(range(lat.n), repeat=2):
+        if pair not in intervals:
+            with pytest.raises(ValueError, match="not a prime interval"):
+                classes.class_of(pair)
 
 
 def test_projectivity_classes_match_all_pairs_on_the_corpus(modular8):
@@ -193,14 +205,115 @@ _PER_INTERVAL = {
 
 @pytest.mark.parametrize("name", sorted(_PER_INTERVAL))
 def test_per_interval_functions_refuse_what_is_no_cover(name, m3, n5):
-    # a non-cover, a reversed cover and out-of-range elements of M3 are no
-    # prime interval; N5 is refused as nonmodular even at a cover
+    # a non-cover, a reversed cover and out-of-range elements of M3, as
+    # tuples and as lists, are no prime interval; (0, 9), (2, -1) and
+    # (-1, 6) would read the entry of a cover at lo * 5 + hi.  A list that
+    # is a cover works as the tuple does.  N5 is refused as nonmodular even
+    # at a cover
     function = _PER_INTERVAL[name]
-    for pair in [(0, 4), (1, 0), (0, 9), (-1, 0)]:
-        with pytest.raises(ValueError, match="not a prime interval"):
-            function(m3, PrimeInterval(*pair))
+    for pair in [(0, 4), (1, 0), (0, 5), (0, 9), (-1, 0), (2, -1), (-1, 6)]:
+        for interval in (PrimeInterval(*pair), list(pair)):
+            with pytest.raises(ValueError, match="not a prime interval"):
+                function(m3, interval)
+    assert function(m3, [1, 4]) == function(m3, PrimeInterval(1, 4))
     with pytest.raises(NotModular):
         function(n5, PrimeInterval(0, 1))
+
+
+def test_class_of_takes_any_pair_of_ints_and_refuses_the_rest(m3):
+    classes = projectivity_classes(m3)
+    for pair in (PrimeInterval(0, 1), (0, 1), [0, 1], range(2)):
+        assert classes.class_of(pair) == 0
+    for other in (None, 1, "01", (0,), (0, 1, 4), (0.0, 1), ("0", "1"),
+                  [[0], [1]]):
+        with pytest.raises(ValueError, match="not a prime interval"):
+            classes.class_of(other)
+
+
+def _field(q):
+    """Addition and multiplication of GF(q) for q = 4 and q prime.  GF(4) is
+    F2[x]/(x^2 + x + 1), a + bx stored as a | b << 1."""
+    if q != 4:
+        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
+
+    def times(a, b):
+        product = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+        return product ^ 0b111 if product & 0b100 else product
+
+    return (lambda a, b: a ^ b), times
+
+
+def _projective_plane(q):
+    """The subspace lattice of PG(2, q): 0, the q^2 + q + 1 points (the
+    vectors of F_q^3 whose first nonzero coordinate is 1), the lines (named
+    by the same vectors as normals: p lies on l iff p . l = 0), the plane."""
+    plus, times = _field(q)
+    vectors = [v for v in itertools.product(range(q), repeat=3)
+               if any(v) and next(c for c in v if c) == 1]
+    k = len(vectors)
+    assert k == q * q + q + 1
+
+    def dot(u, v):
+        out = 0
+        for a, b in zip(u, v):
+            out = plus(out, times(a, b))
+        return out
+
+    covers = {(0, 1 + p) for p in range(k)}
+    covers |= {(1 + p, 1 + k + i) for p, u in enumerate(vectors)
+               for i, v in enumerate(vectors) if dot(u, v) == 0}
+    covers |= {(1 + k + i, 2 * k + 1) for i in range(k)}
+    assert len(covers) == 2 * k + k * (q + 1)
+    return FiniteLattice(2 * k + 2, covers)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_projective_planes_are_simple_with_every_ceiling_top(q):
+    # PG(2, 3), PG(2, 4) and PG(2, 5) have 28, 44 and 64 elements; each is
+    # simple, complemented and modular, so all its prime intervals are
+    # projective and the largest multiplication is top at every cover
+    base = _projective_plane(q)
+    lat = _relabel(base, _shuffled(random.Random(q), base.n))
+    classes = projectivity_classes(lat)
+    assert classes.num_classes == 1
+    assert is_simple(lat)
+    assert len(all_congruences(lat)) == 2
+    assert is_complemented(lat)
+    assert list(classes.ceilings) == [lat.top]
+    assert all(largest_residuation_at_cover(lat, cover) == lat.top
+               for cover in lat.cover_pairs())
+
+
+def _held(make):
+    """``make()`` and the bytes it leaves allocated.  A full collection
+    empties the free lists first and last, which would otherwise hide
+    objects they hand out and count temporaries they keep."""
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    value = make()
+    gc.collect()
+    return value, tracemalloc.get_traced_memory()[0] - before
+
+
+def test_the_facts_take_no_more_memory_than_their_lattice(all8):
+    # the dependency fact and, on modular lattices, the projectivity record
+    lattices = all8 + [corpus.boolean(6), corpus.chain(64), _m(62),
+                       _product(corpus.chain(2), corpus.chain(32)),
+                       _projective_plane(5)]
+    # frozen objects are left out of the collections, which stay fast
+    gc.freeze()
+    tracemalloc.start()
+    try:
+        for base in lattices:
+            lat, size = _held(lambda: FiniteLattice(base.n, base.cover_pairs()))
+            modular = lat.is_modular()
+            _, facts = _held(lambda: (
+                lattice._dependencies(lat),
+                projectivity_classes(lat) if modular else None))
+            assert facts <= size, (base, facts, size)
+    finally:
+        tracemalloc.stop()
+        gc.unfreeze()
 
 
 def test_projects_into(b22):
