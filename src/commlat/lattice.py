@@ -130,18 +130,19 @@ class FiniteLattice:
         table.  In a lattice the common cone of x and y is the cone of their
         bound, so each entry is one O(1) lookup in ``{cone[z]: z}``; a
         common cone that is no element's cone means x and y have no bound.
+        The table is built in one pass and cut into rows.
         """
+        n = len(cone)
         bound = {c: z for z, c in enumerate(cone)}
-        table = []
-        for x, cx in enumerate(cone):
-            row = [bound.get(cx & c, -1) for c in cone]
-            if -1 in row:
-                # the first failing row fails first at some y >= x, since
-                # the table is symmetric
-                raise NotALattice(f"elements {x} and {row.index(-1)} have "
-                                  f"no {kind}")
-            table.append(bytes(row))
-        return table
+        # 0xFF names no element (n <= 64)
+        table = bytes([bound.get(cx & c, 0xFF) for cx in cone for c in cone])
+        missing = table.find(0xFF)
+        if missing >= 0:
+            # the first failing row fails first at some y >= x, since the
+            # table is symmetric
+            raise NotALattice(f"elements {missing // n} and {missing % n} "
+                              f"have no {kind}")
+        return [table[i:i + n] for i in range(0, n * n, n)]
 
     # -- order primitives ---------------------------------------------------
 
@@ -365,7 +366,7 @@ class LatticePartition:
 
 
 def _dependencies(lattice):
-    """``(below, steps)``, the facts every congruence reads.
+    """``(below, j_mask, steps)``, the facts every congruence reads.
 
     ``below[j]`` is the mask of the join irreducibles k with con(k-, k) <=
     con(j-, j) for each join irreducible j, and 0 for the other elements:
@@ -376,25 +377,26 @@ def _dependencies(lattice):
     of D is the OR over x of down(j v x) minus down(j- v x), read off the
     join rows of j and j-, and Warshall's algorithm closes it: O(|J| n +
     |J|^2) mask operations.  The join irreducibles are the elements whose
-    ``below`` is not 0.  ``steps`` lists the elements x by down-set size, a
-    topological order whatever the names, each with its lower covers as one
-    ``bytes`` row, which the label pass reads faster than bits of a mask.
+    ``below`` is not 0, and ``j_mask`` is their mask.  ``steps`` lists the
+    elements x by down-set size, a topological order whatever the names,
+    each with its lower covers as one ``bytes`` row, which the label pass
+    reads faster than bits of a mask.
     """
     down, lower = lattice._down, lattice._lower
     irreducibles = _single_bits(lower)
-    every = sum(1 << j for j, _ in irreducibles)
+    j_mask = sum(1 << j for j, _ in irreducibles)
     below = [0] * lattice.n
     for j, lo in irreducibles:
         row = 0
         for a, b in zip(lattice._join[j], lattice._join[lo]):
             row |= down[a] & ~down[b]
-        below[j] = row & every
+        below[j] = row & j_mask
     for k, _ in irreducibles:
         for j, _ in irreducibles:
             if below[j] >> k & 1:
                 below[j] |= below[k]
     order = sorted(range(lattice.n), key=lambda x: down[x].bit_count())
-    return below, tuple((x, bytes(_bits(lower[x]))) for x in order)
+    return below, j_mask, tuple((x, bytes(_bits(lower[x]))) for x in order)
 
 
 def congruence_generated(lattice, seed):
@@ -407,15 +409,19 @@ def congruence_generated(lattice, seed):
     irreducibles outside S.  One pass in topological order builds the
     blocks: x joins the block of a lower cover that collapses, else starts
     its own; O(n + |covers|) after the seed.  The same loop checks that the
-    collapsing lower covers of x lie in one block and the others outside
-    it.  With the congruence check this certifies the result from the easy
-    direction of Freese's theorem alone (k D j makes con(j-, j) collapse
-    (k-, k)), so a dependency missing from D raises VerificationError; it
-    cannot give a wrong partition.
+    elements below x have their labels before it, and that the collapsing
+    lower covers of x lie in one block, which a row of ``steps`` missing a
+    cover can break.  With every lower cover labelled first, the members of
+    a block share down(x) & kept, which a cover that does not collapse
+    changes, so such a cover lies in another block.  With the congruence
+    check this certifies the result from the easy direction of Freese's
+    theorem alone (k D j makes con(j-, j) collapse (k-, k)), so a
+    dependency missing from D raises VerificationError; it cannot give a
+    wrong partition.
     """
     n = lattice.n
     down, meet, join = lattice._down, lattice._meet, lattice._join
-    below, steps = lattice.fact(_dependencies)
+    below, j_mask, steps = lattice.fact(_dependencies)
     reach = 0
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
@@ -424,23 +430,24 @@ def congruence_generated(lattice, seed):
     collapsed = 0
     for k in _bits(reach):
         collapsed |= below[k]
-    kept = sum(1 << j for j, mask in enumerate(below) if mask) & ~collapsed
+    kept = j_mask & ~collapsed
     label = bytearray(n)
+    labelled = 0
     for x, covers in steps:
-        # a block is named by its least element in the order; ``apart``
-        # holds the blocks of the lower covers that do not collapse
-        own, apart, left = x, 0, down[x] & kept
+        if down[x] & ~labelled != 1 << x:
+            raise VerificationError(
+                f"an element below {x} has no label before it")
+        labelled |= 1 << x
+        # a block is named by its least element in the order
+        own, left = x, down[x] & kept
         for y in covers:
             if left & ~down[y]:
-                apart |= 1 << label[y]
-            elif own == x:
+                continue
+            if own == x:
                 own = label[y]
             elif label[y] != own:
                 raise VerificationError(
                     f"cover ({y}, {x}) disagrees with the dependency masks")
-        if apart >> own & 1:
-            raise VerificationError(
-                f"a lower cover of {x} disagrees with the dependency masks")
         label[x] = own
     try:
         return LatticePartition.__new__(LatticePartition)._fill(lattice, label)

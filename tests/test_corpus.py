@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from commlat import corpus
@@ -70,9 +73,59 @@ def test_named_lattices(m3, n5, b22):
     assert corpus.boolean(3).is_modular()
 
 
+def _full_search_key(lat):
+    """The canonical key from every order of every color class, twins
+    included: the search before twin groups were kept in name order."""
+    classes = [sorted(itertools.chain(*groups))
+               for groups in corpus._color_classes(lat)]
+    pairs = lat.cover_pairs()
+    positions = ({x: i for i, x in enumerate(itertools.chain(*orders))}
+                 for orders in itertools.product(*map(itertools.permutations,
+                                                      classes)))
+    return lat.n, min(tuple(sorted((at[x], at[y]) for x, y in pairs))
+                      for at in positions)
+
+
+def _relabeled(lat, rng):
+    perm = list(range(lat.n))
+    rng.shuffle(perm)
+    return FiniteLattice(lat.n, {(perm[x], perm[y]) for x, y in lat.covers})
+
+
+def _m(k):
+    return FiniteLattice(k + 2, {(0, a) for a in range(1, k + 1)}
+                         | {(a, k + 1) for a in range(1, k + 1)})
+
+
+def test_twin_groups_give_the_full_search_key(all8):
+    # swapping twins is an automorphism, so keeping each twin group in name
+    # order reaches the minimum of the full search
+    assert len(all8) == 300
+    rng = random.Random(24)
+    for lat in all8:
+        for _ in range(3):
+            relabeled = _relabeled(lat, rng)
+            assert (corpus.canonical_key(relabeled)
+                    == _full_search_key(relabeled) == _full_search_key(lat))
+
+
+@pytest.mark.parametrize("k", [10, 14])
+def test_m_k_is_keyed_in_one_relabeling(k):
+    # 10! and 14! orders of the atoms, over the 8! limit, but the atoms are
+    # one twin group
+    lat = _m(k)
+    assert all(len(list(corpus._arrangements(groups))) == 1
+               for groups in corpus._color_classes(lat))
+    rng = random.Random(k)
+    for _ in range(3):
+        assert corpus.isomorphic(lat, _relabeled(lat, rng))
+    assert not corpus.isomorphic(lat, _m(k - 1))
+
+
 def test_canonical_key_refuses_factorial_search():
-    # B4's color classes have 4, 6 and 4 elements: 4! * 6! * 4! = 414,720
-    # relabelings, over the 8! limit, so this raises before searching
+    # B4's color classes have 4, 6 and 4 elements and no twins: 4! * 6! *
+    # 4! = 414,720 relabelings, over the 8! limit, so this raises before
+    # searching
     with pytest.raises(LatticeTooLarge):
         corpus.canonical_key(corpus.boolean(4))
     with pytest.raises(LatticeTooLarge):
@@ -109,10 +162,37 @@ def test_graded_prefixes_drop_no_modular_lattice():
             == [lat.cover_pairs() for lat in every if lat.is_modular()])
 
 
-def test_a_rejected_candidate_is_a_bug(monkeypatch):
-    def rejecting(n, covers=()):
-        raise NotALattice("forced")
+def test_only_a_new_class_is_built(monkeypatch):
+    built = []
 
-    monkeypatch.setattr(corpus, "FiniteLattice", rejecting)
-    with pytest.raises(VerificationError, match="forced"):
-        list(corpus._natural_order_lattices(4))
+    class Counted(FiniteLattice):
+        def __init__(self, n, covers=()):
+            built.append(n)
+            super().__init__(n, covers)
+
+    monkeypatch.setattr(corpus, "FiniteLattice", Counted)
+    assert len(corpus.all_lattices.__wrapped__(8)) == len(built) == 222
+    assert len(corpus.generate_corpus(6, dedupe_iso=False)) == len(built) - 222
+
+
+def test_a_rejected_candidate_is_a_bug(monkeypatch):
+    # each new class, and each labeling kept with its isomorphic copies, is
+    # validated where it is built
+    class Rejecting(FiniteLattice):
+        def __init__(self, n, covers=()):
+            raise NotALattice("forced")
+
+    monkeypatch.setattr(corpus, "all_lattices", corpus.all_lattices.__wrapped__)
+    monkeypatch.setattr(corpus, "FiniteLattice", Rejecting)
+    for dedupe_iso in (True, False):
+        with pytest.raises(VerificationError, match="forced"):
+            corpus.generate_corpus(4, dedupe_iso=dedupe_iso)
+
+
+@pytest.mark.parametrize("dedupe_iso", [True, False])
+def test_masks_and_is_modular_disagreeing_is_a_bug(dedupe_iso, monkeypatch):
+    monkeypatch.setattr(corpus, "all_lattices", corpus.all_lattices.__wrapped__)
+    monkeypatch.setattr(FiniteLattice, "is_modular", lambda lat: lat.n < 4)
+    with pytest.raises(VerificationError, match="is_modular"):
+        corpus.generate_corpus(4, modular_only=True, dedupe_iso=dedupe_iso)
+

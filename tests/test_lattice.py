@@ -511,13 +511,13 @@ def test_principal_and_separating_congruences_match_the_fixpoint_oracle(
 def _drop_each_dependency(lat):
     """Yield once per bit k != j of each below[j] of the lattice, with
     that bit missing from the dependency fact."""
-    below, steps = lattice._dependencies(lat)
+    below, j_mask, steps = lattice._dependencies(lat)
     for j in range(lat.n):
         for k in range(lat.n):
             if k != j and below[j] >> k & 1:
                 wrong = list(below)
                 wrong[j] &= ~(1 << k)
-                yield j, (wrong, steps)
+                yield j, (wrong, j_mask, steps)
 
 
 @pytest.mark.parametrize("lat", [
@@ -556,18 +556,36 @@ def test_a_dependency_missing_from_below_is_caught(lat, tmp_path, capsys,
     # 4: the covers 1, 3 and 4 of 5 all collapse but lie in two blocks
     (6, {(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)},
      (0, 1, 2, 3, 5, 4), (0, 1)),
-], ids=["apart", "joined"])
+    # C2 and C4 named top-down in index order: con(1, 0) came back as the
+    # identity, with no check failing
+    (2, {(1, 0)}, (0, 1), (1, 0)),
+    (4, {(3, 2), (2, 1), (1, 0)}, (0, 1, 2, 3), (1, 0)),
+], ids=["apart", "joined", "C2", "C4"])
 def test_steps_out_of_topological_order_are_caught(n, covers, order, seed,
                                                    monkeypatch):
-    # each fault is caught by one of the label pass's two checks; without
-    # that check the congruence check lets the pass's partition through
+    # an element comes before one of its lower covers has a label; the
+    # order check catches it before any label is read
     lat = build(n, covers)
-    below, steps = lattice._dependencies(lat)
+    below, j_mask, steps = lattice._dependencies(lat)
     rows = dict(steps)
-    wrong = (below, tuple((x, rows[x]) for x in order))
+    wrong = (below, j_mask, tuple((x, rows[x]) for x in order))
+    monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
+    with pytest.raises(VerificationError, match="no label"):
+        congruence_generated(lat, [seed])
+
+
+def test_a_cover_missing_from_the_steps_is_caught(monkeypatch):
+    # 0 < 1 < 5 and 0 < 2, 3 < 4 < 5 with 0 missing from the row of 1: 1
+    # starts a block of its own, and its cover (1, 5) collapses with
+    # (4, 5) into another block.  Without the check the pass returns
+    # ((0, 2, 3, 4), (1, 5)), a congruence that keeps the seed apart
+    lat = build(6, {(0, 1), (0, 2), (0, 3), (1, 5), (2, 4), (3, 4), (4, 5)})
+    below, j_mask, steps = lattice._dependencies(lat)
+    wrong = (below, j_mask,
+             tuple((x, b"" if x == 1 else row) for x, row in steps))
     monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
     with pytest.raises(VerificationError, match="dependency masks"):
-        congruence_generated(lat, [seed])
+        congruence_generated(lat, [(0, 1)])
 
 
 def test_partitions_of_another_lattice_are_refused():

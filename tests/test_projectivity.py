@@ -92,10 +92,11 @@ def test_irreducibles_from_the_masks_match_their_definition(all8):
                  _product(_m(4), _m(5))]
     for lat in lattices:
         _assert_irreducibles_match_their_definition(lat)
-        below = lattice._dependencies(lat)[0]
+        below, j_mask, _ = lattice._dependencies(lat)
         assert ([(j, lat._lower[j].bit_length() - 1)
                  for j, mask in enumerate(below) if mask]
                 == list(join_irreducibles(lat)))
+        assert j_mask == sum(1 << j for j, _ in join_irreducibles(lat))
 
 
 def test_irreducible_intervals_are_prime(modular7):
