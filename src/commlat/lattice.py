@@ -366,7 +366,7 @@ class LatticePartition:
 
 
 def _dependencies(lattice):
-    """``(below, j_mask, steps)``, the facts every congruence reads.
+    """``(below, j_mask)``, the facts every congruence reads.
 
     ``below[j]`` is the mask of the join irreducibles k with con(k-, k) <=
     con(j-, j) for each join irreducible j, and 0 for the other elements:
@@ -377,13 +377,10 @@ def _dependencies(lattice):
     of D is the OR over x of down(j v x) minus down(j- v x), read off the
     join rows of j and j-, and Warshall's algorithm closes it: O(|J| n +
     |J|^2) mask operations.  The join irreducibles are the elements whose
-    ``below`` is not 0, and ``j_mask`` is their mask.  ``steps`` lists the
-    elements x by down-set size, a topological order whatever the names,
-    each with its lower covers as one ``bytes`` row, which the label pass
-    reads faster than bits of a mask.
+    ``below`` is not 0, and ``j_mask`` is their mask.
     """
-    down, lower = lattice._down, lattice._lower
-    irreducibles = _single_bits(lower)
+    down = lattice._down
+    irreducibles = _single_bits(lattice._lower)
     j_mask = sum(1 << j for j, _ in irreducibles)
     below = [0] * lattice.n
     for j, lo in irreducibles:
@@ -395,8 +392,7 @@ def _dependencies(lattice):
         for j, _ in irreducibles:
             if below[j] >> k & 1:
                 below[j] |= below[k]
-    order = sorted(range(lattice.n), key=lambda x: down[x].bit_count())
-    return below, j_mask, tuple((x, bytes(_bits(lower[x]))) for x in order)
+    return below, j_mask
 
 
 def congruence_generated(lattice, seed):
@@ -404,24 +400,24 @@ def congruence_generated(lattice, seed):
 
     A pair (x, y) collapses (k-, k) for each join irreducible k <= x v y
     with k !<= x ^ y, so the congruence collapses the union S of their
-    ``below`` masks (see :func:`_dependencies`), and a cover y < x collapses
-    exactly when down(x) & kept & ~down(y) is 0, ``kept`` the join
-    irreducibles outside S.  One pass in topological order builds the
-    blocks: x joins the block of a lower cover that collapses, else starts
-    its own; O(n + |covers|) after the seed.  The same loop checks that the
-    elements below x have their labels before it, and that the collapsing
-    lower covers of x lie in one block, which a row of ``steps`` missing a
-    cover can break.  With every lower cover labelled first, the members of
-    a block share down(x) & kept, which a cover that does not collapse
-    changes, so such a cover lies in another block.  With the congruence
-    check this certifies the result from the easy direction of Freese's
-    theorem alone (k D j makes con(j-, j) collapse (k-, k)), so a
-    dependency missing from D raises VerificationError; it cannot give a
-    wrong partition.
+    ``below`` masks (see :func:`_dependencies`); ``kept`` is the mask of
+    the other join irreducibles.  The blocks are the fibres of x ->
+    down(x) & kept: two elements with the same value have a meet with that
+    value too, and each cover on a chain up from the meet adds only join
+    irreducibles in S, so it collapses.  Each element is labelled by the
+    first element with its value: O(n) after the seed.
+
+    The partition is checked to be a congruence that relates every seed
+    pair, so it contains the least one.  By the easy direction of Freese's
+    theorem (k D j makes con(j-, j) collapse (k-, k)) the least one
+    collapses all of S, so its blocks are the fibres for a ``kept`` no
+    larger, and the partition is no coarser.  A dependency missing from D
+    leaves ``kept`` too large and the fibres finer, so it raises
+    VerificationError; it cannot give a wrong partition.
     """
     n = lattice.n
     down, meet, join = lattice._down, lattice._meet, lattice._join
-    below, j_mask, steps = lattice.fact(_dependencies)
+    below, j_mask = lattice.fact(_dependencies)
     reach = 0
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
@@ -431,29 +427,17 @@ def congruence_generated(lattice, seed):
     for k in _bits(reach):
         collapsed |= below[k]
     kept = j_mask & ~collapsed
-    label = bytearray(n)
-    labelled = 0
-    for x, covers in steps:
-        if down[x] & ~labelled != 1 << x:
+    first = {}
+    label = bytes([first.setdefault(d & kept, x) for x, d in enumerate(down)])
+    for x, y in seed:
+        if label[x] != label[y]:
             raise VerificationError(
-                f"an element below {x} has no label before it")
-        labelled |= 1 << x
-        # a block is named by its least element in the order
-        own, left = x, down[x] & kept
-        for y in covers:
-            if left & ~down[y]:
-                continue
-            if own == x:
-                own = label[y]
-            elif label[y] != own:
-                raise VerificationError(
-                    f"cover ({y}, {x}) disagrees with the dependency masks")
-        label[x] = own
+                f"congruence keeps the seed pair ({x}, {y}) apart")
     try:
         return LatticePartition.__new__(LatticePartition)._fill(lattice, label)
     except NotACongruence as exc:
         raise VerificationError(
-            f"label pass is not a congruence: {exc}") from exc
+            f"dependency fibres are not a congruence: {exc}") from exc
 
 
 def quotient(lattice, partition):
@@ -478,12 +462,19 @@ def is_simple(lattice):
     """Whether the only congruences are the identity and the full relation.
 
     Every congruence but the identity contains con(j-, j) for some join
-    irreducible j (see :func:`all_congruences`), so it suffices that each of
-    those collapses everything: at most |J(L)| label passes.
+    irreducible j (see :func:`all_congruences`), and con(j-, j) is the full
+    relation exactly when ``below[j]`` holds every join irreducible.  The
+    masks pick one witness, the first j whose ``below[j]`` falls short, or
+    the first j if none does, and the answer is whether con(j-, j), built
+    and certified by :func:`congruence_generated`, is one block.
     """
-    return lattice.n > 1 and all(
-        congruence_generated(lattice, [(lo, j)]).num_blocks == 1
-        for j, lo in _single_bits(lattice._lower))
+    if lattice.n == 1:
+        return False
+    below, j_mask = lattice.fact(_dependencies)
+    irreducibles = _single_bits(lattice._lower)
+    j, lo = next(((j, lo) for j, lo in irreducibles if below[j] != j_mask),
+                 irreducibles[0])
+    return congruence_generated(lattice, [(lo, j)]).num_blocks == 1
 
 
 def is_complemented(lattice):
@@ -513,10 +504,10 @@ def all_congruences(lattice):
     ORs and counted as they grow: past ``MAX_CONGRUENCES``
     :class:`LatticeTooLarge` is raised before any partition is built.  Then
     each down-set is one :func:`congruence_generated` call seeded with its
-    pairs (j-, j): O(n + |covers|) plus the row check per congruence, plus
-    O(|Con L| * |J(L)|) ORs.  Each call certifies its partition; two
-    down-sets giving one congruence, as a ``below`` mask that is not closed
-    would, is a bug too.
+    pairs (j-, j): O(n) plus the row check per congruence, plus
+    O(|Con L| * |J(L)|) ORs.  Each call certifies its partition as a
+    congruence that relates its seed; two down-sets giving one congruence,
+    as a ``below`` mask that is not closed would, is a bug too.
     """
     irreducibles = _single_bits(lattice._lower)
     below = lattice.fact(_dependencies)[0]

@@ -256,12 +256,13 @@ def separating_congruence(lat, interval):
     In a modular lattice con(q) collapses exactly the prime intervals
     projective to q, and every congruence is the join of the con(q) it
     contains.  So this is the congruence generated by the covers outside
-    the class of ``interval``, read off the class table: one label pass per
-    class, run when it is first asked about and kept on the record.  The
-    classes come from transpositions, not from the dependency masks, and
-    each partition is checked cover by cover against them: a prime
-    interval must be collapsed exactly when it lies outside the class, so
-    ``interval`` itself stays apart.  A disagreement means a bug.
+    the class of ``interval``, read off the class table: one
+    :func:`congruence_generated` call per class, made when the class is
+    first asked about and kept on the record.  The classes come from
+    transpositions, not from the dependency masks, and each partition is
+    checked cover by cover against them: a prime interval must be
+    collapsed exactly when it lies outside the class, so ``interval``
+    itself stays apart.  A disagreement means a bug.
     """
     classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)

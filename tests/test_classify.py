@@ -2,6 +2,7 @@ import collections
 import gc
 import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -155,6 +156,43 @@ def test_a_residuation_that_misses_its_ceiling_is_a_bug(m3, tmp_path, capsys,
                         lambda table, x, y: table.lattice.bottom)
     with pytest.raises(VerificationError, match="projective ceiling"):
         analyze(m3)
+    assert main(["analyze", str(path)]) == 3
+    assert "cross-check violation" in capsys.readouterr().err
+
+
+def test_a_missed_two_element_image_is_a_bug(b22, tmp_path, capsys,
+                                             monkeypatch):
+    # B2 x B2 maps onto the two-element lattice and its largest table is not
+    # solvable; a search that misses the map reads solvable type, which
+    # the series refutes (nilpotent stays no, so the nesting checks pass)
+    path = tmp_path / "b22.json"
+    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(b22)))
+    monkeypatch.setattr(classify, "two_element_quotient", lambda lat: None)
+    with pytest.raises(VerificationError, match="two-element-image"):
+        analyze(b22)
+    assert main(["analyze", str(path)]) == 3
+    assert "cross-check violation" in capsys.readouterr().err
+
+
+def test_ceilings_that_all_read_top_are_a_bug(tmp_path, capsys, monkeypatch):
+    # M3 + M3 forces solvable type but not nilpotent type; ceilings that
+    # all read top claim nilpotent type, which the series refutes (solvable
+    # and not abelian, so the nesting checks pass)
+    n, covers, *_ = GLUED["M3+M3"]
+    lat = FiniteLattice(n, covers)
+    path = tmp_path / "glued.json"
+    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+    classes = projectivity.projectivity_classes
+
+    def topped(lat):
+        c = classes(lat)
+        return projectivity.ProjectivityClasses(
+            c.n, c._table, bytes([lat.top]) * c.num_classes, c.floors,
+            c.meet_counts, c.join_counts)
+
+    monkeypatch.setattr(classify, "projectivity_classes", topped)
+    with pytest.raises(VerificationError, match="cover-ceiling"):
+        analyze(lat)
     assert main(["analyze", str(path)]) == 3
     assert "cross-check violation" in capsys.readouterr().err
 
@@ -437,6 +475,50 @@ def _pinned_lattice(name):
 def test_analyze_output_is_pinned(name):
     doc = fileio.canonical_dumps(analyze(_pinned_lattice(name)).to_doc())
     assert hashlib.sha256(doc.encode()).hexdigest() == ANALYZE_SHA256[name]
+
+
+# the glued sums M3 + M3 and M3 + M4, with bottom 0, glue 4 and top n - 1,
+# force solvable type but not nilpotent type (derived series top, 4,
+# bottom; lower central series top, 4, 4), which no modular lattice with
+# at most 8 elements does.
+# Per lattice, the SHA-256 of the `analyze --format json` outputs and of
+# the `largest` outputs, concatenated over its namings
+GLUED = {
+    "M3+M3": (9, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5),
+                  (4, 6), (4, 7), (5, 8), (6, 8), (7, 8)],
+              "4e011431f0edfc17719c554ba339ec16eb606718c2eada9073aed2d6a40479e1",
+              "448140ffd002d640186abbdd0b99f7af5984acc4a4bd1f10e7bcda9c92eb7b4a"),
+    "M3+M4": (10, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5),
+                   (4, 6), (4, 7), (4, 8), (5, 9), (6, 9), (7, 9), (8, 9)],
+              "cf020af86f8eb30d8d60ef8eaf176b6ce4846ec8372ea23abdf5f82546d46d8e",
+              "231c929fa9656f10a4b18eb6ba3bad4e1bc3b1a38693fb8e96fc42fc3c7925d2"),
+}
+
+
+@pytest.mark.parametrize("name", list(GLUED))
+def test_glued_sums_force_solvable_but_not_nilpotent_type(name, tmp_path,
+                                                          capsys):
+    # under three seeded renamings and named top-down
+    n, covers, analyze_sha, largest_sha = GLUED[name]
+    rng = random.Random(26)
+    perms = [rng.sample(range(n), n) for _ in range(3)]
+    perms.append(list(range(n - 1, -1, -1)))
+    reports, tables = hashlib.sha256(), hashlib.sha256()
+    for perm in perms:
+        lat = FiniteLattice(n, {(perm[x], perm[y]) for x, y in covers})
+        path = tmp_path / "glued.json"
+        path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+        assert main(["analyze", "--format", "json", str(path)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert (doc["forces_solvable_type"], doc["forces_nilpotent_type"],
+                doc["forces_abelian_type"]) == (True, False, False)
+        assert doc["largest_top_square"] == perm[4]
+        reports.update(out.encode())
+        assert main(["largest", str(path)]) == 0
+        tables.update(capsys.readouterr().out.encode())
+    assert (reports.hexdigest(), tables.hexdigest()) == (analyze_sha,
+                                                         largest_sha)
 
 
 def _verdicts(lat):

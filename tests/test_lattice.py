@@ -415,7 +415,8 @@ def test_is_simple_builds_at_most_one_congruence_per_join_irreducible(
                         (corpus.pentagon(), False), (_m(7), True)):
         del calls[:]
         assert is_simple(lat) is simple
-        assert 0 < len(calls) <= len(lattice._single_bits(lat._lower))
+        # the dependency masks pick one j, and con(j-, j) gives the answer
+        assert len(calls) == 1
 
 
 def _fixpoint(lat, seed):
@@ -509,15 +510,15 @@ def test_principal_and_separating_congruences_match_the_fixpoint_oracle(
 
 
 def _drop_each_dependency(lat):
-    """Yield once per bit k != j of each below[j] of the lattice, with
-    that bit missing from the dependency fact."""
-    below, j_mask, steps = lattice._dependencies(lat)
+    """Yield (j, k, fact) once per bit k of each below[j] of the lattice,
+    with that bit missing from the dependency fact."""
+    below, j_mask = lattice._dependencies(lat)
     for j in range(lat.n):
         for k in range(lat.n):
-            if k != j and below[j] >> k & 1:
+            if below[j] >> k & 1:
                 wrong = list(below)
                 wrong[j] &= ~(1 << k)
-                yield j, (wrong, j_mask, steps)
+                yield j, k, (wrong, j_mask)
 
 
 @pytest.mark.parametrize("lat", [
@@ -528,12 +529,13 @@ def _drop_each_dependency(lat):
 ], ids=["N5", "modular8"])
 def test_a_dependency_missing_from_below_is_caught(lat, tmp_path, capsys,
                                                    monkeypatch):
-    # con(j-, j) collapses every k in the true below[j], so the label pass
-    # from a mask missing one of them cannot pass its checks, and the
+    # con(j-, j) collapses every k in the true below[j], so the fibres of
+    # a mask missing one of them are not a congruence, and the
     # down-sets all_congruences lists are no longer all distinct congruences
     path = tmp_path / "lattice.json"
     path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
-    dropped = list(_drop_each_dependency(lat))
+    dropped = [(j, wrong) for j, k, wrong in _drop_each_dependency(lat)
+               if k != j]
     assert dropped
     for j, wrong in dropped:
         minus = lat._lower[j].bit_length() - 1
@@ -547,45 +549,26 @@ def test_a_dependency_missing_from_below_is_caught(lat, tmp_path, capsys,
         assert "cross-check violation" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n, covers, order, seed", [
-    # C4 named top-down in index order: 0 comes before its lower cover 1
-    # has a label, so 1 reads as in 0's own block, though the seed keeps
-    # the cover (1, 0) apart
-    (4, {(3, 2), (2, 1), (1, 0)}, (0, 1, 2, 3), (2, 1)),
-    # 0 < 1 < 5, 0 < 2 < 3 < 5 and 2 < 4 < 5 with 5 before its lower cover
-    # 4: the covers 1, 3 and 4 of 5 all collapse but lie in two blocks
-    (6, {(0, 1), (0, 2), (1, 5), (2, 3), (2, 4), (3, 5), (4, 5)},
-     (0, 1, 2, 3, 5, 4), (0, 1)),
-    # C2 and C4 named top-down in index order: con(1, 0) came back as the
-    # identity, with no check failing
-    (2, {(1, 0)}, (0, 1), (1, 0)),
-    (4, {(3, 2), (2, 1), (1, 0)}, (0, 1, 2, 3), (1, 0)),
-], ids=["apart", "joined", "C2", "C4"])
-def test_steps_out_of_topological_order_are_caught(n, covers, order, seed,
-                                                   monkeypatch):
-    # an element comes before one of its lower covers has a label; the
-    # order check catches it before any label is read
-    lat = build(n, covers)
-    below, j_mask, steps = lattice._dependencies(lat)
-    rows = dict(steps)
-    wrong = (below, j_mask, tuple((x, rows[x]) for x in order))
-    monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
-    with pytest.raises(VerificationError, match="no label"):
-        congruence_generated(lat, [seed])
-
-
-def test_a_cover_missing_from_the_steps_is_caught(monkeypatch):
-    # 0 < 1 < 5 and 0 < 2, 3 < 4 < 5 with 0 missing from the row of 1: 1
-    # starts a block of its own, and its cover (1, 5) collapses with
-    # (4, 5) into another block.  Without the check the pass returns
-    # ((0, 2, 3, 4), (1, 5)), a congruence that keeps the seed apart
-    lat = build(6, {(0, 1), (0, 2), (0, 3), (1, 5), (2, 4), (3, 4), (4, 5)})
-    below, j_mask, steps = lattice._dependencies(lat)
-    wrong = (below, j_mask,
-             tuple((x, b"" if x == 1 else row) for x, row in steps))
-    monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
-    with pytest.raises(VerificationError, match="dependency masks"):
-        congruence_generated(lat, [(0, 1)])
+def test_a_join_irreducible_missing_from_its_own_below_is_caught(
+        all7, tmp_path, capsys, monkeypatch):
+    # con(j-, j) from a below[j] without j keeps j- and j apart, and the
+    # fibres it gives are often still a congruence: the seed check catches
+    # it on every join irreducible of every lattice with at most 7 elements
+    n5 = corpus.pentagon()
+    cases = [(lat, j, wrong) for lat in all7 + [n5]
+             for j, k, wrong in _drop_each_dependency(lat) if k == j]
+    assert len(cases) == 327 + 3
+    for lat, j, wrong in cases:
+        minus = lat._lower[j].bit_length() - 1
+        monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
+        with pytest.raises(VerificationError, match="apart"):
+            congruence_generated(lat, [(minus, j)])
+        if lat is n5:
+            path = tmp_path / "n5.json"
+            path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+            assert main(["quotient", str(path), "--seed-pairs",
+                         f"{minus},{j}"]) == 3
+            assert "cross-check violation" in capsys.readouterr().err
 
 
 def test_partitions_of_another_lattice_are_refused():

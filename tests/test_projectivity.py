@@ -92,7 +92,7 @@ def test_irreducibles_from_the_masks_match_their_definition(all8):
                  _product(_m(4), _m(5))]
     for lat in lattices:
         _assert_irreducibles_match_their_definition(lat)
-        below, j_mask, _ = lattice._dependencies(lat)
+        below, j_mask = lattice._dependencies(lat)
         assert ([(j, lat._lower[j].bit_length() - 1)
                  for j, mask in enumerate(below) if mask]
                 == list(join_irreducibles(lat)))
