@@ -15,8 +15,9 @@ lattices", 2002, build one labeling per class the same way).  Duplicates
 are detected with a canonical form read off the masks: the minimum
 cover-set encoding over the relabelings that respect an iterated
 neighborhood-color invariant, with twins kept in name order.  Only a class
-not seen before is built as a :class:`FiniteLattice`, which validates it,
-and in the modular stream ``is_modular`` checks the mask test.
+not seen before is built as a :class:`FiniteLattice`, which validates it.
+The modular stream keeps a grown lattice when ``_is_modular``, which reads
+only the cover masks, accepts it.
 
 The hard size cap is 8 elements; beyond that the search space grows too fast
 for the exhaustive approach taken here.  For the same reason the canonical
@@ -30,7 +31,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from .errors import LatticeTooLarge, NotALattice, VerificationError
-from .lattice import FiniteLattice, _bits
+from .lattice import FiniteLattice, _bits, _is_modular
 
 MAX_CORPUS_N = 8
 # relabelings canonical_key may try: 8! bounds any lattice with at most
@@ -154,21 +155,10 @@ def isomorphic(a, b):
     return canonical_key(a) == canonical_key(b)
 
 
-def _semimodular(masks):
-    """Whether every two covers of an element in one direction share a
-    cover in that direction: on ``_upper`` upper, on ``_lower`` lower
-    semimodularity.  Two upper covers a, b of c meet in c, and a v b covers
-    both exactly when they have a common upper cover, which is then a v b;
-    dually for lower covers.  Both together are modularity in a finite
-    lattice (Birkhoff)."""
-    return all(masks[a] & masks[b]
-               for m in masks if m & m - 1
-               for a, b in itertools.combinations(_bits(m), 2))
-
-
 def _candidate(n, below, covers):
-    """A grown lattice as its covers and the masks :func:`canonical_key`
-    reads; :func:`_checked` builds and validates it when it is kept."""
+    """A grown lattice as its covers and the masks that :func:`canonical_key`
+    and ``_is_modular`` read; :func:`_checked` builds and validates it when
+    it is kept."""
     lower, upper = [0] * n, [0] * n
     up = [1 << v for v in range(n)]
     # the names extend the order: with x descending, each up[y] is whole
@@ -182,20 +172,15 @@ def _candidate(n, below, covers):
                            _up=up)
 
 
-def _checked(n, covers, modular_only):
+def _checked(n, covers):
     """The lattice a grown candidate stands for, validated by
-    :class:`FiniteLattice`: a rejection is a bug, and so is a lattice of
-    the modular stream, kept on the masks, that ``is_modular`` refuses."""
+    :class:`FiniteLattice`: a rejection is a bug."""
     try:
-        lat = FiniteLattice(n, covers)
+        return FiniteLattice(n, covers)
     except NotALattice as exc:
         raise VerificationError(
             f"a grown meet-semilattice with a top is no lattice: {exc}"
         ) from exc
-    if modular_only and not lat.is_modular():
-        raise VerificationError(
-            f"the cover masks call {lat!r} semimodular, is_modular does not")
-    return lat
 
 
 def _natural_order_lattices(n, modular_only=False, _size_ordered=False):
@@ -215,9 +200,8 @@ def _natural_order_lattices(n, modular_only=False, _size_ordered=False):
     maximal elements, the lower covers of i, are one mask operation.  With
     ``modular_only`` an element whose lower covers differ in height is
     skipped too: a modular lattice is graded (Jordan-Dedekind), and so is
-    each of its down-sets.  That stream then keeps the lattices that are
-    upper and lower semimodular on their cover masks (see
-    :func:`_semimodular`).
+    each of its down-sets.  That stream then keeps the candidates that
+    :func:`~commlat.lattice._is_modular` accepts on their cover masks.
 
     With ``_size_ordered`` an interior i is grown only if
     ``(popcount(d), d)`` is at least the same pair of i - 1, before the
@@ -266,8 +250,7 @@ def _natural_order_lattices(n, modular_only=False, _size_ordered=False):
                               grown))
                 continue
             candidate = _candidate(n, below + (d,), grown)
-            if not modular_only or (_semimodular(candidate._upper)
-                                    and _semimodular(candidate._lower)):
+            if not modular_only or _is_modular(candidate):
                 yield candidate
 
 
@@ -286,7 +269,7 @@ def all_lattices(n, modular_only=False):
                                                _size_ordered=True):
         key = canonical_key(candidate)
         if key not in seen:
-            seen[key] = _checked(*key, modular_only)
+            seen[key] = _checked(*key)
     return tuple(seen[key] for key in sorted(seen))
 
 
@@ -305,7 +288,7 @@ def generate_corpus(max_n, modular_only=False, dedupe_iso=True):
         if dedupe_iso:
             out += all_lattices(n, modular_only)
         else:
-            out += sorted((_checked(c.n, c.covers, modular_only)
+            out += sorted((_checked(c.n, c.covers)
                            for c in _natural_order_lattices(n, modular_only)),
                           key=FiniteLattice.cover_pairs)
     return out

@@ -18,6 +18,8 @@ remembers the facts computed once each by :meth:`FiniteLattice.fact`, which
 are freed with it); all functions are pure and safe to share across workers.
 """
 
+import itertools
+
 from .errors import (
     CycleDetected,
     EmptySublattice,
@@ -217,7 +219,8 @@ class FiniteLattice:
 
     def is_modular(self):
         """Whether x <= z implies x v (y ^ z) = (x v y) ^ z for all y
-        (tested as upper plus lower semimodularity, see ``_is_modular``)."""
+        (tested on the cover masks as upper plus lower semimodularity, see
+        ``_is_modular``)."""
         return self.fact(_is_modular)
 
     def __eq__(self, other):
@@ -243,18 +246,17 @@ def _translation(values):
 def _is_modular(lat):
     """Upper and lower semimodularity, which together are modularity in a
     finite lattice (Birkhoff; G. Gratzer, *Lattice Theory: Foundation*,
-    2011): for each cover a < b and each c, b ^ c = a must give c < b v c
-    a cover, and a v c = b must give a ^ c < c a cover.  O(n * |covers|).
+    2011): any two upper covers of an element share an upper cover, and
+    any two lower covers share a lower cover.  Two upper covers a, b of c
+    meet in c, and a v b covers both exactly when they have a common upper
+    cover, which is then a v b; dually for lower covers.  Only ``_upper``
+    and ``_lower`` are read, so the corpus tests a grown candidate before
+    any lattice is built.  One AND per pair of covers of one element.
     """
-    meet, join, upper = lat._meet, lat._join, lat._upper
-    for a, b in lat.cover_pairs():
-        join_b, meet_a = join[b], meet[a]
-        for c, (down, up) in enumerate(zip(meet[b], join[a])):
-            if down == a and not upper[c] >> join_b[c] & 1:
-                return False
-            if up == b and not upper[meet_a[c]] >> c & 1:
-                return False
-    return True
+    return all(masks[a] & masks[b]
+               for masks in (lat._upper, lat._lower)
+               for m in masks if m & m - 1
+               for a, b in itertools.combinations(_bits(m), 2))
 
 
 def build(n, covers):
@@ -507,10 +509,16 @@ def all_congruences(lattice):
     pairs (j-, j): O(n) plus the row check per congruence, plus
     O(|Con L| * |J(L)|) ORs.  Each call certifies its partition as a
     congruence that relates its seed; two down-sets giving one congruence,
-    as a ``below`` mask that is not closed would, is a bug too.
+    as a ``below`` mask that is not closed would, is a bug too.  So is a
+    join irreducible j missing from ``below[j]``, checked first: no down-set
+    would then hold j, so no call would be seeded with (j-, j).
     """
     irreducibles = _single_bits(lattice._lower)
     below = lattice.fact(_dependencies)[0]
+    for j, _ in irreducibles:
+        if not below[j] >> j & 1:
+            raise VerificationError(
+                f"join irreducible {j} is missing from its own dependencies")
     downsets = {0}
     for mask in {below[j] for j, _ in irreducibles}:
         downsets |= {d | mask for d in downsets}

@@ -110,12 +110,18 @@ def test_nesting_on_corpus(modular6):
             assert report.forces_solvable_type
 
 
-def test_verdicts_match_largest_series(modular6):
-    for lat in modular6:
+def test_verdicts_match_largest_series(modular8):
+    profiles = collections.Counter()
+    for lat in modular8:
         rep = series(largest_commutator(lat))
-        assert forces_solvable_type(lat) == rep.is_solvable
-        assert forces_nilpotent_type(lat) == rep.is_nilpotent
-        assert forces_abelian_type(lat) == rep.is_abelian
+        verdicts = (forces_solvable_type(lat), forces_nilpotent_type(lat),
+                    forces_abelian_type(lat))
+        assert verdicts == (rep.is_solvable, rep.is_nilpotent, rep.is_abelian)
+        profiles[verdicts] += 1
+    # no modular lattice with at most 8 elements is solvable without being
+    # nilpotent (see GLUED); the one nilpotent, non-abelian one is NILPOTENT8
+    assert profiles == {(True, True, True): 5, (False, False, False): 61,
+                        (True, True, False): 1}
 
 
 def test_abelian_witness_is_genuine(modular6):
@@ -195,6 +201,40 @@ def test_ceilings_that_all_read_top_are_a_bug(tmp_path, capsys, monkeypatch):
         analyze(lat)
     assert main(["analyze", str(path)]) == 3
     assert "cross-check violation" in capsys.readouterr().err
+
+
+def _fails_its_cross_check(lat, tmp_path, capsys, command, *options):
+    """Whether ``commlat <command> <lat's file> <options>`` exits 3 and
+    says why."""
+    path = tmp_path / "lattice.json"
+    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+    code = main([command, str(path), *options])
+    return code == 3 and "cross-check violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verdict, match", [
+    ("forces_nilpotent_type", "abelian verdict without nilpotent"),
+    ("forces_solvable_type", "nilpotent verdict without solvable"),
+], ids=["abelian", "nilpotent"])
+def test_verdicts_out_of_their_nesting_are_a_bug(verdict, match, m3, tmp_path,
+                                                 capsys, monkeypatch):
+    # M3 forces all three types; one verdict that lies breaks the nesting
+    # abelian => nilpotent => solvable at the first check that reads it
+    monkeypatch.setattr(classify, verdict, lambda lat: False)
+    with pytest.raises(VerificationError, match=match):
+        analyze(m3)
+    assert _fails_its_cross_check(m3, tmp_path, capsys, "analyze")
+
+
+def test_a_lonesome_meet_irreducible_that_is_not_meet_prime_is_a_bug(
+        b22, tmp_path, capsys, monkeypatch):
+    # B2 x B2 has a lonesome meet irreducible, so two_element_quotient
+    # builds its map only after the primeness check passes
+    monkeypatch.setattr(projectivity, "is_completely_meet_prime",
+                        lambda lat, eta: False)
+    with pytest.raises(VerificationError, match="not meet prime"):
+        analyze(b22)
+    assert _fails_its_cross_check(b22, tmp_path, capsys, "analyze")
 
 
 def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
@@ -476,6 +516,11 @@ def test_analyze_output_is_pinned(name):
     doc = fileio.canonical_dumps(analyze(_pinned_lattice(name)).to_doc())
     assert hashlib.sha256(doc.encode()).hexdigest() == ANALYZE_SHA256[name]
 
+
+# modular, nilpotent and not abelian: derived and lower central series
+# top, 3, bottom
+NILPOTENT8 = (8, [(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
+                  (3, 6), (4, 7), (5, 7), (6, 7)])
 
 # the glued sums M3 + M3 and M3 + M4, with bottom 0, glue 4 and top n - 1,
 # force solvable type but not nilpotent type (derived series top, 4,

@@ -37,7 +37,8 @@ from commlat.lattice import (
     quotient,
 )
 from commlat.projectivity import PrimeInterval, SplittingPair, splitting_pairs
-from test_classify import _fano, _m, _product, _relabel
+from test_classify import (NILPOTENT8, _fails_its_cross_check, _fano, _m,
+                           _product, _relabel)
 
 
 # -- validation ---------------------------------------------------------------
@@ -148,6 +149,44 @@ def test_series_decrease_and_stabilize(all5):
                 assert seq[-1] == seq[-2]
                 for prev, cur in zip(seq, seq[1:]):
                     assert lat.leq(cur, prev)
+
+
+def _stopping_early(monkeypatch, which):
+    """Make the derived (``which`` 0) or the lower central (1) series of
+    every :func:`series` call stop after its first step."""
+    iterate, calls = commutator._iterate, itertools.count()
+
+    def short(start, step):
+        if next(calls) % 2 == which:
+            return start, step(start)
+        return iterate(start, step)
+
+    monkeypatch.setattr(commutator, "_iterate", short)
+
+
+@pytest.mark.parametrize("which, match", [
+    (0, "nonzero t-idempotent"), (1, "nonzero top-fixed element"),
+], ids=["derived", "lower_central"])
+def test_a_series_that_stops_early_is_a_bug(which, match, tmp_path, capsys,
+                                            monkeypatch):
+    # both series of NILPOTENT8 read top, 3, bottom; cut after 3 the derived
+    # one reads not solvable, the lower central one not nilpotent, and no
+    # nonzero element is t-idempotent or top-fixed
+    lat = FiniteLattice(*NILPOTENT8)
+    table = largest_commutator(lat)
+    _stopping_early(monkeypatch, which)
+    with pytest.raises(VerificationError, match=match):
+        series(table)
+    assert _fails_its_cross_check(lat, tmp_path, capsys, "analyze")
+
+
+def test_cover_residuations_that_miss_top_are_a_bug(m3, monkeypatch):
+    # M3's largest table is nilpotent, so every cover residuation is top
+    table = largest_commutator(m3)
+    monkeypatch.setattr(commutator, "residuation",
+                        lambda table, x, y: table.lattice.bottom)
+    with pytest.raises(VerificationError, match="cover residuations"):
+        series(table)
 
 
 # -- constructions ------------------------------------------------------------
@@ -317,6 +356,35 @@ def test_an_invalid_output_table_is_a_bug(producer, b22, chain3, monkeypatch):
     monkeypatch.setattr(commutator, "CommutatorTable", _corrupting_table)
     with pytest.raises(VerificationError, match="produced an invalid table"):
         build()
+
+
+def test_a_closure_that_goes_down_is_a_bug(b22, tmp_path, capsys, monkeypatch):
+    # the largest table of B2 x B2 is its meet table; closing every value to
+    # the sublattice's bottom gives the zero table, which is valid
+    sub = SublatticeEmbedding(b22, b22.elements)
+    table = largest_commutator(b22)
+    monkeypatch.setattr(SublatticeEmbedding, "closure",
+                        lambda sub, x: sub.ambient.bottom)
+    with pytest.raises(VerificationError, match="closure went down"):
+        construct_sublattice(table, sub)
+    assert _fails_its_cross_check(b22, tmp_path, capsys, "construct",
+                                  "sublattice", "--members", "0,1,2,3")
+
+
+def test_a_pullback_below_its_target_is_a_bug(b22, tmp_path, capsys,
+                                              monkeypatch):
+    # B2 x B2 onto the two-element quotient of con(2, 3), whose largest
+    # table is its meet table; lifting every value to bottom gives the zero
+    # table, which is valid, but t(2, 2) then maps below the target's
+    # t(top, top) = top
+    theta = congruence_generated(b22, [(2, 3)])
+    image, hom = quotient(b22, theta)
+    target = largest_commutator(image)
+    monkeypatch.setattr(FiniteLattice, "meet_all", lambda lat, xs: lat.bottom)
+    with pytest.raises(VerificationError, match="lost its lower bound"):
+        construct_pullback(b22, hom, target)
+    assert _fails_its_cross_check(b22, tmp_path, capsys, "construct",
+                                  "pullback", "--seed-pairs", "2,3")
 
 
 # -- enumeration and the largest multiplication --------------------------------

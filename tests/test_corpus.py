@@ -187,12 +187,3 @@ def test_a_rejected_candidate_is_a_bug(monkeypatch):
     for dedupe_iso in (True, False):
         with pytest.raises(VerificationError, match="forced"):
             corpus.generate_corpus(4, dedupe_iso=dedupe_iso)
-
-
-@pytest.mark.parametrize("dedupe_iso", [True, False])
-def test_masks_and_is_modular_disagreeing_is_a_bug(dedupe_iso, monkeypatch):
-    monkeypatch.setattr(corpus, "all_lattices", corpus.all_lattices.__wrapped__)
-    monkeypatch.setattr(FiniteLattice, "is_modular", lambda lat: lat.n < 4)
-    with pytest.raises(VerificationError, match="is_modular"):
-        corpus.generate_corpus(4, modular_only=True, dedupe_iso=dedupe_iso)
-

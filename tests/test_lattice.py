@@ -553,7 +553,9 @@ def test_a_join_irreducible_missing_from_its_own_below_is_caught(
         all7, tmp_path, capsys, monkeypatch):
     # con(j-, j) from a below[j] without j keeps j- and j apart, and the
     # fibres it gives are often still a congruence: the seed check catches
-    # it on every join irreducible of every lattice with at most 7 elements
+    # it on every join irreducible of every lattice with at most 7 elements.
+    # No down-set then holds j, so all_congruences would seed no call with
+    # (j-, j) and list too few congruences; it checks the bit first
     n5 = corpus.pentagon()
     cases = [(lat, j, wrong) for lat in all7 + [n5]
              for j, k, wrong in _drop_each_dependency(lat) if k == j]
@@ -563,6 +565,8 @@ def test_a_join_irreducible_missing_from_its_own_below_is_caught(
         monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
         with pytest.raises(VerificationError, match="apart"):
             congruence_generated(lat, [(minus, j)])
+        with pytest.raises(VerificationError, match="its own dependencies"):
+            all_congruences(lat)
         if lat is n5:
             path = tmp_path / "n5.json"
             path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
