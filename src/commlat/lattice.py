@@ -279,32 +279,29 @@ class LatticePartition:
     __slots__ = ("lattice", "blocks", "class_of")
 
     def __init__(self, lattice, blocks):
-        n = lattice.n
-        blocks = [tuple(block) for block in blocks]
-        members = [x for b in blocks for x in b]
-        if len(members) != n or set(members) != set(range(n)):
-            seen = set()
-            for x in members:
-                if x in seen:
+        n, label = lattice.n, {}
+        for i, block in enumerate(map(tuple, blocks)):
+            if not block:
+                raise ValueError(f"block {i} is empty")
+            for x in block:
+                if x in label:
                     raise ValueError(f"element {x} appears twice in the blocks")
-                seen.add(x)
+                label[x] = i
+        if label.keys() != set(range(n)):
             raise ValueError(f"blocks do not partition 0..{n - 1}")
-        if not all(blocks):
-            raise ValueError(f"block {blocks.index(())} is empty")
-        label = {x: i for i, b in enumerate(blocks) for x in b}
-        self._fill(lattice, bytes(map(label.__getitem__, range(n))))
+        self._fill(lattice, map(label.__getitem__, range(n)))
 
-    def _fill(self, lattice, label):
-        # the one path from labels to blocks, in order of least member
-        label = bytes(label[:lattice.n])
-        rows = {}
-        for x, c in enumerate(label):
-            rows.setdefault(c, []).append(x)
-        self.lattice = lattice
+    def _fill(self, lattice, labels):
+        # the one path from labels to blocks: elements with equal labels
+        # share a class, numbered by first appearance, which is least member
+        number = {}
+        cls = bytes([number.setdefault(v, len(number)) for v in labels])
+        rows = [[] for _ in number]
+        for x, c in enumerate(cls):
+            rows[c].append(x)
+        self.lattice, self.class_of = lattice, cls
         self.blocks = tuple([_SINGLETONS[b[0]] if len(b) == 1 else tuple(b)
-                             for b in rows.values()])
-        self.class_of = label.translate(
-            bytes.maketrans(bytes(rows), bytes(range(len(rows)))))
+                             for b in rows])
         self._check_congruence()
         return self
 
@@ -397,49 +394,55 @@ def _dependencies(lattice):
     return below, j_mask
 
 
+def _fibres(lattice, reach):
+    """The least congruence that collapses (k-, k) for each join
+    irreducible k in ``reach``: every congruence is built here.  It
+    collapses the union S of their ``below`` masks (see
+    :func:`_dependencies`), and its blocks are the fibres of x -> down(x) &
+    kept, ``kept`` the join irreducibles outside S: two elements with the
+    same value have a meet with that value, and each cover on a chain up
+    from it adds only join irreducibles in S, so it collapses.  O(|reach|)
+    ORs, then O(n) plus the row check.  Each k in ``reach`` must be in S
+    and the fibres must be a congruence; else ``below`` is wrong, and
+    VerificationError is raised.
+    """
+    below, j_mask = lattice.fact(_dependencies)
+    collapsed = 0
+    for k in _bits(reach):
+        collapsed |= below[k]
+    missed = reach & j_mask & ~collapsed
+    if missed:
+        raise VerificationError(f"below keeps {next(_bits(missed))} of the "
+                                "reach apart from its lower cover")
+    kept = j_mask & ~collapsed
+    try:
+        return LatticePartition.__new__(LatticePartition)._fill(
+            lattice, [d & kept for d in lattice._down])
+    except NotACongruence as exc:
+        raise VerificationError(
+            f"dependency fibres are not a congruence: {exc}") from exc
+
+
 def congruence_generated(lattice, seed):
-    """The least congruence containing the seed pairs.
+    """The least congruence containing the seed pairs, read once.
 
-    A pair (x, y) collapses (k-, k) for each join irreducible k <= x v y
-    with k !<= x ^ y, so the congruence collapses the union S of their
-    ``below`` masks (see :func:`_dependencies`); ``kept`` is the mask of
-    the other join irreducibles.  The blocks are the fibres of x ->
-    down(x) & kept: two elements with the same value have a meet with that
-    value too, and each cover on a chain up from the meet adds only join
-    irreducibles in S, so it collapses.  Each element is labelled by the
-    first element with its value: O(n) after the seed.
-
-    The partition is checked to be a congruence that relates every seed
-    pair, so it contains the least one.  By the easy direction of Freese's
-    theorem (k D j makes con(j-, j) collapse (k-, k)) the least one
-    collapses all of S, so its blocks are the fibres for a ``kept`` no
-    larger, and the partition is no coarser.  A dependency missing from D
-    leaves ``kept`` too large and the fibres finer, so it raises
-    VerificationError; it cannot give a wrong partition.
+    con(x, y) collapses (k-, k) for each join irreducible k in the reach of
+    (x, y), the k <= x v y with k !<= x ^ y, since x ^ y and x v y are
+    related and classes are convex.  A congruence relates x and y exactly
+    when it relates x ^ y and x v y, so the :func:`_fibres` of the union of
+    the reaches relate every seed pair once the kernel's checks pass, and
+    then they are con(seed).  A dependency missing from ``below`` raises
+    VerificationError; an extra one gives a coarser congruence that no
+    check here can see.
     """
     n = lattice.n
     down, meet, join = lattice._down, lattice._meet, lattice._join
-    below, j_mask = lattice.fact(_dependencies)
     reach = 0
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
             raise ValueError(f"seed pair ({x}, {y}) out of range")
         reach |= down[join[x][y]] & ~down[meet[x][y]]
-    collapsed = 0
-    for k in _bits(reach):
-        collapsed |= below[k]
-    kept = j_mask & ~collapsed
-    first = {}
-    label = bytes([first.setdefault(d & kept, x) for x, d in enumerate(down)])
-    for x, y in seed:
-        if label[x] != label[y]:
-            raise VerificationError(
-                f"congruence keeps the seed pair ({x}, {y}) apart")
-    try:
-        return LatticePartition.__new__(LatticePartition)._fill(lattice, label)
-    except NotACongruence as exc:
-        raise VerificationError(
-            f"dependency fibres are not a congruence: {exc}") from exc
+    return _fibres(lattice, reach)
 
 
 def quotient(lattice, partition):
@@ -463,20 +466,17 @@ def quotient(lattice, partition):
 def is_simple(lattice):
     """Whether the only congruences are the identity and the full relation.
 
-    Every congruence but the identity contains con(j-, j) for some join
-    irreducible j (see :func:`all_congruences`), and con(j-, j) is the full
-    relation exactly when ``below[j]`` holds every join irreducible.  The
-    masks pick one witness, the first j whose ``below[j]`` falls short, or
-    the first j if none does, and the answer is whether con(j-, j), built
-    and certified by :func:`congruence_generated`, is one block.
+    Every other congruence contains some con(j-, j), the full relation
+    exactly when ``below[j]`` holds every join irreducible.  So the answer
+    is whether con(j-, j) is one block for the first j whose ``below[j]``
+    falls short, or the first j if none does: one partition per call.
     """
     if lattice.n == 1:
         return False
     below, j_mask = lattice.fact(_dependencies)
-    irreducibles = _single_bits(lattice._lower)
-    j, lo = next(((j, lo) for j, lo in irreducibles if below[j] != j_mask),
-                 irreducibles[0])
-    return congruence_generated(lattice, [(lo, j)]).num_blocks == 1
+    j = next((j for j in _bits(j_mask) if below[j] != j_mask),
+             (j_mask & -j_mask).bit_length() - 1)
+    return _fibres(lattice, 1 << j).num_blocks == 1
 
 
 def is_complemented(lattice):
@@ -498,20 +498,17 @@ def _single_bits(masks):
 def all_congruences(lattice):
     """Every congruence of the lattice, sorted by block structure.
 
-    Every congruence of a finite lattice is the join of the principal
-    congruences con(j-, j) of the join irreducibles j it collapses, and
     theta -> {j : theta collapses (j-, j)} is a bijection from Con L onto
-    the down-sets of Freese's quasiorder on J(L) (see :func:`_dependencies`).
-    The down-sets are the unions of the ``below`` masks, found with integer
-    ORs and counted as they grow: past ``MAX_CONGRUENCES``
-    :class:`LatticeTooLarge` is raised before any partition is built.  Then
-    each down-set is one :func:`congruence_generated` call seeded with its
-    pairs (j-, j): O(n) plus the row check per congruence, plus
-    O(|Con L| * |J(L)|) ORs.  Each call certifies its partition as a
-    congruence that relates its seed; two down-sets giving one congruence,
-    as a ``below`` mask that is not closed would, is a bug too.  So is a
-    join irreducible j missing from ``below[j]``, checked first: no down-set
-    would then hold j, so no call would be seeded with (j-, j).
+    the down-sets of Freese's quasiorder on J(L) (see :func:`_dependencies`),
+    the unions of the ``below`` masks.  They are ORed and counted as they
+    grow: past ``MAX_CONGRUENCES`` :class:`LatticeTooLarge` is raised
+    before any partition is built.  Each down-set s is one
+    :func:`congruence_generated` call, seeded with the (j-, j) for j in s,
+    whose reach is s: O(n) plus the row check per congruence, plus
+    O(|Con L| * |J(L)|) ORs.  A join irreducible j missing from its own
+    ``below[j]`` is a bug, checked first: no down-set would hold j, so no
+    call would see it.  Two down-sets giving one congruence, as an unclosed
+    ``below`` would, are a bug too.
     """
     irreducibles = _single_bits(lattice._lower)
     below = lattice.fact(_dependencies)[0]
@@ -525,7 +522,7 @@ def all_congruences(lattice):
         if len(downsets) > MAX_CONGRUENCES:
             raise LatticeTooLarge(f"more than {MAX_CONGRUENCES} congruences")
     found = sorted((congruence_generated(
-        lattice, [(lo, j) for j, lo in irreducibles if s >> j & 1])
+        lattice, ((lo, j) for j, lo in irreducibles if s >> j & 1))
         for s in downsets), key=lambda p: p.blocks)
     if any(a.blocks == b.blocks for a, b in zip(found, found[1:])):
         raise VerificationError("two down-sets gave one congruence")

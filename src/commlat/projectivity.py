@@ -17,8 +17,7 @@ meet is the canonical successor and [eta, eta+] is always a prime interval.
 from collections import namedtuple
 
 from .errors import NotModular, VerificationError
-from .lattice import (FiniteLattice, LatticeMap, _single_bits,
-                      congruence_generated)
+from .lattice import FiniteLattice, LatticeMap, _fibres, _single_bits
 
 
 # The value records here, in ``commutator`` and in ``classify`` are named
@@ -254,23 +253,22 @@ def separating_congruence(lat, interval):
     """The largest congruence that keeps the endpoints of ``interval`` apart.
 
     In a modular lattice con(q) collapses exactly the prime intervals
-    projective to q, and every congruence is the join of the con(q) it
-    contains.  So this is the congruence generated by the covers outside
-    the class of ``interval``, read off the class table: one
-    :func:`congruence_generated` call per class, made when the class is
-    first asked about and kept on the record.  The classes come from
-    transpositions, not from the dependency masks, and each partition is
-    checked cover by cover against them: a prime interval must be
-    collapsed exactly when it lies outside the class, so ``interval``
-    itself stays apart.  A disagreement means a bug.
+    projective to q, so this joins the con(j-, j) with (j-, j) outside the
+    class of ``interval``, read off the class table: one :func:`_fibres`
+    partition per class, built when first asked for and kept on the
+    record.  The classes come from transpositions, not from the dependency
+    masks, and each partition is checked cover by cover against them: a
+    cover is collapsed exactly when it lies outside the class.  A
+    disagreement means a bug.
     """
     classes = lat.fact(projectivity_classes)
     cid = classes.class_of(interval)
     if classes._separating[cid] is None:
-        covers = [(q, classes.class_of(q)) for q in lat.cover_pairs()]
-        partition = congruence_generated(lat, [q for q, c in covers if c != cid])
-        for q, c in covers:
-            if partition.related(*q) == (c == cid):
+        partition = _fibres(lat, sum(
+            1 << j for j, minus in _single_bits(lat._lower)
+            if classes.class_of((minus, j)) != cid))
+        for q in lat.cover_pairs():
+            if partition.related(*q) == (classes.class_of(q) == cid):
                 raise VerificationError(
                     f"separating congruence disagrees with projectivity at {q}")
         classes._separating[cid] = partition

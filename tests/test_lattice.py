@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -23,6 +24,7 @@ from commlat.lattice import (
     LatticeMap,
     LatticePartition,
     SublatticeEmbedding,
+    _bits,
     all_congruences,
     build,
     congruence_generated,
@@ -31,6 +33,7 @@ from commlat.lattice import (
     quotient,
 )
 from commlat.projectivity import PrimeInterval, separating_congruence
+from test_classify import _fano
 
 
 def test_one_element_lattice():
@@ -369,20 +372,20 @@ def test_all_congruences_at_scale():
 
 
 def _count_calls(monkeypatch):
-    """The seeds of every congruence_generated call and every partition
-    built, from now on."""
+    """The reach of every congruence the kernel builds, and the labels of
+    every partition filled, from now on."""
     calls, built = [], []
-    fill = LatticePartition._fill
+    fibres, fill = lattice._fibres, LatticePartition._fill
 
-    def counted(lat, seed):
-        calls.append(seed)
-        return congruence_generated(lat, seed)
+    def counted(lat, reach):
+        calls.append(reach)
+        return fibres(lat, reach)
 
-    def counted_fill(self, lat, label):
-        built.append(label)
-        return fill(self, lat, label)
+    def counted_fill(self, lat, labels):
+        built.append(labels)
+        return fill(self, lat, labels)
 
-    monkeypatch.setattr(lattice, "congruence_generated", counted)
+    monkeypatch.setattr(lattice, "_fibres", counted)
     monkeypatch.setattr(LatticePartition, "_fill", counted_fill)
     return calls, built
 
@@ -509,6 +512,39 @@ def test_principal_and_separating_congruences_match_the_fixpoint_oracle(
             assert theta.blocks == _fixpoint(lat, keeping)
 
 
+def test_engine_outputs_are_pinned(all8):
+    # SHA-256 over every congruence the engine builds: all_congruences
+    # (blocks and class_of), is_simple, congruence_generated of every
+    # cover and, on modular input, every separating congruence with its
+    # quotient (image covers and projection image), on the 300 corpus
+    # lattices with n <= 8 and four larger modular ones, each as given and
+    # under two seeded renamings; any change to the engine's output shows
+    glued = build(9, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5),
+                      (4, 6), (4, 7), (5, 8), (6, 8), (7, 8)})
+    rng = random.Random(8)
+    bases = all8 + [_product(_m(3), _m(3)), _product(_m(4), _m(5)), _fano(),
+                    glued]
+    digest = hashlib.sha256()
+    for base in bases:
+        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+                             for _ in range(2)]:
+            out = [[(p.blocks, p.class_of) for p in all_congruences(lat)],
+                   is_simple(lat)]
+            for q in lat.cover_pairs():
+                theta = congruence_generated(lat, [q])
+                out.append((q, theta.blocks, theta.class_of))
+            if lat.is_modular():
+                for q in lat.cover_pairs():
+                    theta = separating_congruence(lat, PrimeInterval(*q))
+                    image, projection = quotient(lat, theta)
+                    out.append((q, theta.blocks, image.cover_pairs(),
+                                projection.image))
+            digest.update(repr(out).encode())
+    assert len(bases) == 304
+    assert digest.hexdigest() == (
+        "e9194eb7222f3ba0335abaa5fd98e2d762a767e130f250c827b555f2bd2e4747")
+
+
 def _drop_each_dependency(lat):
     """Yield (j, k, fact) once per bit k of each below[j] of the lattice,
     with that bit missing from the dependency fact."""
@@ -553,7 +589,8 @@ def test_a_join_irreducible_missing_from_its_own_below_is_caught(
         all7, tmp_path, capsys, monkeypatch):
     # con(j-, j) from a below[j] without j keeps j- and j apart, and the
     # fibres it gives are often still a congruence: the seed check catches
-    # it on every join irreducible of every lattice with at most 7 elements.
+    # it on every join irreducible of every lattice with at most 7 elements,
+    # also when the seed is an iterator, which can be read only once.
     # No down-set then holds j, so all_congruences would seed no call with
     # (j-, j) and list too few congruences; it checks the bit first
     n5 = corpus.pentagon()
@@ -563,8 +600,9 @@ def test_a_join_irreducible_missing_from_its_own_below_is_caught(
     for lat, j, wrong in cases:
         minus = lat._lower[j].bit_length() - 1
         monkeypatch.setattr(lattice, "_dependencies", lambda lat: wrong)
-        with pytest.raises(VerificationError, match="apart"):
-            congruence_generated(lat, [(minus, j)])
+        for seed in ([(minus, j)], iter([(minus, j)])):
+            with pytest.raises(VerificationError, match="apart"):
+                congruence_generated(lat, seed)
         with pytest.raises(VerificationError, match="its own dependencies"):
             all_congruences(lat)
         if lat is n5:
@@ -573,6 +611,49 @@ def test_a_join_irreducible_missing_from_its_own_below_is_caught(
             assert main(["quotient", str(path), "--seed-pairs",
                          f"{minus},{j}"]) == 3
             assert "cross-check violation" in capsys.readouterr().err
+
+
+def test_fault_census_of_the_dependency_masks(all7, modular8, monkeypatch):
+    # every single-bit change to one below[j], k != j, on the lattices with
+    # at most 7 elements and the modular ones with 8.  A dropped dependency
+    # makes all_congruences raise.  An added one gives coarser fibres that
+    # may still be a congruence containing the seed, which only an
+    # independent oracle can see: at most 770 of the additions pass
+    # all_congruences.  separating_congruence checks each partition cover by
+    # cover against the projectivity classes, so on modular input an
+    # addition makes it raise or leaves it right
+    cases = [(lat, lattice._dependencies(lat),
+              [separating_congruence(lat, PrimeInterval(*q)).blocks
+               for q in lat.cover_pairs()] if lat.is_modular() else [])
+             for lat in all7 + [lat for lat in modular8 if lat.n == 8]]
+    drops = additions = passed = 0
+    for lat, (below, j_mask), separating in cases:
+        covers = lat.cover_pairs()
+        for j, k in itertools.permutations(_bits(j_mask), 2):
+            wrong = list(below)
+            wrong[j] ^= 1 << k
+            monkeypatch.setattr(lattice, "_dependencies",
+                                lambda lat, fact=(wrong, j_mask): fact)
+            fresh = build(lat.n, covers)
+            if below[j] >> k & 1:
+                drops += 1
+                with pytest.raises(VerificationError):
+                    all_congruences(fresh)
+                continue
+            additions += 1
+            try:
+                all_congruences(fresh)
+                passed += 1
+            except VerificationError:
+                pass
+            for q, blocks in zip(covers, separating):
+                try:
+                    theta = separating_congruence(fresh, PrimeInterval(*q))
+                except VerificationError:
+                    continue
+                assert theta.blocks == blocks, (lat, j, k, q)
+    assert (drops, additions) == (623, 1317)
+    assert passed <= 770
 
 
 def test_partitions_of_another_lattice_are_refused():

@@ -402,8 +402,8 @@ def test_separating_congruence_is_largest(modular6):
 
 def test_separating_congruence_checks_every_cover(b22, monkeypatch):
     # a closure that collapsed too little must not pass as the answer
-    monkeypatch.setattr(projectivity, "congruence_generated",
-                        lambda lat, seed: LatticePartition.identity(lat))
+    monkeypatch.setattr(projectivity, "_fibres",
+                        lambda lat, reach: LatticePartition.identity(lat))
     with pytest.raises(VerificationError):
         separating_congruence(b22, PrimeInterval(0, 1))
 
@@ -412,13 +412,15 @@ def test_separating_congruence_checks_every_cover(b22, monkeypatch):
                                  _product(_m(3), corpus.chain(2))],
                          ids=["B3", "M3xC2"])
 def test_separating_congruence_closes_once_per_class(lat, monkeypatch):
+    # one kernel build per class, on first request
     calls = []
+    fibres = projectivity._fibres
 
-    def counted(lat, seed):
-        calls.append(seed)
-        return congruence_generated(lat, seed)
+    def counted(lat, reach):
+        calls.append(reach)
+        return fibres(lat, reach)
 
-    monkeypatch.setattr(projectivity, "congruence_generated", counted)
+    monkeypatch.setattr(projectivity, "_fibres", counted)
     first, *rest = prime_intervals(lat)
     separating_congruence(lat, first)
     assert len(calls) == 1
@@ -483,6 +485,16 @@ def test_two_element_quotient(chain3, m3, b2):
     assert hom.is_zero_one
     assert two_element_quotient(m3) is None
     assert two_element_quotient(b2).image == (0, 1)
+
+
+def test_two_element_quotient_checks_that_lonesome_is_meet_prime(
+        b22, monkeypatch):
+    # B2 x B2 has a lonesome meet irreducible; the map is built only after
+    # the primeness check passes
+    monkeypatch.setattr(projectivity, "is_completely_meet_prime",
+                        lambda lat, eta: False)
+    with pytest.raises(VerificationError, match="not meet prime"):
+        two_element_quotient(b22)
 
 
 def _all_b2_images(lat):
