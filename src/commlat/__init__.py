@@ -36,7 +36,6 @@ from .lattice import (
     LatticePartition,
     SublatticeEmbedding,
     all_congruences,
-    build,
     congruence_generated,
     is_complemented,
     is_simple,

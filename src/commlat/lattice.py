@@ -259,11 +259,6 @@ def _is_modular(lat):
                for a, b in itertools.combinations(_bits(m), 2))
 
 
-def build(n, covers):
-    """Validate a cover relation and return the lattice it generates."""
-    return FiniteLattice(n, covers)
-
-
 class LatticePartition:
     """A partition of the elements satisfying the congruence property:
     x = y implies x^z = y^z and xvz = yvz for every z.

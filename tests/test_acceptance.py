@@ -29,9 +29,9 @@ from commlat.classify import (
     forces_nilpotent_type,
 )
 from commlat.lattice import (
+    FiniteLattice,
     SublatticeEmbedding,
     all_congruences,
-    build,
     congruence_generated,
     quotient,
 )
@@ -48,6 +48,7 @@ from commlat.projectivity import (
     separating_congruence,
     splitting_pairs,
 )
+from families import NILPOTENT8
 
 
 def _zero_one_sublattices(lat):
@@ -130,8 +131,7 @@ def test_criterion_4_forcing_equivalences(modular5, modular7):
                                   for t in enumerate_commutators(lat))
         assert forces_abelian_type(lat) == every_square_bottom, lat
     # the one modular lattice with n <= 8 that is nilpotent but not abelian
-    lat = build(8, {(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
-                    (3, 6), (4, 7), (5, 7), (6, 7)})
+    lat = FiniteLattice(*NILPOTENT8)
     assert lat.is_modular()
     assert not forces_abelian_type(lat) and forces_nilpotent_type(lat)
     assert largest_commutator(lat).value(lat.top, lat.top) == 3

@@ -26,6 +26,8 @@ from commlat.lattice import (
     is_complemented,
     is_simple,
 )
+from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m, product,
+                      projective_plane, relabel, relabel_monotone, rename)
 
 
 def test_m3_forces_everything(m3):
@@ -156,14 +158,11 @@ def test_a_residuation_that_misses_its_ceiling_is_a_bug(m3, tmp_path, capsys,
                                                        monkeypatch):
     # analyze checks each cover's ceiling against the residuation of the
     # largest table there; M3's ceilings are top, not bottom
-    path = tmp_path / "m3.json"
-    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(m3)))
     monkeypatch.setattr(commutator, "residuation",
                         lambda table, x, y: table.lattice.bottom)
     with pytest.raises(VerificationError, match="projective ceiling"):
         analyze(m3)
-    assert main(["analyze", str(path)]) == 3
-    assert "cross-check violation" in capsys.readouterr().err
+    assert _fails_its_cross_check(m3, tmp_path, capsys, "analyze")
 
 
 def test_a_missed_two_element_image_is_a_bug(b22, tmp_path, capsys,
@@ -171,23 +170,17 @@ def test_a_missed_two_element_image_is_a_bug(b22, tmp_path, capsys,
     # B2 x B2 maps onto the two-element lattice and its largest table is not
     # solvable; a search that misses the map reads solvable type, which
     # the series refutes (nilpotent stays no, so the nesting checks pass)
-    path = tmp_path / "b22.json"
-    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(b22)))
     monkeypatch.setattr(classify, "two_element_quotient", lambda lat: None)
     with pytest.raises(VerificationError, match="two-element-image"):
         analyze(b22)
-    assert main(["analyze", str(path)]) == 3
-    assert "cross-check violation" in capsys.readouterr().err
+    assert _fails_its_cross_check(b22, tmp_path, capsys, "analyze")
 
 
 def test_ceilings_that_all_read_top_are_a_bug(tmp_path, capsys, monkeypatch):
     # M3 + M3 forces solvable type but not nilpotent type; ceilings that
     # all read top claim nilpotent type, which the series refutes (solvable
     # and not abelian, so the nesting checks pass)
-    n, covers, *_ = GLUED["M3+M3"]
-    lat = FiniteLattice(n, covers)
-    path = tmp_path / "glued.json"
-    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+    lat = FiniteLattice(*GLUED["M3+M3"][0])
     classes = projectivity.projectivity_classes
 
     def topped(lat):
@@ -199,8 +192,7 @@ def test_ceilings_that_all_read_top_are_a_bug(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(classify, "projectivity_classes", topped)
     with pytest.raises(VerificationError, match="cover-ceiling"):
         analyze(lat)
-    assert main(["analyze", str(path)]) == 3
-    assert "cross-check violation" in capsys.readouterr().err
+    assert _fails_its_cross_check(lat, tmp_path, capsys, "analyze")
 
 
 def _fails_its_cross_check(lat, tmp_path, capsys, command, *options):
@@ -296,25 +288,19 @@ def test_analyze_computes_each_fact_once(monkeypatch):
 def test_analyze_holds_no_memory_across_lattices():
     # every fact lives on its lattice, so fresh lattices leave nothing behind
     rng = random.Random(4)
-    b4 = corpus.boolean(4)
+    b4 = boolean(4)
     tracemalloc.start()
     try:
         held = []
         for _ in range(6):
             for _ in range(10):
-                analyze(_relabel(b4, rng))
+                analyze(FiniteLattice(*relabel(b4, rng)[0]))
             gc.collect()
             held.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
     # the caches this replaced kept about 19 KB per call
     assert held[-1] - held[0] < 50 * 200
-
-
-def _relabel(lat, rng):
-    perm = list(range(lat.n))
-    rng.shuffle(perm)
-    return FiniteLattice(lat.n, {(perm[x], perm[y]) for x, y in lat.covers})
 
 
 def _brute_force_has_witness(lat):
@@ -348,7 +334,9 @@ def test_abelian_witness_matches_brute_force(modular8):
     # on the corpus names and on two seeded renamings of each lattice
     rng = random.Random(8)
     for base in modular8:
-        for lat in [base, _relabel(base, rng), _relabel(base, rng)]:
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
+                             for _ in range(2)]:
             witness = analyze(lat).abelian_sufficient_condition
             assert (witness is not None) == _brute_force_has_witness(lat)
             if witness is not None:
@@ -356,38 +344,14 @@ def test_abelian_witness_matches_brute_force(modular8):
                 assert witness == tuple(sorted((lat.bottom, lat.top, *triple)))
 
 
-def _m(k):
-    return FiniteLattice(k + 2, {(0, a) for a in range(1, k + 1)}
-                         | {(a, k + 1) for a in range(1, k + 1)})
-
-
-def _product(a, b):
-    """Element (x, y) is numbered x * b.n + y."""
-    covers = {(x * b.n + y, hi * b.n + y) for (x, hi) in a.covers
-              for y in b.elements}
-    covers |= {(x * b.n + y, x * b.n + hi) for (y, hi) in b.covers
-               for x in a.elements}
-    return FiniteLattice(a.n * b.n, covers)
-
-
-def _fano():
-    """0, the seven points 1..7, the seven lines 8..14, and the plane 15."""
-    lines = [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6),
-             (2, 3, 6), (2, 4, 5)]
-    covers = {(0, 1 + p) for p in range(7)}
-    covers |= {(1 + p, 8 + i) for i, line in enumerate(lines) for p in line}
-    covers |= {(8 + i, 15) for i in range(7)}
-    return FiniteLattice(16, covers)
-
-
 @pytest.mark.parametrize("lat, forced, witness", [
     pytest.param(corpus.chain(32), (False, False, False), False, id="C32"),
     pytest.param(corpus.boolean(6), (False, False, False), False, id="B6"),
-    pytest.param(_product(_m(4), _m(5)), (True, True, True), True,
-                 id="M4xM5"),
+    pytest.param(FiniteLattice(*product(m(4), m(5))), (True, True, True),
+                 True, id="M4xM5"),
     # simple, complemented and modular, but a plane has no three pairwise
     # complements: the witness is out of scope, the verdict is not
-    pytest.param(_fano(), (True, True, True), False, id="Fano"),
+    pytest.param(FiniteLattice(*FANO), (True, True, True), False, id="Fano"),
 ])
 def test_analyze_at_scale(lat, forced, witness):
     report = analyze(lat)
@@ -498,17 +462,13 @@ ANALYZE_SHA256 = {
 def _pinned_lattice(name):
     if name.startswith("mod8-"):
         return corpus.generate_corpus(8, modular_only=True)[int(name[5:])]
-    named = {
-        "M3xC2": lambda: _product(_m(3), corpus.chain(2)),
-        "M3xC4": lambda: _product(_m(3), corpus.chain(4)),
-        "M3xM3": lambda: _product(_m(3), _m(3)),
-        "M4xM5": lambda: _product(_m(4), _m(5)),
-        "Fano": _fano,
-    }
+    named = {"M3xC2": product(m(3), chain(2)), "M3xC4": product(m(3), chain(4)),
+             "M3xM3": product(m(3), m(3)), "M4xM5": product(m(4), m(5)),
+             "Fano": FANO}
     if name in named:
-        return named[name]()
-    build = {"C": corpus.chain, "B": corpus.boolean, "M": _m}[name[0]]
-    return build(int(name[1:]))
+        return FiniteLattice(*named[name])
+    family = {"C": chain, "B": boolean, "M": m}[name[0]]
+    return FiniteLattice(*family(int(name[1:])))
 
 
 @pytest.mark.parametrize("name", list(ANALYZE_SHA256))
@@ -517,11 +477,6 @@ def test_analyze_output_is_pinned(name):
     assert hashlib.sha256(doc.encode()).hexdigest() == ANALYZE_SHA256[name]
 
 
-# modular, nilpotent and not abelian: derived and lower central series
-# top, 3, bottom
-NILPOTENT8 = (8, [(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
-                  (3, 6), (4, 7), (5, 7), (6, 7)])
-
 # the glued sums M3 + M3 and M3 + M4, with bottom 0, glue 4 and top n - 1,
 # force solvable type but not nilpotent type (derived series top, 4,
 # bottom; lower central series top, 4, 4), which no modular lattice with
@@ -529,47 +484,111 @@ NILPOTENT8 = (8, [(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
 # Per lattice, the SHA-256 of the `analyze --format json` outputs and of
 # the `largest` outputs, concatenated over its namings
 GLUED = {
-    "M3+M3": (9, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5),
-                  (4, 6), (4, 7), (5, 8), (6, 8), (7, 8)],
+    "M3+M3": (glued_sum(m(3), m(3)),
               "4e011431f0edfc17719c554ba339ec16eb606718c2eada9073aed2d6a40479e1",
               "448140ffd002d640186abbdd0b99f7af5984acc4a4bd1f10e7bcda9c92eb7b4a"),
-    "M3+M4": (10, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5),
-                   (4, 6), (4, 7), (4, 8), (5, 9), (6, 9), (7, 9), (8, 9)],
+    "M3+M4": (glued_sum(m(3), m(4)),
               "cf020af86f8eb30d8d60ef8eaf176b6ce4846ec8372ea23abdf5f82546d46d8e",
               "231c929fa9656f10a4b18eb6ba3bad4e1bc3b1a38693fb8e96fc42fc3c7925d2"),
 }
+
+
+def _cli_digests(pairs, tmp_path, capsys):
+    """The parsed `commlat analyze --format json` reports of the lattices,
+    and the SHA-256 of those outputs and of the `commlat largest` outputs,
+    each concatenated in order."""
+    docs, reports, tables = [], hashlib.sha256(), hashlib.sha256()
+    for pair in pairs:
+        path = tmp_path / "lattice.json"
+        path.write_text(fileio.canonical_dumps(
+            fileio.lattice_to_doc(FiniteLattice(*pair))))
+        assert main(["analyze", "--format", "json", str(path)]) == 0
+        out = capsys.readouterr().out
+        docs.append(json.loads(out))
+        reports.update(out.encode())
+        assert main(["largest", str(path)]) == 0
+        tables.update(capsys.readouterr().out.encode())
+    return docs, (reports.hexdigest(), tables.hexdigest())
 
 
 @pytest.mark.parametrize("name", list(GLUED))
 def test_glued_sums_force_solvable_but_not_nilpotent_type(name, tmp_path,
                                                           capsys):
     # under three seeded renamings and named top-down
-    n, covers, analyze_sha, largest_sha = GLUED[name]
+    glued, *digests = GLUED[name]
+    n = glued[0]
     rng = random.Random(26)
     perms = [rng.sample(range(n), n) for _ in range(3)]
     perms.append(list(range(n - 1, -1, -1)))
-    reports, tables = hashlib.sha256(), hashlib.sha256()
-    for perm in perms:
-        lat = FiniteLattice(n, {(perm[x], perm[y]) for x, y in covers})
-        path = tmp_path / "glued.json"
-        path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
-        assert main(["analyze", "--format", "json", str(path)]) == 0
-        out = capsys.readouterr().out
-        doc = json.loads(out)
+    docs, got = _cli_digests([rename(glued, perm) for perm in perms],
+                             tmp_path, capsys)
+    for doc, perm in zip(docs, perms):
         assert (doc["forces_solvable_type"], doc["forces_nilpotent_type"],
                 doc["forces_abelian_type"]) == (True, False, False)
         assert doc["largest_top_square"] == perm[4]
-        reports.update(out.encode())
-        assert main(["largest", str(path)]) == 0
-        tables.update(capsys.readouterr().out.encode())
-    assert (reports.hexdigest(), tables.hexdigest()) == (analyze_sha,
-                                                         largest_sha)
+    assert got == tuple(digests)
+
+
+# PG(2, q) is simple, complemented and modular and forces abelian type, but
+# has no three pairwise complements, so no sublattice witnesses the verdict.
+# Per plane, the digests as for GLUED, over the plane as built and two
+# seeded renamings
+PLANES = {
+    3: ("a31dbc268d327938473360123abcc1ad59a107f7f1348858b075e89fbc230bb1",
+        "075827273eeb9798a918a30e5aa3eb9a1ead8039cab29458b96ece59a602c31f"),
+    4: ("3668d32cc2225d826530226a955360b9f6a11ab3aebd0b56c24634163765af98",
+        "f1a14688830f9dc2b505b22d798b867818ef3b51b9e348eba1f7ee7004be99fa"),
+    5: ("f3587ad9f0ce9e879a3aa76578ce3caf229f9245f8c4e0cc2f30f22409aec6b2",
+        "fe7f512264220ba2970f531924a8766c7a1134b2e50a0083512c31291d13b10b"),
+}
+
+
+@pytest.mark.parametrize("q", list(PLANES))
+def test_projective_planes_are_pinned(q, tmp_path, capsys):
+    plane = projective_plane(q)
+    rng = random.Random(q)
+    namings = [plane] + [relabel(plane, rng)[0] for _ in range(2)]
+    docs, got = _cli_digests(namings, tmp_path, capsys)
+    for doc in docs:
+        assert doc["forces_abelian_type"] is True
+        assert doc["abelian_sufficient_condition"] is None
+    assert got == PLANES[q]
 
 
 def _verdicts(lat):
     report = analyze(lat)
     return (report.forces_abelian_type, report.forces_nilpotent_type,
             report.forces_solvable_type)
+
+
+# the modular corpus lattices with 2 to 8 elements that force solvable type
+# (M3 to M6 and NILPOTENT8), Fano, M3 x M3, and two that force nothing
+BLOCKS = [m(3), m(4), m(5), m(6), NILPOTENT8, FANO, product(m(3), m(3)),
+          chain(2), glued_sum(chain(2), m(3))]
+
+
+def test_drawn_lattices_past_the_corpus():
+    # 39 of the glued sums and products of two blocks with 9 to 64
+    # elements, drawn without repeats, and NILPOTENT8 x M3, which forces
+    # nilpotent but not abelian type as a product of a factor that does and
+    # one that forces all three, so that this profile appears whatever the
+    # draw.  analyze runs all its checks on each, and its verdicts do not
+    # depend on the names
+    rng = random.Random(13)
+    joined = [join(a, b) for join in (glued_sum, product)
+              for a in BLOCKS for b in BLOCKS]
+    drawn = rng.sample([pair for pair in joined if 9 <= pair[0] <= 64], 39)
+    profiles = collections.Counter()
+    for pair in drawn + [product(NILPOTENT8, m(3))]:
+        lat = FiniteLattice(*pair)
+        assert lat.is_modular()
+        verdicts = _verdicts(lat)
+        for renamed, _ in (relabel(pair, rng), relabel_monotone(pair, rng)):
+            assert _verdicts(FiniteLattice(*renamed)) == verdicts
+        profiles[verdicts] += 1
+    # (abelian, nilpotent, solvable)
+    assert set(profiles) == {(True, True, True), (False, True, True),
+                             (False, False, True), (False, False, False)}
 
 
 def _product_pairs():
@@ -579,35 +598,35 @@ def _product_pairs():
     rng = random.Random(17)
     large = [pair for pair in itertools.combinations(lattices, 2)
              if 16 < pair[0].n * pair[1].n <= 64]
-    named = [(_m(3), _m(3)), (_m(4), _m(5)), (corpus.chain(2), corpus.chain(32)),
-             (_m(3), corpus.boolean(3))]
-    return small + rng.sample(large, 12) + named
+    named = [(m(3), m(3)), (m(4), m(5)), (chain(2), chain(32)),
+             (m(3), boolean(3))]
+    return small + rng.sample(large, 12) + [
+        (FiniteLattice(*a), FiniteLattice(*b)) for a, b in named]
 
 
 def test_largest_multiplication_of_a_product_is_componentwise():
-    # on L1 x L2, numbered as in _product and then relabeled, the largest
-    # multiplication is the pair of the factors' largest ones, and for
-    # modular factors each forcing verdict is the AND of the factors'; on
-    # the small pairs Con(L1 x L2) = Con L1 x Con L2 (G. Fraser and A. Horn,
-    # Proc. AMS 26, 1970), so the product of two nontrivial factors is not
-    # simple
+    # on L1 x L2, numbered as in families.product and then relabeled, the
+    # largest multiplication is the pair of the factors' largest ones, and
+    # for modular factors each forcing verdict is the AND of the factors';
+    # on the small pairs Con(L1 x L2) = Con L1 x Con L2 (G. Fraser and
+    # A. Horn, Proc. AMS 26, 1970), so the product of two nontrivial factors
+    # is not simple
     rng = random.Random(17)
     for a, b in _product_pairs():
-        perm = list(range(a.n * b.n))
-        rng.shuffle(perm)
-        product = FiniteLattice(a.n * b.n, {(perm[p], perm[q])
-                                            for p, q in _product(a, b).covers})
+        renamed, perm = relabel(product((a.n, a.covers), (b.n, b.covers)),
+                                rng)
+        whole = FiniteLattice(*renamed)
         ta, tb = largest_commutator(a), largest_commutator(b)
-        table = largest_commutator(product)
+        table = largest_commutator(whole)
         for (x1, y1), (x2, y2) in itertools.product(
                 itertools.product(a.elements, b.elements), repeat=2):
             pair = ta.value(x1, x2) * b.n + tb.value(y1, y2)
             assert table.value(perm[x1 * b.n + y1], perm[x2 * b.n + y2]) \
                 == perm[pair]
         if a.n * b.n <= 16:
-            assert len(all_congruences(product)) == \
+            assert len(all_congruences(whole)) == \
                 len(all_congruences(a)) * len(all_congruences(b))
-            assert not is_simple(product)
+            assert not is_simple(whole)
         if a.is_modular() and b.is_modular():
-            assert _verdicts(product) == tuple(
+            assert _verdicts(whole) == tuple(
                 u and v for u, v in zip(_verdicts(a), _verdicts(b)))

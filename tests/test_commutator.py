@@ -37,8 +37,9 @@ from commlat.lattice import (
     quotient,
 )
 from commlat.projectivity import PrimeInterval, SplittingPair, splitting_pairs
-from test_classify import (NILPOTENT8, _fails_its_cross_check, _fano, _m,
-                           _product, _relabel)
+from families import (FANO, NILPOTENT8, boolean, chain, m, product,
+                      relabel)
+from test_classify import _fails_its_cross_check
 
 
 # -- validation ---------------------------------------------------------------
@@ -305,11 +306,12 @@ def test_constructions_at_scale_are_pinned():
     # a the least atom, along its projection, the splitting construction of
     # the middle splitting pair if there is one, and the residuation of the
     # largest table at every cover
-    big = [corpus.boolean(6), corpus.chain(64), _m(62),
-           _product(corpus.chain(2), corpus.chain(32)), _product(_m(4), _m(5))]
+    big = [boolean(6), chain(64), m(62), product(chain(2), chain(32)),
+           product(m(4), m(5))]
     rng = random.Random(15)
     digest = hashlib.sha256()
-    for lat in big + [_relabel(lat, rng) for lat in big]:
+    for pair in big + [relabel(pair, rng)[0] for pair in big]:
+        lat = FiniteLattice(*pair)
         table = largest_commutator(lat)
         built = [construct_sublattice(table, SublatticeEmbedding(lat, lat.elements))]
         atom = min(y for x, y in lat.covers if x == lat.bottom)
@@ -523,12 +525,12 @@ def test_largest_tables_are_pinned():
     # SHA-256 of the `commlat largest` documents, concatenated, on the 300
     # lattices with n <= 8, nine named families and two seeded renamings of
     # each of the four n = 64 ones; any change to the descent shows here
-    big = [corpus.chain(64), corpus.boolean(6), _m(62), _product(_m(4), _m(5))]
+    big = [chain(64), boolean(6), m(62), product(m(4), m(5))]
     rng = random.Random(10)
+    named = ([chain(14), boolean(4), m(10), product(m(3), m(3)), FANO] + big
+             + [relabel(pair, rng)[0] for pair in big for _ in range(2)])
     lattices = (corpus.generate_corpus(8)
-                + [corpus.chain(14), corpus.boolean(4), _m(10),
-                   _product(_m(3), _m(3)), _fano()]
-                + big + [_relabel(lat, rng) for lat in big for _ in range(2)])
+                + [FiniteLattice(*pair) for pair in named])
     digest = hashlib.sha256()
     for lat in lattices:
         doc = fileio.table_to_doc(largest_commutator(lat))

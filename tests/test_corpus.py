@@ -6,6 +6,7 @@ import pytest
 from commlat import corpus
 from commlat.errors import LatticeTooLarge, NotALattice, VerificationError
 from commlat.lattice import FiniteLattice
+from families import m, relabel
 
 # unlabeled lattice counts, and the modular subcounts, for 1..8 elements
 KNOWN_COUNTS = [1, 1, 1, 2, 5, 15, 53, 222]
@@ -86,17 +87,6 @@ def _full_search_key(lat):
                       for at in positions)
 
 
-def _relabeled(lat, rng):
-    perm = list(range(lat.n))
-    rng.shuffle(perm)
-    return FiniteLattice(lat.n, {(perm[x], perm[y]) for x, y in lat.covers})
-
-
-def _m(k):
-    return FiniteLattice(k + 2, {(0, a) for a in range(1, k + 1)}
-                         | {(a, k + 1) for a in range(1, k + 1)})
-
-
 def test_twin_groups_give_the_full_search_key(all8):
     # swapping twins is an automorphism, so keeping each twin group in name
     # order reaches the minimum of the full search
@@ -104,7 +94,7 @@ def test_twin_groups_give_the_full_search_key(all8):
     rng = random.Random(24)
     for lat in all8:
         for _ in range(3):
-            relabeled = _relabeled(lat, rng)
+            relabeled = FiniteLattice(*relabel((lat.n, lat.covers), rng)[0])
             assert (corpus.canonical_key(relabeled)
                     == _full_search_key(relabeled) == _full_search_key(lat))
 
@@ -113,13 +103,14 @@ def test_twin_groups_give_the_full_search_key(all8):
 def test_m_k_is_keyed_in_one_relabeling(k):
     # 10! and 14! orders of the atoms, over the 8! limit, but the atoms are
     # one twin group
-    lat = _m(k)
+    lat = FiniteLattice(*m(k))
     assert all(len(list(corpus._arrangements(groups))) == 1
                for groups in corpus._color_classes(lat))
     rng = random.Random(k)
     for _ in range(3):
-        assert corpus.isomorphic(lat, _relabeled(lat, rng))
-    assert not corpus.isomorphic(lat, _m(k - 1))
+        relabeled = FiniteLattice(*relabel(m(k), rng)[0])
+        assert corpus.isomorphic(lat, relabeled)
+    assert not corpus.isomorphic(lat, FiniteLattice(*m(k - 1)))
 
 
 def test_canonical_key_refuses_factorial_search():

@@ -26,18 +26,18 @@ from commlat.lattice import (
     SublatticeEmbedding,
     _bits,
     all_congruences,
-    build,
     congruence_generated,
     is_complemented,
     is_simple,
     quotient,
 )
 from commlat.projectivity import PrimeInterval, separating_congruence
-from test_classify import _fano
+from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m,
+                      product, relabel, rename)
 
 
 def test_one_element_lattice():
-    lat = build(1, set())
+    lat = FiniteLattice(1, set())
     assert lat.bottom == lat.top == 0
     assert lat.meet(0, 0) == lat.join(0, 0) == 0
 
@@ -51,16 +51,16 @@ def test_m3_build(m3):
 def test_build_rejects_non_lattice():
     # 1 and 2 have no common upper bound, so no join
     with pytest.raises(NotALattice):
-        build(4, {(0, 1), (0, 2), (1, 3)})
+        FiniteLattice(4, {(0, 1), (0, 2), (1, 3)})
     # one bottom and one top, but 1 and 2 have two minimal upper bounds
     with pytest.raises(NotALattice, match="have no"):
-        build(6, {(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5),
-                  (4, 5)})
+        FiniteLattice(6, {(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                          (3, 5), (4, 5)})
 
 
 def test_build_rejects_two_minimal_elements():
     with pytest.raises(NotALattice):
-        build(3, {(0, 2), (1, 2)})
+        FiniteLattice(3, {(0, 2), (1, 2)})
 
 
 def test_build_rejects_antichain_before_tables():
@@ -84,21 +84,21 @@ def test_size_limit():
 
 def test_build_rejects_cycle():
     with pytest.raises(CycleDetected):
-        build(3, {(0, 1), (1, 2), (2, 0)})
+        FiniteLattice(3, {(0, 1), (1, 2), (2, 0)})
 
 
 def test_build_rejects_redundant_cover():
     with pytest.raises(RedundantCover):
-        build(3, {(0, 1), (1, 2), (0, 2)})
+        FiniteLattice(3, {(0, 1), (1, 2), (0, 2)})
 
 
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
-        build(0, set())
+        FiniteLattice(0, set())
     with pytest.raises(ValueError):
-        build(2, {(0, 5)})
+        FiniteLattice(2, {(0, 5)})
     with pytest.raises(ValueError):
-        build(2, {(1, 1)})
+        FiniteLattice(2, {(1, 1)})
 
 
 def test_tables_agree_with_order(all6):
@@ -145,42 +145,32 @@ def _modular_by_identity(lat):
                for y in lat.elements)
 
 
-def _m(k):
-    return build(k + 2, {(0, a) for a in range(1, k + 1)}
-                 | {(a, k + 1) for a in range(1, k + 1)})
-
-
-def _product(a, b):
-    """Element (x, y) is numbered x * b.n + y."""
-    covers = {(x * b.n + y, hi * b.n + y) for (x, hi) in a.covers
-              for y in b.elements}
-    covers |= {(x * b.n + y, x * b.n + hi) for (y, hi) in b.covers
-               for x in a.elements}
-    return build(a.n * b.n, covers)
-
-
 def test_is_modular_matches_the_identity_on_the_corpus(all8):
     # on the corpus names and three seeded renamings of each lattice
     rng = random.Random(11)
     for base in all8:
-        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(3)]:
             assert lattice._is_modular(lat) == _modular_by_identity(lat), lat
 
 
-@pytest.mark.parametrize("lat, modular", [
-    (corpus.chain(64), True),
-    (corpus.boolean(6), True),
-    (_m(62), True),
-    (_product(corpus.chain(2), corpus.chain(32)), True),
-    (_product(_m(4), _m(5)), True),
+N5 = 5, corpus.pentagon().covers
+
+
+@pytest.mark.parametrize("pair, modular", [
+    (chain(64), True),
+    (boolean(6), True),
+    (m(62), True),
+    (product(chain(2), chain(32)), True),
+    (product(m(4), m(5)), True),
     # modular, nilpotent and not abelian (its [top, top] is 3)
-    (build(8, {(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
-               (3, 6), (4, 7), (5, 7), (6, 7)}), True),
-    (_product(corpus.pentagon(), corpus.chain(8)), False),
-    (_product(_m(3), corpus.pentagon()), False),
+    (NILPOTENT8, True),
+    (product(N5, chain(8)), False),
+    (product(m(3), N5), False),
 ], ids=["C64", "B6", "M62", "C2xC32", "M4xM5", "n8", "N5xC8", "M3xN5"])
-def test_is_modular_matches_the_identity_at_scale(lat, modular):
+def test_is_modular_matches_the_identity_at_scale(pair, modular):
+    lat = FiniteLattice(*pair)
     assert lattice._is_modular(lat) == _modular_by_identity(lat) == modular
 
 
@@ -214,21 +204,16 @@ def test_cover_masks_on_the_corpus(all8):
         given = set(base.cover_pairs())
         _assert_masks_are_the_covers(base, given)
         for _ in range(3):
-            perm = _shuffled(rng, base.n)
-            renamed = {(perm[x], perm[y]) for x, y in given}
-            _assert_masks_are_the_covers(build(base.n, renamed), renamed)
+            n, renamed = relabel((base.n, given), rng)[0]
+            _assert_masks_are_the_covers(FiniteLattice(n, renamed), renamed)
 
 
-@pytest.mark.parametrize("given", [
-    {(m, m | 1 << b) for m in range(64) for b in range(6) if not m >> b & 1},
-    {(i, i + 1) for i in range(63)},
-    {(0, a) for a in range(1, 63)} | {(a, 63) for a in range(1, 63)},
-    set(_product(corpus.chain(2), corpus.chain(32)).cover_pairs()),
-    set(_product(_m(4), _m(5)).cover_pairs()),
+@pytest.mark.parametrize("pair", [
+    boolean(6), chain(64), m(62), product(chain(2), chain(32)),
+    product(m(4), m(5)),
 ], ids=["B6", "C64", "M62", "C2xC32", "M4xM5"])
-def test_cover_masks_at_scale(given):
-    n = max(y for _, y in given) + 1
-    _assert_masks_are_the_covers(build(n, given), given)
+def test_cover_masks_at_scale(pair):
+    _assert_masks_are_the_covers(FiniteLattice(*pair), pair[1])
 
 
 def test_is_cover_outside_the_elements(m3):
@@ -241,7 +226,8 @@ def test_is_cover_outside_the_elements(m3):
                          ids=["N5", "M3", "C3", "B2"])
 def test_equality_and_hash_follow_the_covers(lat):
     pairs = lat.cover_pairs()
-    forward, backward = build(lat.n, pairs), build(lat.n, pairs[::-1])
+    forward = FiniteLattice(lat.n, pairs)
+    backward = FiniteLattice(lat.n, pairs[::-1])
     assert forward == backward and hash(forward) == hash(backward)
     dual = lat.dual()
     assert forward != dual and hash(forward) != hash(dual)
@@ -334,23 +320,13 @@ def test_congruence_generated_is_least(all5):
                         assert len({class_of[x] for x in block}) == 1
 
 
-def _relabel(lat, perm):
-    """The lattice with element x renamed perm[x]."""
-    return build(lat.n, {(perm[x], perm[y]) for x, y in lat.covers})
-
-
-def _shuffled(rng, n):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return perm
-
-
 def test_all_congruences_matches_brute_force(all6):
     # on the corpus names and on random renamings, which need not extend
     # the order
     rng = random.Random(6)
     for base in all6:
-        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(3)]:
             congruences = _brute_force_congruences(lat)
             assert [p.blocks for p in all_congruences(lat)] == congruences
@@ -360,9 +336,10 @@ def test_all_congruences_matches_brute_force(all6):
 def test_all_congruences_on_names_against_the_order():
     # C4 named top-down, and the glued sum C2+B2 renamed by [2, 1, 3, 0, 4]:
     # in both some x < y as integers has y below x in the order
-    assert len(all_congruences(build(4, {(3, 2), (2, 1), (1, 0)}))) == 8
-    glued = build(5, {(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)})
-    assert len(all_congruences(_relabel(glued, [2, 1, 3, 0, 4]))) == 8
+    top_down = rename(chain(4), [3, 2, 1, 0])
+    assert len(all_congruences(FiniteLattice(*top_down))) == 8
+    glued = rename(glued_sum(chain(2), boolean(2)), [2, 1, 3, 0, 4])
+    assert len(all_congruences(FiniteLattice(*glued))) == 8
 
 
 def test_all_congruences_at_scale():
@@ -415,7 +392,8 @@ def test_is_simple_builds_at_most_one_congruence_per_join_irreducible(
         monkeypatch):
     calls, _ = _count_calls(monkeypatch)
     for lat, simple in ((corpus.boolean(3), False), (corpus.diamond(), True),
-                        (corpus.pentagon(), False), (_m(7), True)):
+                        (corpus.pentagon(), False),
+                        (FiniteLattice(*m(7)), True)):
         del calls[:]
         assert is_simple(lat) is simple
         # the dependency masks pick one j, and con(j-, j) gives the answer
@@ -474,9 +452,10 @@ def _oracle_lattices(all7, modular8):
     bases = (all7 + [lat for lat in modular8 if lat.n == 8]
              + [corpus.chain(10), corpus.boolean(5)])
     for base in bases:
+        pair = base.n, base.covers
         for _ in range(3):
-            yield _relabel(base, _shuffled(rng, base.n))
-        yield _relabel(base, range(base.n - 1, -1, -1))
+            yield FiniteLattice(*relabel(pair, rng)[0])
+        yield FiniteLattice(*rename(pair, range(base.n - 1, -1, -1)))
 
 
 def _class_of(blocks):
@@ -519,14 +498,14 @@ def test_engine_outputs_are_pinned(all8):
     # quotient (image covers and projection image), on the 300 corpus
     # lattices with n <= 8 and four larger modular ones, each as given and
     # under two seeded renamings; any change to the engine's output shows
-    glued = build(9, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (4, 5),
-                      (4, 6), (4, 7), (5, 8), (6, 8), (7, 8)})
     rng = random.Random(8)
-    bases = all8 + [_product(_m(3), _m(3)), _product(_m(4), _m(5)), _fano(),
-                    glued]
+    bases = all8 + [FiniteLattice(*pair) for pair in (
+        product(m(3), m(3)), product(m(4), m(5)), FANO,
+        glued_sum(m(3), m(3)))]
     digest = hashlib.sha256()
     for base in bases:
-        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(2)]:
             out = [[(p.blocks, p.class_of) for p in all_congruences(lat)],
                    is_simple(lat)]
@@ -560,8 +539,7 @@ def _drop_each_dependency(lat):
 @pytest.mark.parametrize("lat", [
     corpus.pentagon(),
     # modular with n = 8 and [top, top] = 3 in the largest table
-    build(8, {(0, 1), (0, 2), (0, 3), (1, 6), (2, 6), (3, 4), (3, 5),
-              (3, 6), (4, 7), (5, 7), (6, 7)}),
+    FiniteLattice(*NILPOTENT8),
 ], ids=["N5", "modular8"])
 def test_a_dependency_missing_from_below_is_caught(lat, tmp_path, capsys,
                                                    monkeypatch):
@@ -634,7 +612,7 @@ def test_fault_census_of_the_dependency_masks(all7, modular8, monkeypatch):
             wrong[j] ^= 1 << k
             monkeypatch.setattr(lattice, "_dependencies",
                                 lambda lat, fact=(wrong, j_mask): fact)
-            fresh = build(lat.n, covers)
+            fresh = FiniteLattice(lat.n, covers)
             if below[j] >> k & 1:
                 drops += 1
                 with pytest.raises(VerificationError):
@@ -750,7 +728,8 @@ def test_quotient_covers_match_the_quotient_order(all6):
     # on the corpus names and on random renamings
     rng = random.Random(9)
     for base in all6:
-        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(2)]:
             for part in all_congruences(lat):
                 image, _ = quotient(lat, part)

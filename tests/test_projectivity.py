@@ -37,8 +37,8 @@ from commlat.projectivity import (
     transposes_up,
     two_element_quotient,
 )
-from test_classify import _m, _product
-from test_lattice import _brute_force_congruences, _relabel, _shuffled
+from families import boolean, chain, m, product, projective_plane, relabel
+from test_lattice import _brute_force_congruences
 
 
 def test_irreducibles_on_chain(chain3):
@@ -85,12 +85,11 @@ def test_irreducibles_from_the_masks_match_their_definition(all8):
     # order, and on larger lattices; the dependency fact lists the same
     # join irreducibles
     rng = random.Random(18)
-    lattices = [_relabel(base, _shuffled(rng, base.n))
-                for base in all8 for _ in range(3)]
-    lattices += [corpus.boolean(6), corpus.chain(64), _m(62),
-                 _product(corpus.chain(2), corpus.chain(32)),
-                 _product(_m(4), _m(5))]
-    for lat in lattices:
+    pairs = [relabel((base.n, base.covers), rng)[0]
+             for base in all8 for _ in range(3)]
+    pairs += [boolean(6), chain(64), m(62), product(chain(2), chain(32)),
+              product(m(4), m(5))]
+    for lat in (FiniteLattice(*pair) for pair in pairs):
         _assert_irreducibles_match_their_definition(lat)
         below, j_mask = lattice._dependencies(lat)
         assert ([(j, lat._lower[j].bit_length() - 1)
@@ -163,17 +162,18 @@ def test_projectivity_classes_match_all_pairs_on_the_corpus(modular8):
     rng = random.Random(14)
     assert len(modular8) == 67
     for base in modular8:
-        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(2)]:
             _assert_classes_match_all_pairs(lat)
 
 
-@pytest.mark.parametrize("lat", [
-    corpus.boolean(6), corpus.chain(64), _m(62),
-    _product(corpus.chain(2), corpus.chain(32)), _product(_m(4), _m(5)),
+@pytest.mark.parametrize("pair", [
+    boolean(6), chain(64), m(62), product(chain(2), chain(32)),
+    product(m(4), m(5)),
 ], ids=["B6", "C64", "M62", "C2xC32", "M4xM5"])
-def test_projectivity_classes_match_all_pairs_at_scale(lat):
-    _assert_classes_match_all_pairs(lat)
+def test_projectivity_classes_match_all_pairs_at_scale(pair):
+    _assert_classes_match_all_pairs(FiniteLattice(*pair))
 
 
 def test_a_transpose_that_is_no_cover_is_a_bug(n5, monkeypatch):
@@ -231,50 +231,12 @@ def test_class_of_takes_any_pair_of_ints_and_refuses_the_rest(m3):
             classes.class_of(other)
 
 
-def _field(q):
-    """Addition and multiplication of GF(q) for q = 4 and q prime.  GF(4) is
-    F2[x]/(x^2 + x + 1), a + bx stored as a | b << 1."""
-    if q != 4:
-        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
-
-    def times(a, b):
-        product = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
-        return product ^ 0b111 if product & 0b100 else product
-
-    return (lambda a, b: a ^ b), times
-
-
-def _projective_plane(q):
-    """The subspace lattice of PG(2, q): 0, the q^2 + q + 1 points (the
-    vectors of F_q^3 whose first nonzero coordinate is 1), the lines (named
-    by the same vectors as normals: p lies on l iff p . l = 0), the plane."""
-    plus, times = _field(q)
-    vectors = [v for v in itertools.product(range(q), repeat=3)
-               if any(v) and next(c for c in v if c) == 1]
-    k = len(vectors)
-    assert k == q * q + q + 1
-
-    def dot(u, v):
-        out = 0
-        for a, b in zip(u, v):
-            out = plus(out, times(a, b))
-        return out
-
-    covers = {(0, 1 + p) for p in range(k)}
-    covers |= {(1 + p, 1 + k + i) for p, u in enumerate(vectors)
-               for i, v in enumerate(vectors) if dot(u, v) == 0}
-    covers |= {(1 + k + i, 2 * k + 1) for i in range(k)}
-    assert len(covers) == 2 * k + k * (q + 1)
-    return FiniteLattice(2 * k + 2, covers)
-
-
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_projective_planes_are_simple_with_every_ceiling_top(q):
     # PG(2, 3), PG(2, 4) and PG(2, 5) have 28, 44 and 64 elements; each is
     # simple, complemented and modular, so all its prime intervals are
     # projective and the largest multiplication is top at every cover
-    base = _projective_plane(q)
-    lat = _relabel(base, _shuffled(random.Random(q), base.n))
+    lat = FiniteLattice(*relabel(projective_plane(q), random.Random(q))[0])
     classes = projectivity_classes(lat)
     assert classes.num_classes == 1
     assert is_simple(lat)
@@ -298,9 +260,9 @@ def _held(make):
 
 def test_the_facts_take_no_more_memory_than_their_lattice(all8):
     # the dependency fact and, on modular lattices, the projectivity record
-    lattices = all8 + [corpus.boolean(6), corpus.chain(64), _m(62),
-                       _product(corpus.chain(2), corpus.chain(32)),
-                       _projective_plane(5)]
+    lattices = all8 + [FiniteLattice(*pair) for pair in (
+        boolean(6), chain(64), m(62), product(chain(2), chain(32)),
+        projective_plane(5))]
     # frozen objects are left out of the collections, which stay fast
     gc.freeze()
     tracemalloc.start()
@@ -388,7 +350,8 @@ def test_separating_congruence_is_largest(modular6):
     # corpus names and on random renamings
     rng = random.Random(7)
     for base in modular6:
-        for lat in [base] + [_relabel(base, _shuffled(rng, base.n))
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(2)]:
             congruences = _brute_force_congruences(lat)
             for i in prime_intervals(lat):
@@ -409,7 +372,7 @@ def test_separating_congruence_checks_every_cover(b22, monkeypatch):
 
 
 @pytest.mark.parametrize("lat", [corpus.boolean(3),
-                                 _product(_m(3), corpus.chain(2))],
+                                 FiniteLattice(*product(m(3), chain(2)))],
                          ids=["B3", "M3xC2"])
 def test_separating_congruence_closes_once_per_class(lat, monkeypatch):
     # one kernel build per class, on first request

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from commlat import corpus
 from commlat.commutator import enumerate_commutators, residuation
 from commlat.lattice import FiniteLattice, congruence_generated
+from families import rename
 
 LATTICES = corpus.generate_corpus(6)
 SMALL = [lat for lat in corpus.generate_corpus(4)]
@@ -15,8 +16,7 @@ TABLES = {lat: enumerate_commutators(lat) for lat in SMALL}
 def test_canonical_key_is_relabeling_invariant(data):
     lat = data.draw(st.sampled_from(LATTICES))
     perm = data.draw(st.permutations(range(lat.n)))
-    relabeled = FiniteLattice(lat.n, {(perm[x], perm[y])
-                                      for x, y in lat.covers})
+    relabeled = FiniteLattice(*rename((lat.n, lat.covers), perm))
     assert corpus.canonical_key(relabeled) == corpus.canonical_key(lat)
 
 
