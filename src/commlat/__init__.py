@@ -48,19 +48,13 @@ from .projectivity import (
     ProjectivityClasses,
     SplittingPair,
     is_completely_meet_prime,
-    is_lonesome_join_irreducible,
     is_lonesome_meet_irreducible,
     join_irreducibles,
     meet_irreducibles,
-    prime_intervals,
     projective_ceiling,
-    projective_floor,
     projectivity_classes,
-    projects_into,
     separating_congruence,
-    splits,
     splitting_pairs,
-    transposes_up,
     two_element_quotient,
 )
 

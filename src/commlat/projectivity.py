@@ -50,11 +50,6 @@ def _require_modular(lat):
         raise NotModular("operation requires a modular lattice")
 
 
-def prime_intervals(lat):
-    """All cover pairs as intervals, in sorted order."""
-    return tuple(PrimeInterval(x, y) for x, y in lat.cover_pairs())
-
-
 def meet_irreducibles(lat):
     """Elements with exactly one upper cover, which is their ``plus``: the
     elements strictly below the meet of their strict upper bounds."""
@@ -69,29 +64,21 @@ def join_irreducibles(lat):
                  for x, minus in _single_bits(lat._lower))
 
 
-def transposes_up(lat, i, j):
-    """Whether i transposes up to j: j.hi = i.hi v j.lo and i.lo = i.hi ^ j.lo."""
-    return (lat.join(i.hi, j.lo) == j.hi
-            and lat.meet(i.hi, j.lo) == i.lo)
-
-
 class ProjectivityClasses:
     """Projectivity classes of the prime intervals, with what each class
-    determines: its ceiling and floor, the number of meet and of join
-    irreducibles whose canonical interval lies in it, and its separating
-    congruence, filled in by :func:`separating_congruence` when first asked
-    for.  The class ids are one ``bytes`` table at ``lo * n + hi``, 0xFF
-    where (lo, hi) is no cover (at most |J| <= 63 classes), and the
-    per-class values are ``bytes`` too.  ``class_of``, the one check that a
-    pair is a prime interval, takes any pair of ints, else ValueError."""
+    determines: its ceiling, the number of meet irreducibles whose
+    canonical interval lies in it, and its separating congruence, filled in
+    by :func:`separating_congruence` when first asked for.  The class ids
+    are one ``bytes`` table at ``lo * n + hi``, 0xFF where (lo, hi) is no
+    cover (at most |J| <= 63 classes), and the per-class values are
+    ``bytes`` too.  ``class_of``, the one check that a pair is a prime
+    interval, takes any pair of ints, else ValueError."""
 
-    __slots__ = ("n", "_table", "ceilings", "floors", "meet_counts",
-                 "join_counts", "_separating")
+    __slots__ = ("n", "_table", "ceilings", "meet_counts", "_separating")
 
-    def __init__(self, n, table, ceilings, floors, meet_counts, join_counts):
+    def __init__(self, n, table, ceilings, meet_counts):
         self.n, self._table = n, table
-        self.ceilings, self.floors = ceilings, floors
-        self.meet_counts, self.join_counts = meet_counts, join_counts
+        self.ceilings, self.meet_counts = ceilings, meet_counts
         self._separating = [None] * len(ceilings)
 
     def class_of(self, interval):
@@ -104,15 +91,6 @@ class ProjectivityClasses:
             pass
         raise ValueError(f"{interval} is not a prime interval")
 
-    def same_class(self, i, j):
-        return self.class_of(i) == self.class_of(j)
-
-    def members(self, interval):
-        """All prime intervals projective to the given one, in sorted order."""
-        cid = self.class_of(interval)
-        return tuple(PrimeInterval(*divmod(at, self.n))
-                     for at, c in enumerate(self._table) if c == cid)
-
     @property
     def num_classes(self):
         return len(self.ceilings)
@@ -121,9 +99,8 @@ class ProjectivityClasses:
 def projectivity_classes(lat):
     """Connected components of the perspectivity graph on prime intervals,
     with the projective ceiling and the meet irreducible count of each from
-    one pass over the meet irreducibles, and the projective floor and the
-    join irreducible count from one over the join irreducibles.  The package
-    reads it through ``lat.fact``, once per lattice.
+    one pass over the meet irreducibles.  The package reads it through
+    ``lat.fact``, once per lattice.
 
     The up-transposes of a cover (a, b) are the intervals (c, b v c) with
     b ^ c = a, read off the rows of b in the meet and join tables, so each
@@ -160,30 +137,13 @@ def projectivity_classes(lat):
     for a, (lo, hi) in enumerate(pairs):
         table[lo * n + hi] = relabel.setdefault(find(a), len(relabel))
     k = len(relabel)
-    ceilings, floors = [lat.bottom] * k, [lat.bottom] * k
-    meet_counts, join_counts = [0] * k, [0] * k
+    ceilings, meet_counts = [lat.bottom] * k, [0] * k
     for m, plus in _single_bits(lat._upper):
         cid = table[m * n + plus]
         ceilings[cid] = lat.join(ceilings[cid], m)
         meet_counts[cid] += 1
-    for j, minus in _single_bits(lat._lower):
-        cid = table[minus * n + j]
-        floors[cid] = lat.join(floors[cid], j)
-        join_counts[cid] += 1
     return ProjectivityClasses(n, bytes(table), bytes(ceilings),
-                               bytes(floors), bytes(meet_counts),
-                               bytes(join_counts))
-
-
-def projects_into(lat, interval, lo, hi):
-    """Whether some prime interval projective to ``interval`` lies in [lo, hi]."""
-    if not (0 <= lo < lat.n and 0 <= hi < lat.n):
-        raise ValueError(f"[{lo}, {hi}] out of range")
-    if not lat.leq(lo, hi):
-        raise ValueError(f"[{lo}, {hi}] is not an interval")
-    classes = lat.fact(projectivity_classes)
-    return any(lat.leq(lo, p.lo) and lat.leq(p.hi, hi)
-               for p in classes.members(interval))
+                               bytes(meet_counts))
 
 
 def projective_ceiling(lat, interval):
@@ -191,13 +151,6 @@ def projective_ceiling(lat, interval):
     projective to the given one (empty join = bottom)."""
     classes = lat.fact(projectivity_classes)
     return classes.ceilings[classes.class_of(interval)]
-
-
-def projective_floor(lat, interval):
-    """Join of the join irreducibles whose canonical prime interval is
-    projective to the given one (empty join = bottom)."""
-    classes = lat.fact(projectivity_classes)
-    return classes.floors[classes.class_of(interval)]
 
 
 def is_lonesome_meet_irreducible(lat, eta):
@@ -208,15 +161,6 @@ def is_lonesome_meet_irreducible(lat, eta):
     if lat._upper[eta.element] != 1 << eta.plus:
         raise ValueError(f"{eta.element} is not meet irreducible")
     return classes.meet_counts[cid] == 1
-
-
-def is_lonesome_join_irreducible(lat, rho):
-    """Dual of :func:`is_lonesome_meet_irreducible`."""
-    classes = lat.fact(projectivity_classes)
-    cid = classes.class_of(rho.interval())
-    if lat._lower[rho.element] != 1 << rho.minus:
-        raise ValueError(f"{rho.element} is not join irreducible")
-    return classes.join_counts[cid] == 1
 
 
 def is_completely_meet_prime(lat, eta):
@@ -242,11 +186,6 @@ def splitting_pairs(lat):
                  for delta in lat.elements if delta != lat.top
                  for epsilon in lat.elements if epsilon != lat.bottom
                  and lat.lower_set(delta) | lat.upper_set(epsilon) == everything)
-
-
-def splits(lat):
-    """Whether the lattice is the union of two proper subintervals."""
-    return bool(splitting_pairs(lat))
 
 
 def separating_congruence(lat, interval):

@@ -1,8 +1,9 @@
 """The acceptance gate: one test per shipped criterion, all exact.
 
-Every check is a finite, exhaustive verification over the corpus of small
-lattices up to isomorphism (all 78 lattices with at most 7 elements, 33 of
-them modular); each test prints a PASS line once its criterion holds.
+Every check is a finite, exhaustive verification over a corpus of small
+lattices up to isomorphism: all 78 lattices with at most 7 elements, 33 of
+them modular, or the 67 modular lattices with at most 8 elements.  Each
+test prints a PASS line, naming its corpus, once its criterion holds.
 Runtime bounds are asserted where the criterion states one.
 """
 
@@ -36,14 +37,12 @@ from commlat.lattice import (
     quotient,
 )
 from commlat.projectivity import (
+    PrimeInterval,
     is_completely_meet_prime,
-    is_lonesome_join_irreducible,
     is_lonesome_meet_irreducible,
     join_irreducibles,
     meet_irreducibles,
-    prime_intervals,
     projective_ceiling,
-    projective_floor,
     projectivity_classes,
     separating_congruence,
     splitting_pairs,
@@ -95,31 +94,31 @@ def test_criterion_2_oracle_equivalence(modular5):
           f"{len(modular5)} modular lattices with <= 5 elements ({elapsed:.2f}s)")
 
 
-def test_criterion_3_residuation_equals_ceiling(modular7):
+def test_criterion_3_residuation_equals_ceiling(modular8):
     started = time.perf_counter()
     checked = 0
-    for lat in modular7:
+    for lat in modular8:
         big = largest_commutator(lat)
-        for interval in prime_intervals(lat):
+        for interval in lat.cover_pairs():
             # the operation itself raises on mismatch; compare explicitly too
             value = largest_residuation_at_cover(lat, interval)
-            assert value == residuation(big, interval.lo, interval.hi)
+            assert value == residuation(big, *interval)
             assert value == projective_ceiling(lat, interval)
             checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
     print(f"ACCEPTANCE 3: PASS - largest residuation equals the projective "
-          f"ceiling at all {checked} covers of the <= 7 modular corpus "
+          f"ceiling at all {checked} covers of the <= 8 modular corpus "
           f"({elapsed:.2f}s)")
 
 
-def test_criterion_4_forcing_equivalences(modular5, modular7):
+def test_criterion_4_forcing_equivalences(modular5, modular8):
     from commlat.projectivity import two_element_quotient
 
-    for lat in modular7:
+    for lat in modular8:
         report = series(largest_commutator(lat))
         ceilings_full = all(projective_ceiling(lat, i) == lat.top
-                            for i in prime_intervals(lat))
+                            for i in lat.cover_pairs())
         assert ceilings_full == report.is_nilpotent, lat
         no_two_element_image = two_element_quotient(lat) is None
         assert no_two_element_image == report.is_solvable, lat
@@ -136,7 +135,7 @@ def test_criterion_4_forcing_equivalences(modular5, modular7):
     assert not forces_abelian_type(lat) and forces_nilpotent_type(lat)
     assert largest_commutator(lat).value(lat.top, lat.top) == 3
     print("ACCEPTANCE 4: PASS - nilpotent-type and solvable-type criteria "
-          "match the largest multiplication on the <= 7 modular corpus, and "
+          "match the largest multiplication on the <= 8 modular corpus, and "
           "the abelian verdict matches the enumeration on the <= 5 one")
 
 
@@ -167,15 +166,24 @@ def _check_residuation_laws(lat, table):
                     lat.meet(r(x, y), r(x, y2))
 
 
+def _lonesome_joins(lat, classes):
+    """Each join irreducible, the class of its canonical interval, and
+    whether it is the only join irreducible there: the dual of
+    ``is_lonesome_meet_irreducible``."""
+    irr = join_irreducibles(lat)
+    ids = [classes.class_of(rho.interval()) for rho in irr]
+    return [(rho, cid, ids.count(cid) == 1) for rho, cid in zip(irr, ids)]
+
+
 def _check_projective_residuation_laws(lat, table):
     classes = projectivity_classes(lat)
-    primes = prime_intervals(lat)
+    primes = [PrimeInterval(*p) for p in lat.cover_pairs()]
     for i in primes:
         # the projective ceiling bounds the residuation from below
         assert lat.leq(projective_ceiling(lat, i),
                        residuation(table, i.lo, i.hi))
         for j in primes:
-            if not classes.same_class(i, j):
+            if classes.class_of(i) != classes.class_of(j):
                 continue
             # residuation and top-square containment are class invariants
             assert residuation(table, i.lo, i.hi) == \
@@ -186,9 +194,9 @@ def _check_projective_residuation_laws(lat, table):
     for eta in meet_irreducibles(lat):
         if residuation(table, eta.element, eta.plus) == eta.element:
             assert is_lonesome_meet_irreducible(lat, eta)
-    for rho in join_irreducibles(lat):
+    for rho, _, lonesome in _lonesome_joins(lat, classes):
         if table.value(rho.element, rho.element) == rho.element:
-            assert is_lonesome_join_irreducible(lat, rho)
+            assert lonesome
 
 
 def test_criterion_5_residuation_and_transfer_laws(all5, modular5, modular7):
@@ -220,26 +228,29 @@ def _is_b2_hom(lat, image):
         for x in lat.elements for y in lat.elements)
 
 
-def test_criterion_6_projectivity_propositions(modular7):
-    for lat in modular7:
+def test_criterion_6_projectivity_propositions(modular8):
+    for lat in modular8:
         classes = projectivity_classes(lat)
         irr_meet = meet_irreducibles(lat)
-        irr_join = join_irreducibles(lat)
-        for i in prime_intervals(lat):
+        joins = _lonesome_joins(lat, classes)
+        # the floor of a class is the join of the join irreducibles in it
+        floors = [lat.join_all(rho.element for rho, cid, _ in joins
+                               if cid == c)
+                  for c in range(classes.num_classes)]
+        for i in lat.cover_pairs():
             # every element is under the ceiling or over the floor
             ceiling = projective_ceiling(lat, i)
-            floor = projective_floor(lat, i)
+            floor = floors[classes.class_of(i)]
             for phi in lat.elements:
                 assert lat.leq(phi, ceiling) or lat.leq(floor, phi)
             # the separating relation really is a congruence avoiding i
             part = separating_congruence(lat, i)
-            assert not part.related(i.lo, i.hi)
+            assert not part.related(*i)
         # lonesomeness transfers between the two kinds of irreducible
-        for rho in irr_join:
+        for _, cid, lonesome in joins:
             for eta in irr_meet:
-                if classes.same_class(rho.interval(), eta.interval()):
-                    assert is_lonesome_join_irreducible(lat, rho) == \
-                        is_lonesome_meet_irreducible(lat, eta)
+                if classes.class_of(eta.interval()) == cid:
+                    assert lonesome == is_lonesome_meet_irreducible(lat, eta)
         # lonesome <=> meet prime <=> a two-element image separates the pair
         for eta in irr_meet:
             lonesome = is_lonesome_meet_irreducible(lat, eta)
@@ -251,7 +262,7 @@ def test_criterion_6_projectivity_propositions(modular7):
             assert lonesome == prime == image_exists
     print("ACCEPTANCE 6: PASS - the splitting bound, lonesome duality, the "
           "three-way lonesome characterization and the separating congruence "
-          "hold on the <= 7 modular corpus")
+          "hold on the <= 8 modular corpus")
 
 
 def _document(table):

@@ -186,8 +186,7 @@ def test_ceilings_that_all_read_top_are_a_bug(tmp_path, capsys, monkeypatch):
     def topped(lat):
         c = classes(lat)
         return projectivity.ProjectivityClasses(
-            c.n, c._table, bytes([lat.top]) * c.num_classes, c.floors,
-            c.meet_counts, c.join_counts)
+            c.n, c._table, bytes([lat.top]) * c.num_classes, c.meet_counts)
 
     monkeypatch.setattr(classify, "projectivity_classes", topped)
     with pytest.raises(VerificationError, match="cover-ceiling"):
@@ -243,10 +242,9 @@ def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
 
 
 def test_supernilpotency_matches_splitting(all8):
-    from commlat.projectivity import splits
-
     for lat in all8:
-        assert supernilpotency_shape(lat) == (not splits(lat))
+        assert (supernilpotency_shape(lat)
+                == (not projectivity.splitting_pairs(lat)))
 
 
 def test_supernilpotency_disagreement_is_a_bug(b22, monkeypatch):

@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
+import commlat
 from commlat import classify, corpus, fileio
 from commlat.cli import main
 
@@ -474,3 +476,26 @@ def test_no_assert_in_the_package():
             found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_the_exported_names_are_pinned():
+    # adding or dropping a public name of the package is a change to this
+    # list; submodules, which importing them adds, are no exports
+    assert sorted(name for name, value in vars(commlat).items()
+                  if not name.startswith("_")
+                  and not isinstance(value, types.ModuleType)) == [
+        "CommlatError", "CommutatorTable", "FiniteLattice", "ForcingReport",
+        "InputError", "JoinIrreducible", "LatticeMap", "LatticePartition",
+        "MeetIrreducible", "PrimeInterval", "ProjectivityClasses",
+        "SeriesReport", "SplittingPair", "SublatticeEmbedding",
+        "VerificationError", "all_congruences", "analyze",
+        "congruence_generated", "construct_pullback", "construct_splitting",
+        "construct_sublattice", "enumerate_commutators", "forces_abelian_type",
+        "forces_nilpotent_type", "forces_solvable_type", "is_complemented",
+        "is_completely_meet_prime", "is_lonesome_meet_irreducible",
+        "is_simple", "join_irreducibles", "largest_commutator",
+        "largest_residuation_at_cover", "meet_irreducibles", "meet_table",
+        "projective_ceiling", "projectivity_classes", "quotient",
+        "residuation", "separating_congruence", "series", "splitting_pairs",
+        "supernilpotency_shape", "two_element_quotient", "zero_table",
+    ]

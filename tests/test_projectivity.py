@@ -22,19 +22,13 @@ from commlat.projectivity import (
     PrimeInterval,
     SplittingPair,
     is_completely_meet_prime,
-    is_lonesome_join_irreducible,
     is_lonesome_meet_irreducible,
     join_irreducibles,
     meet_irreducibles,
-    prime_intervals,
     projective_ceiling,
-    projective_floor,
     projectivity_classes,
-    projects_into,
     separating_congruence,
-    splits,
     splitting_pairs,
-    transposes_up,
     two_element_quotient,
 )
 from families import boolean, chain, m, product, projective_plane, relabel
@@ -98,8 +92,8 @@ def test_irreducibles_from_the_masks_match_their_definition(all8):
         assert j_mask == sum(1 << j for j, _ in join_irreducibles(lat))
 
 
-def test_irreducible_intervals_are_prime(modular7):
-    for lat in modular7:
+def test_irreducible_intervals_are_prime(modular8):
+    for lat in modular8:
         for eta in meet_irreducibles(lat):
             assert lat.is_cover(eta.element, eta.plus)
         for rho in join_irreducibles(lat):
@@ -113,31 +107,29 @@ def test_duality_of_irreducibles(all6):
             {(j.element, j.minus) for j in join_irreducibles(dual)}
 
 
-def test_transposes_up(b22, chain3):
-    i = PrimeInterval(0, 1)
-    assert transposes_up(b22, i, i)
-    assert transposes_up(b22, PrimeInterval(0, 1), PrimeInterval(2, 3))
-    assert not transposes_up(chain3, PrimeInterval(0, 1), PrimeInterval(1, 2))
-
-
 def test_projectivity_classes(m3, b22, chain3):
     assert projectivity_classes(m3).num_classes == 1
-    assert len(prime_intervals(m3)) == 6
+    assert len(m3.cover_pairs()) == 6
     b22_classes = projectivity_classes(b22)
     assert b22_classes.num_classes == 2
-    assert b22_classes.same_class(PrimeInterval(0, 1), PrimeInterval(2, 3))
-    assert not b22_classes.same_class(PrimeInterval(0, 1), PrimeInterval(0, 2))
+    assert b22_classes.class_of((0, 1)) == b22_classes.class_of((2, 3))
+    assert b22_classes.class_of((0, 1)) != b22_classes.class_of((0, 2))
     assert projectivity_classes(chain3).num_classes == 2
+
+
+def _transposes_up(lat, i, j):
+    # j.hi = i.hi v j.lo and i.lo = i.hi ^ j.lo
+    return lat.join(i.hi, j.lo) == j.hi and lat.meet(i.hi, j.lo) == i.lo
 
 
 def _perspectivity_components(lat):
     """Class ids, in order of first appearance, of the components of the
     perspectivity graph, testing every pair of prime intervals."""
-    intervals = prime_intervals(lat)
+    intervals = [PrimeInterval(*p) for p in lat.cover_pairs()]
     component = list(range(len(intervals)))
     for a, i in enumerate(intervals):
         for b, j in enumerate(intervals[:a]):
-            if transposes_up(lat, i, j) or transposes_up(lat, j, i):
+            if _transposes_up(lat, i, j) or _transposes_up(lat, j, i):
                 old, new = component[a], component[b]
                 component = [new if c == old else c for c in component]
     ids = {}
@@ -147,7 +139,7 @@ def _perspectivity_components(lat):
 
 def _assert_classes_match_all_pairs(lat):
     classes = projectivity_classes(lat)
-    intervals = prime_intervals(lat)
+    intervals = lat.cover_pairs()
     assert ({i: classes.class_of(i) for i in intervals}
             == _perspectivity_components(lat))
     # every other pair is refused
@@ -194,8 +186,6 @@ def test_nonmodular_rejected(n5):
 
 _PER_INTERVAL = {
     "projective_ceiling": projective_ceiling,
-    "projective_floor": projective_floor,
-    "projects_into": lambda lat, i: projects_into(lat, i, lat.bottom, lat.top),
     "separating_congruence": separating_congruence,
     "largest_residuation_at_cover": largest_residuation_at_cover,
     "is_lonesome_meet_irreducible":
@@ -279,22 +269,11 @@ def test_the_facts_take_no_more_memory_than_their_lattice(all8):
         gc.unfreeze()
 
 
-def test_projects_into(b22):
-    assert projects_into(b22, PrimeInterval(0, 1), 0, 1)
-    assert projects_into(b22, PrimeInterval(0, 1), 2, 3)
-    assert not projects_into(b22, PrimeInterval(0, 1), 0, 2)
-    assert not projects_into(b22, PrimeInterval(0, 1), 1, 1)
-
-
-def test_ceiling_and_floor(m3, b22, chain3):
+def test_ceiling(m3, b22, chain3):
     assert projective_ceiling(m3, PrimeInterval(0, 1)) == 4
-    assert projective_floor(m3, PrimeInterval(0, 1)) == 4
     assert projective_ceiling(b22, PrimeInterval(0, 1)) == 2
-    assert projective_floor(b22, PrimeInterval(0, 1)) == 1
     assert projective_ceiling(chain3, PrimeInterval(0, 1)) == 0
-    assert projective_floor(chain3, PrimeInterval(0, 1)) == 1
     assert projective_ceiling(chain3, PrimeInterval(1, 2)) == 1
-    assert projective_floor(chain3, PrimeInterval(1, 2)) == 2
 
 
 def test_lonesome(b22, m3, chain3):
@@ -302,17 +281,14 @@ def test_lonesome(b22, m3, chain3):
     assert is_lonesome_meet_irreducible(b22, eta_a)
     assert not is_lonesome_meet_irreducible(m3, MeetIrreducible(1, 4))
     assert is_lonesome_meet_irreducible(chain3, MeetIrreducible(0, 1))
-    assert is_lonesome_join_irreducible(b22, JoinIrreducible(1, 0))
-    assert not is_lonesome_join_irreducible(m3, JoinIrreducible(1, 0))
 
 
 def test_splitting_pairs(b22, m3, b2):
     assert splitting_pairs(b22) == (SplittingPair(1, 2), SplittingPair(2, 1))
     assert splitting_pairs(m3) == ()
     assert splitting_pairs(b2) == (SplittingPair(0, 1),)
-    assert splits(b2) and not splits(m3)
     for k in range(2, 6):
-        assert splits(corpus.chain(k))
+        assert splitting_pairs(corpus.chain(k))
 
 
 def test_splitting_pairs_match_the_cubic_definition(all8):
@@ -354,13 +330,13 @@ def test_separating_congruence_is_largest(modular6):
         for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(2)]:
             congruences = _brute_force_congruences(lat)
-            for i in prime_intervals(lat):
+            for lo, hi in lat.cover_pairs():
                 keeping = [LatticePartition(lat, blocks)
                            for blocks in congruences
-                           if not any(i.lo in b and i.hi in b for b in blocks)]
+                           if not any(lo in b and hi in b for b in blocks)]
                 largest = [p for p in keeping
                            if all(q.refines(p) for q in keeping)]
-                assert [separating_congruence(lat, i)] == largest
+                assert [separating_congruence(lat, (lo, hi))] == largest
 
 
 def test_separating_congruence_checks_every_cover(b22, monkeypatch):
@@ -384,7 +360,7 @@ def test_separating_congruence_closes_once_per_class(lat, monkeypatch):
         return fibres(lat, reach)
 
     monkeypatch.setattr(projectivity, "_fibres", counted)
-    first, *rest = prime_intervals(lat)
+    first, *rest = lat.cover_pairs()
     separating_congruence(lat, first)
     assert len(calls) == 1
     for i in rest:
@@ -403,15 +379,16 @@ def test_con_of_a_modular_lattice_is_boolean_on_the_classes(all8):
             assert is_simple(lat) == (num_classes == 1)
 
 
-def test_projectivity_matches_principal_congruences(modular7):
+def test_projectivity_matches_principal_congruences(modular8):
     # independent route: collapsing one prime interval collapses exactly the
     # prime intervals projective to it
-    for lat in modular7:
+    for lat in modular8:
         classes = projectivity_classes(lat)
-        for p in prime_intervals(lat):
-            collapsed = congruence_generated(lat, [(p.lo, p.hi)])
-            for q in prime_intervals(lat):
-                assert collapsed.related(q.lo, q.hi) == classes.same_class(p, q)
+        for p in lat.cover_pairs():
+            collapsed = congruence_generated(lat, [p])
+            for q in lat.cover_pairs():
+                assert (collapsed.related(*q)
+                        == (classes.class_of(p) == classes.class_of(q)))
 
 
 def test_separation_by_meet_irreducibles(all8):
@@ -426,20 +403,22 @@ def test_separation_by_meet_irreducibles(all8):
                            for m in irr)
 
 
-def test_cover_transposes_to_separating_irreducible(modular7):
+def test_cover_transposes_to_separating_irreducible(modular8):
     # a cover below a separating meet irreducible transposes up to its
     # canonical interval, and every projectivity class reaches both kinds
     # of irreducible
-    for lat in modular7:
+    for lat in modular8:
         classes = projectivity_classes(lat)
         irr_meet = meet_irreducibles(lat)
-        irr_join = join_irreducibles(lat)
-        for i in prime_intervals(lat):
+        meet_ids = {classes.class_of(m.interval()) for m in irr_meet}
+        join_ids = {classes.class_of(j.interval())
+                    for j in join_irreducibles(lat)}
+        for lo, hi in lat.cover_pairs():
             for eta in irr_meet:
-                if lat.leq(i.lo, eta.element) and not lat.leq(i.hi, eta.element):
-                    assert transposes_up(lat, i, eta.interval())
-            assert any(classes.same_class(i, m.interval()) for m in irr_meet)
-            assert any(classes.same_class(i, j.interval()) for j in irr_join)
+                if lat.leq(lo, eta.element) and not lat.leq(hi, eta.element):
+                    assert _transposes_up(lat, PrimeInterval(lo, hi),
+                                          eta.interval())
+        assert meet_ids == join_ids == set(range(classes.num_classes))
 
 
 def test_two_element_quotient(chain3, m3, b2):
@@ -481,18 +460,15 @@ def test_two_element_quotient_existence_is_exact(modular6):
 def _recounted_lonesome(lat, irreducibles):
     # the irreducibles alone in their projectivity class, counted afresh
     classes = projectivity_classes(lat)
-    return [r for r in irreducibles
-            if sum(classes.same_class(r.interval(), s.interval())
-                   for s in irreducibles) == 1]
+    ids = [classes.class_of(r.interval()) for r in irreducibles]
+    return [r for r, cid in zip(irreducibles, ids) if ids.count(cid) == 1]
 
 
 def test_lonesome_irreducibles_match_a_recount(modular8):
     for lat in modular8:
-        meets, joins = meet_irreducibles(lat), join_irreducibles(lat)
+        meets = meet_irreducibles(lat)
         assert [m for m in meets if is_lonesome_meet_irreducible(lat, m)] \
             == _recounted_lonesome(lat, meets)
-        assert [j for j in joins if is_lonesome_join_irreducible(lat, j)] \
-            == _recounted_lonesome(lat, joins)
 
 
 def test_two_element_quotient_uses_the_first_lonesome_irreducible(modular8):
@@ -507,29 +483,16 @@ def test_two_element_quotient_uses_the_first_lonesome_irreducible(modular8):
 
 
 def test_lonesome_tests_refuse_what_is_not_irreducible(b22):
-    # in B2^2, 0 has two upper covers and 3 two lower ones; in B4 the
-    # bottom has four upper covers and the top four lower ones
+    # in B2^2 and in B4 the bottom has more than one upper cover
     b4 = corpus.boolean(4)
     for lat, eta in ((b22, MeetIrreducible(0, 1)), (b4, MeetIrreducible(0, 1))):
         with pytest.raises(ValueError, match=r"^0 is not meet irreducible$"):
             is_lonesome_meet_irreducible(lat, eta)
-    for lat, rho in ((b22, JoinIrreducible(3, 1)), (b4, JoinIrreducible(15, 7))):
-        with pytest.raises(ValueError,
-                           match=rf"^{rho.element} is not join irreducible$"):
-            is_lonesome_join_irreducible(lat, rho)
-    # a pair that is no cover is no prime interval
-    with pytest.raises(ValueError, match="not a prime interval"):
-        is_lonesome_join_irreducible(b22, JoinIrreducible(-1, 0))
     assert is_lonesome_meet_irreducible(b22, MeetIrreducible(1, 3))
-    assert is_lonesome_join_irreducible(b22, JoinIrreducible(2, 0))
 
 
 def test_elements_out_of_range_are_refused(b22):
     for x in (-1, 4, 5, 7):
-        with pytest.raises(ValueError, match="out of range"):
-            projects_into(b22, PrimeInterval(0, 1), 0, x)
-        with pytest.raises(ValueError, match="out of range"):
-            projects_into(b22, PrimeInterval(0, 1), x, 3)
         with pytest.raises(ValueError, match="out of range"):
             is_completely_meet_prime(b22, x)
 
