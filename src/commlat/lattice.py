@@ -16,9 +16,12 @@ through a labelling of the elements (classes, or a map's images) is one
 Everything in this module is immutable after construction (a lattice only
 remembers the facts computed once each by :meth:`FiniteLattice.fact`, which
 are freed with it); all functions are pure and safe to share across workers.
+The one other memory is weak: a partition remembers the projection that
+:func:`quotient` last built from it, which its caller alone keeps alive.
 """
 
 import itertools
+import weakref
 
 from .errors import (
     CycleDetected,
@@ -55,7 +58,7 @@ class FiniteLattice:
     """
 
     __slots__ = ("n", "_lower", "_upper", "_down", "_up", "_meet", "_join",
-                 "bottom", "top", "_hash", "_facts")
+                 "bottom", "top", "_hash", "_facts", "__weakref__")
 
     def __init__(self, n, covers=()):
         if not isinstance(n, int) or n < 1:
@@ -271,7 +274,7 @@ class LatticePartition:
     :class:`ValueError`; they are not repaired.
     """
 
-    __slots__ = ("lattice", "blocks", "class_of")
+    __slots__ = ("lattice", "blocks", "class_of", "_projection")
 
     def __init__(self, lattice, blocks):
         n, label = lattice.n, {}
@@ -297,6 +300,7 @@ class LatticePartition:
         self.lattice, self.class_of = lattice, cls
         self.blocks = tuple([_SINGLETONS[b[0]] if len(b) == 1 else tuple(b)
                              for b in rows])
+        self._projection = None
         self._check_congruence()
         return self
 
@@ -354,6 +358,10 @@ class LatticePartition:
 
     def __hash__(self):
         return hash((self.lattice, self.blocks))
+
+    def __reduce__(self):
+        # the weak memo does not pickle; the copy starts without it
+        return LatticePartition, (self.lattice, self.blocks)
 
     def __repr__(self):
         return f"LatticePartition({self.blocks})"
@@ -449,12 +457,23 @@ def quotient(lattice, partition):
     blocks: the projection maps a cover to a cover or to one element, and
     every cover of the quotient lifts along a maximal chain.  So they take
     one pass over the covers, and :class:`FiniteLattice` validates them.
+
+    The partition keeps a weak reference to the projection it last gave:
+    while a caller holds it, a repeat call on the same lattice object
+    returns the same image and projection, built once.  Nothing else holds
+    them, so they are freed when the caller drops them; two threads that
+    race only build the quotient twice.
     """
     partition._require_on(lattice)
+    memo = partition._projection
+    projection = memo() if memo is not None else None
+    if projection is not None and projection.source is lattice:
+        return projection.target, projection
     cls = partition.class_of
     qcovers = {(cls[x], cls[y]) for x, y in lattice.cover_pairs() if cls[x] != cls[y]}
     image = FiniteLattice(partition.num_blocks, qcovers)
     projection = LatticeMap(lattice, image, cls)
+    partition._projection = weakref.ref(projection)
     return image, projection
 
 
@@ -527,7 +546,7 @@ def all_congruences(lattice):
 class LatticeMap:
     """A map between lattices that preserves binary meets and joins."""
 
-    __slots__ = ("source", "target", "image")
+    __slots__ = ("source", "target", "image", "__weakref__")
 
     def __init__(self, source, target, image):
         image = tuple(image)

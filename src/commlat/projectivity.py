@@ -37,9 +37,6 @@ class MeetIrreducible(namedtuple("MeetIrreducible", "element plus")):
 class JoinIrreducible(namedtuple("JoinIrreducible", "element minus")):
     __slots__ = ()
 
-    def interval(self):
-        return PrimeInterval(self.minus, self.element)
-
 
 class SplittingPair(namedtuple("SplittingPair", "delta epsilon")):
     __slots__ = ()

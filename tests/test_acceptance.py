@@ -171,7 +171,7 @@ def _lonesome_joins(lat, classes):
     whether it is the only join irreducible there: the dual of
     ``is_lonesome_meet_irreducible``."""
     irr = join_irreducibles(lat)
-    ids = [classes.class_of(rho.interval()) for rho in irr]
+    ids = [classes.class_of((rho.minus, rho.element)) for rho in irr]
     return [(rho, cid, ids.count(cid) == 1) for rho, cid in zip(irr, ids)]
 
 

@@ -1,8 +1,13 @@
+import gc
 import hashlib
 import itertools
+import pickle
 import random
+import sys
+import threading
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -31,9 +36,10 @@ from commlat.lattice import (
     is_simple,
     quotient,
 )
-from commlat.projectivity import PrimeInterval, separating_congruence
+from commlat.projectivity import (PrimeInterval, projectivity_classes,
+                                  separating_congruence)
 from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m,
-                      product, relabel, rename)
+                      product, projective_plane, relabel, rename)
 
 
 def test_one_element_lattice():
@@ -701,8 +707,8 @@ def test_quotient_b22_to_b2(b22, b2):
     assert proj(0) == proj(1) == 0 and proj(2) == proj(3) == 1
 
 
-def test_quotient_projection_preserves_structure(all6):
-    for lat in all6:
+def test_quotient_projection_preserves_structure(all8):
+    for lat in all8:
         for part in all_congruences(lat):
             image, proj = quotient(lat, part)
             assert proj.is_zero_one  # constructor already checks meets/joins
@@ -724,16 +730,141 @@ def _brute_force_quotient_covers(lat, partition):
                         for m in range(k))}
 
 
-def test_quotient_covers_match_the_quotient_order(all6):
+def test_quotient_covers_match_the_quotient_order(all8):
     # on the corpus names and on random renamings
     rng = random.Random(9)
-    for base in all6:
+    for base in all8:
         pair = base.n, base.covers
         for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
                              for _ in range(2)]:
             for part in all_congruences(lat):
                 image, _ = quotient(lat, part)
                 assert image.covers == _brute_force_quotient_covers(lat, part)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of the FiniteLattice and LatticeMap objects built."""
+    counts = {FiniteLattice: 0, LatticeMap: 0}
+    for cls in counts:
+        def counting(self, *args, _init=cls.__init__, _cls=cls):
+            counts[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+    return counts
+
+
+@pytest.fixture
+def no_collection():
+    # what is freed with the collector off was freed by its reference count
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_a_held_quotient_is_returned_again(b22, builds):
+    theta = congruence_generated(b22, [(2, 3)])
+    image, projection = quotient(b22, theta)
+    again = quotient(b22, theta)
+    assert again[0] is image and again[1] is projection
+    assert builds == {FiniteLattice: 1, LatticeMap: 1}
+
+
+def test_a_dropped_quotient_is_freed_and_built_again(b22, builds,
+                                                     no_collection):
+    theta = congruence_generated(b22, [(2, 3)])
+    image, projection = quotient(b22, theta)
+    dropped = weakref.ref(image), weakref.ref(projection)
+    del image, projection
+    assert [ref() for ref in dropped] == [None, None]
+    image, projection = quotient(b22, theta)
+    assert builds == {FiniteLattice: 2, LatticeMap: 2}
+    assert image.covers == {(0, 1)} and projection.target is image
+
+
+def test_an_equal_lattice_gets_its_own_projection(b22):
+    theta = congruence_generated(b22, [(2, 3)])
+    twin = FiniteLattice(b22.n, b22.covers)
+    held = quotient(b22, theta)
+    image, projection = quotient(twin, theta)
+    assert projection.source is twin and image is not held[0]
+    assert quotient(b22, theta)[1].source is b22
+
+
+def test_partitions_never_share_a_quotient(b22):
+    # equal partitions built apart, and different ones, each get their own
+    parts = all_congruences(b22) + all_congruences(b22)
+    held = [quotient(b22, part) for part in parts]
+    assert len({id(projection) for _, projection in held}) == len(parts)
+    for part, (image, projection) in zip(parts, held):
+        assert image.n == part.num_blocks
+        assert projection.image == tuple(part.class_of)
+
+
+def test_a_partition_pickles_while_its_quotient_is_held(b22):
+    # the weak memo stays behind
+    theta = congruence_generated(b22, [(2, 3)])
+    held = quotient(b22, theta)
+    twin = pickle.loads(pickle.dumps(theta))
+    assert twin == theta and quotient(b22, twin)[1] is not held[1]
+
+
+@pytest.mark.parametrize("pair", [
+    boolean(6), chain(64), m(62), product(chain(2), chain(32)),
+    projective_plane(5)], ids=["B6", "C64", "M62", "C2xC32", "PG(2,5)"])
+def test_dropped_quotients_are_freed_at_scale(pair, no_collection):
+    # the covers of one class share a congruence, so while the first
+    # quotient is held they share it
+    lat = FiniteLattice(*pair)
+    held = {}
+    for q in lat.cover_pairs():
+        theta = separating_congruence(lat, PrimeInterval(*q))
+        image, projection = quotient(lat, theta)
+        assert held.setdefault(theta, projection) is projection
+        assert projection.target is image
+    assert len(held) == projectivity_classes(lat).num_classes
+    images = [weakref.ref(projection.target) for projection in held.values()]
+    del held, image, projection
+    assert [ref() for ref in images] == [None] * len(images)
+
+
+def test_threads_that_race_on_a_partition_get_whole_quotients():
+    # a race may build a quotient twice, but every call returns an image
+    # and the projection onto it, with the blocks as fibres
+    lat = FiniteLattice(*boolean(6))
+    thetas = [separating_congruence(lat, PrimeInterval(*q))
+              for q in lat.cover_pairs()]
+    bad = []
+
+    def work():
+        for _ in range(2):
+            for theta in thetas:
+                image, projection = quotient(lat, theta)
+                if (projection.target is not image or projection.source is not lat
+                        or projection.image != tuple(theta.class_of)):
+                    bad.append(theta)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not bad
+
+
+def test_repeated_quotients_match_the_quotient_order(modular8):
+    for lat in modular8:
+        for q in lat.cover_pairs():
+            theta = separating_congruence(lat, PrimeInterval(*q))
+            first = quotient(lat, theta)
+            again = quotient(lat, theta)
+            assert again[0] is first[0] and again[1] is first[1]
+            assert first[0].covers == _brute_force_quotient_covers(lat, theta)
 
 
 # -- simplicity, complements -------------------------------------------------

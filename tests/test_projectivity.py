@@ -411,7 +411,7 @@ def test_cover_transposes_to_separating_irreducible(modular8):
         classes = projectivity_classes(lat)
         irr_meet = meet_irreducibles(lat)
         meet_ids = {classes.class_of(m.interval()) for m in irr_meet}
-        join_ids = {classes.class_of(j.interval())
+        join_ids = {classes.class_of((j.minus, j.element))
                     for j in join_irreducibles(lat)}
         for lo, hi in lat.cover_pairs():
             for eta in irr_meet:

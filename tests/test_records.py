@@ -119,7 +119,6 @@ def test_records_are_immutable(record, field):
 
 def test_record_methods_and_properties():
     assert MeetIrreducible(1, 4).interval() == PrimeInterval(1, 4)
-    assert JoinIrreducible(2, 0).interval() == PrimeInterval(0, 2)
     report = series(largest_commutator(corpus.diamond()))
     assert report.kind == "abelian"
     assert report.is_abelian and report.is_nilpotent and report.is_solvable
