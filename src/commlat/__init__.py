@@ -23,7 +23,6 @@ from .commutator import (
     construct_sublattice,
     enumerate_commutators,
     largest_commutator,
-    largest_residuation_at_cover,
     meet_table,
     residuation,
     series,

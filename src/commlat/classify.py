@@ -16,11 +16,12 @@ lattice side.
 from collections import namedtuple
 
 from .commutator import (construct_sublattice, largest_commutator,
-                         largest_residuation_at_cover, series)
+                         residuation, series)
 from .errors import VerificationError
 from .lattice import SublatticeEmbedding, is_complemented, is_simple
 from .projectivity import (
     _require_modular,
+    projective_ceiling,
     projectivity_classes,
     splitting_pairs,
     two_element_quotient,
@@ -183,20 +184,29 @@ class ForcingReport(namedtuple("ForcingReport", (
 
 def analyze(lat):
     """Full forcing report; raises NotModular for nonmodular input and
-    verifies the type-nesting invariant before returning."""
+    verifies the type-nesting invariant before returning.  At every cover
+    the residuation of the largest table is the projective ceiling of the
+    cover's class; each is computed once and a mismatch raises."""
     _require_modular(lat)
     quot = lat.fact(two_element_quotient)
-    ceilings = tuple((lo, hi, largest_residuation_at_cover(lat, (lo, hi)))
-                     for lo, hi in lat.cover_pairs())
     table = lat.fact(largest_commutator)
+    covers = lat.cover_pairs()
+    ceilings = []
+    for lo, hi in covers:
+        ceiling = projective_ceiling(lat, (lo, hi))
+        if (value := residuation(table, lo, hi)) != ceiling:
+            raise VerificationError(
+                f"residuation {value} differs from projective ceiling "
+                f"{ceiling} at cover {(lo, hi)}")
+        ceilings.append((lo, hi, ceiling))
     report = ForcingReport(
         n=lat.n,
-        covers=lat.cover_pairs(),
+        covers=covers,
         modular=True,
         forces_solvable_type=forces_solvable_type(lat),
         solvable_obstruction=quot.image if quot is not None else None,
         forces_nilpotent_type=forces_nilpotent_type(lat),
-        cover_ceilings=ceilings,
+        cover_ceilings=tuple(ceilings),
         forces_abelian_type=forces_abelian_type(lat),
         largest_top_square=table.value(lat.top, lat.top),
         # found by forces_abelian_type above, which checks it

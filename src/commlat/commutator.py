@@ -26,8 +26,9 @@ never rise; monotonicity is the second half of the repair, as every y >= x
 is x v y.  At the fixed point t(j, y) <= t(x, y) v t(x', y) <= t(j, y), so
 the table is a multiplication, and being above all of them it is their
 pointwise join, the largest one.  The fixed point is re-validated at
-runtime, and the test suite checks it against exhaustive enumeration and
-against the residuation characterization at covers.
+runtime, and the test suite checks it against exhaustive enumeration;
+``classify.analyze`` checks its residuation at every cover against the
+projective ceiling of the cover's class.
 
 The transfers compute each value once: the pullback along h: L -> K lifts
 each b in K to the least z with h(z) >= b, O(|L| |K|), and reads every
@@ -47,11 +48,7 @@ from .errors import (
     VerificationError,
 )
 from .lattice import _bits, _translation
-from .projectivity import (
-    join_irreducibles,
-    projective_ceiling,
-    splitting_pairs,
-)
+from .projectivity import join_irreducibles, splitting_pairs
 
 
 class Violation(namedtuple("Violation", "law witness detail")):
@@ -205,7 +202,8 @@ def series(table):
     The verdicts are cross-checked against their fixed-point restatements
     (no nonzero x with t(x,x) = x for solvability, none with t(top,x) = x
     for nilpotency, and, on modular lattices, residuation at every cover
-    equal to top); any disagreement raises, since it can only be a bug.
+    (lo, hi) equal to top, read as t(top, hi) <= lo); any disagreement
+    raises, since it can only be a bug.
     """
     table.require_valid()
     lat = table.lattice
@@ -234,7 +232,10 @@ def series(table):
         raise VerificationError("nilpotent verdict disagrees with the "
                                 "existence of a nonzero top-fixed element")
     if lat.is_modular():
-        all_top = all(residuation(table, lo, hi) == lat.top
+        # the z with t(z, hi) <= lo are closed under joins, by join
+        # distributivity, so their join (lo : hi) is one of them and is top
+        # exactly when t(top, hi) <= lo: one bit test per cover
+        all_top = all(lat.leq(table.value(lat.top, hi), lo)
                       for lo, hi in lat.cover_pairs())
         if nilpotent != all_top:
             raise VerificationError("nilpotent verdict disagrees with "
@@ -425,17 +426,3 @@ def enumerate_commutators(lat, cap=None):
     if cap is not None:
         tables = tables[:cap]
     return tables
-
-
-def largest_residuation_at_cover(lat, interval):
-    """Residuation of the largest multiplication at a cover; always equal to
-    the projective ceiling of the cover, and checked to be.  The ceiling is
-    read first, so a nonmodular lattice or a pair that is no cover is
-    refused before the largest multiplication is computed."""
-    ceiling = projective_ceiling(lat, interval)
-    value = residuation(lat.fact(largest_commutator), *interval)
-    if value != ceiling:
-        raise VerificationError(
-            f"residuation {value} differs from projective ceiling {ceiling} "
-            f"at cover {tuple(interval)}")
-    return value

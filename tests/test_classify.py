@@ -103,8 +103,8 @@ def test_analyze_b22_witnesses(b22):
     assert set(report.splitting_pairs) == {(1, 2), (2, 1)}
 
 
-def test_nesting_on_corpus(modular6):
-    for lat in modular6:
+def test_nesting_on_corpus(modular8):
+    for lat in modular8:
         report = analyze(lat)
         if report.forces_abelian_type:
             assert report.forces_nilpotent_type
@@ -126,8 +126,8 @@ def test_verdicts_match_largest_series(modular8):
                         (True, True, False): 1}
 
 
-def test_abelian_witness_is_genuine(modular6):
-    for lat in modular6:
+def test_abelian_witness_is_genuine(modular8):
+    for lat in modular8:
         report = analyze(lat)
         witness = report.abelian_sufficient_condition
         if witness is None:
@@ -158,7 +158,7 @@ def test_a_residuation_that_misses_its_ceiling_is_a_bug(m3, tmp_path, capsys,
                                                        monkeypatch):
     # analyze checks each cover's ceiling against the residuation of the
     # largest table there; M3's ceilings are top, not bottom
-    monkeypatch.setattr(commutator, "residuation",
+    monkeypatch.setattr(classify, "residuation",
                         lambda table, x, y: table.lattice.bottom)
     with pytest.raises(VerificationError, match="projective ceiling"):
         analyze(m3)
@@ -269,8 +269,10 @@ def test_analyze_computes_each_fact_once(monkeypatch):
 
     count(lattice, "_is_modular")
     count(projectivity, "meet_irreducibles")
-    # analyze reads the table itself and through the residuation check
+    # under both names, so that a read through either shares the one fact
     count(classify, "largest_commutator", commutator)
+    count(classify, "residuation", commutator)
+    count(classify, "projective_ceiling", projectivity)
     for name in ("series", "splitting_pairs", "two_element_quotient"):
         count(classify, name)
     lat = corpus.boolean(4)
@@ -278,6 +280,9 @@ def test_analyze_computes_each_fact_once(monkeypatch):
     # the classes with their ceilings, the quotient, its lonesomeness test;
     # not once per cover (B4 has 32)
     assert calls.pop("meet_irreducibles") <= 3
+    # one residuation and one ceiling per cover, for the ceiling check; the
+    # series reads its cover condition off the table's top row
+    assert calls.pop("residuation") == calls.pop("projective_ceiling") == 32
     assert calls == dict.fromkeys(
         ["_is_modular", "largest_commutator", "series", "splitting_pairs",
          "two_element_quotient"], 1)
@@ -559,6 +564,27 @@ def _verdicts(lat):
             report.forces_solvable_type)
 
 
+def _assert_self_dual_legs(lat):
+    # two verdicts are the same on L and its dual by theorem.  A (0,1)-map of
+    # L onto the two-element lattice is one of L^d onto it with the two
+    # values swapped, so the solvable verdict agrees.  (delta, epsilon)
+    # splits L iff every element is <= delta or >= epsilon, which is
+    # (epsilon, delta) splitting L^d, so the splitting pairs swap and the
+    # shape agrees.  The nilpotent and abelian verdicts are only observed to
+    # agree, with no argument yet, and are not asserted
+    dual = lat.dual()
+    assert forces_solvable_type(dual) == forces_solvable_type(lat)
+    assert supernilpotency_shape(dual) == supernilpotency_shape(lat)
+    assert sorted((p.epsilon, p.delta)
+                  for p in projectivity.splitting_pairs(dual)) \
+        == list(projectivity.splitting_pairs(lat))
+
+
+def test_solvable_verdict_and_shape_are_self_dual(modular8):
+    for lat in modular8:
+        _assert_self_dual_legs(lat)
+
+
 # the modular corpus lattices with 2 to 8 elements that force solvable type
 # (M3 to M6 and NILPOTENT8), Fano, M3 x M3, and two that force nothing
 BLOCKS = [m(3), m(4), m(5), m(6), NILPOTENT8, FANO, product(m(3), m(3)),
@@ -583,6 +609,7 @@ def test_drawn_lattices_past_the_corpus():
         verdicts = _verdicts(lat)
         for renamed, _ in (relabel(pair, rng), relabel_monotone(pair, rng)):
             assert _verdicts(FiniteLattice(*renamed)) == verdicts
+        _assert_self_dual_legs(lat)
         profiles[verdicts] += 1
     # (abelian, nilpotent, solvable)
     assert set(profiles) == {(True, True, True), (False, True, True),

@@ -494,8 +494,8 @@ def test_the_exported_names_are_pinned():
         "forces_nilpotent_type", "forces_solvable_type", "is_complemented",
         "is_completely_meet_prime", "is_lonesome_meet_irreducible",
         "is_simple", "join_irreducibles", "largest_commutator",
-        "largest_residuation_at_cover", "meet_irreducibles", "meet_table",
-        "projective_ceiling", "projectivity_classes", "quotient",
-        "residuation", "separating_congruence", "series", "splitting_pairs",
+        "meet_irreducibles", "meet_table", "projective_ceiling",
+        "projectivity_classes", "quotient", "residuation",
+        "separating_congruence", "series", "splitting_pairs",
         "supernilpotency_shape", "two_element_quotient", "zero_table",
     ]

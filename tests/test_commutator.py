@@ -13,7 +13,6 @@ from commlat.commutator import (
     construct_sublattice,
     enumerate_commutators,
     largest_commutator,
-    largest_residuation_at_cover,
     meet_table,
     residuation,
     series,
@@ -25,7 +24,6 @@ from commlat.errors import (
     LatticeTooLarge,
     NotAHomomorphism,
     NotASplittingPair,
-    NotModular,
     VerificationError,
 )
 from commlat.lattice import (
@@ -36,7 +34,7 @@ from commlat.lattice import (
     congruence_generated,
     quotient,
 )
-from commlat.projectivity import PrimeInterval, SplittingPair, splitting_pairs
+from commlat.projectivity import SplittingPair, splitting_pairs
 from families import (FANO, NILPOTENT8, boolean, chain, m, product,
                       relabel)
 from test_classify import _fails_its_cross_check
@@ -181,11 +179,15 @@ def test_a_series_that_stops_early_is_a_bug(which, match, tmp_path, capsys,
     assert _fails_its_cross_check(lat, tmp_path, capsys, "analyze")
 
 
-def test_cover_residuations_that_miss_top_are_a_bug(m3, monkeypatch):
-    # M3's largest table is nilpotent, so every cover residuation is top
-    table = largest_commutator(m3)
-    monkeypatch.setattr(commutator, "residuation",
-                        lambda table, x, y: table.lattice.bottom)
+def test_cover_residuations_that_miss_top_are_a_bug(monkeypatch):
+    # NILPOTENT8's largest table is nilpotent, so at every cover (lo, hi)
+    # t(top, hi) <= lo; listed as a cover too, (bottom, top) breaks that, as
+    # t(top, top) = 3
+    lat = FiniteLattice(*NILPOTENT8)
+    table = largest_commutator(lat)
+    covers = FiniteLattice.cover_pairs
+    monkeypatch.setattr(FiniteLattice, "cover_pairs",
+                        lambda lat: (*covers(lat), (lat.bottom, lat.top)))
     with pytest.raises(VerificationError, match="cover residuations"):
         series(table)
 
@@ -466,6 +468,11 @@ def test_largest_is_pointwise_join_of_all(all5):
             for x in lat.elements
         ]
         assert tuple(map(tuple, top_entries)) == largest_commutator(lat).entries
+        # series reads (lo : hi) = top as t(top, hi) <= lo
+        for table in tables:
+            for lo, hi in lat.cover_pairs():
+                assert ((residuation(table, lo, hi) == lat.top)
+                        == lat.leq(table.value(lat.top, hi), lo))
 
 
 def test_largest_dominates_every_table(all5):
@@ -511,14 +518,9 @@ def test_largest_shrinks_along_quotients(all7):
 
 
 def test_largest_residuation_at_cover_examples(m3, b22, chain3):
-    assert largest_residuation_at_cover(m3, PrimeInterval(0, 1)) == 4
-    assert largest_residuation_at_cover(b22, PrimeInterval(0, 1)) == 2
-    assert largest_residuation_at_cover(chain3, PrimeInterval(1, 2)) == 1
-
-
-def test_largest_residuation_requires_modular(n5):
-    with pytest.raises(NotModular):
-        largest_residuation_at_cover(n5, PrimeInterval(0, 1))
+    assert residuation(largest_commutator(m3), 0, 1) == 4
+    assert residuation(largest_commutator(b22), 0, 1) == 2
+    assert residuation(largest_commutator(chain3), 1, 2) == 1
 
 
 def test_largest_tables_are_pinned():
