@@ -62,7 +62,7 @@ def forces_nilpotent_type(lat):
 
 def _abelian_sufficient_sublattice(lat):
     """A simple complemented modular (0,1)-sublattice with at least three
-    elements, as the sorted tuple of its members, or None.
+    elements, as the embedding generated and checked here, or None.
 
     The simple complemented modular lattices with 3 to 15 elements are
     exactly the M_k (3 <= k <= 13), and each contains M3 as a
@@ -84,12 +84,13 @@ def _abelian_sufficient_sublattice(lat):
             if not common:
                 continue
             seed = (bottom, top, a, b, min(common))
-            own, embed = SublatticeEmbedding.generated(lat, seed).as_lattice()
-            if not (len(embed) == 5 and own.is_modular() and is_simple(own)
+            sub = SublatticeEmbedding.generated(lat, seed)
+            own, _ = sub.as_lattice()
+            if not (own.n == 5 and own.is_modular() and is_simple(own)
                     and is_complemented(own)):
                 raise VerificationError(
                     f"pairwise complements {seed[2:]} do not generate M3")
-            return embed
+            return sub
     return None
 
 
@@ -109,7 +110,7 @@ def forces_abelian_type(lat):
     verdict = table.value(lat.top, lat.top) == lat.bottom
     witness = lat.fact(_abelian_sufficient_sublattice)
     if witness is not None:
-        own = construct_sublattice(table, SublatticeEmbedding(lat, witness))
+        own = construct_sublattice(table, witness)
         square = own.value(own.lattice.top, own.lattice.top)
         if not verdict or square != own.lattice.bottom:
             raise VerificationError("the M3 witness does not certify the "
@@ -209,8 +210,10 @@ def analyze(lat):
         cover_ceilings=tuple(ceilings),
         forces_abelian_type=forces_abelian_type(lat),
         largest_top_square=table.value(lat.top, lat.top),
-        # found by forces_abelian_type above, which checks it
-        abelian_sufficient_condition=lat.fact(_abelian_sufficient_sublattice),
+        # found and checked by forces_abelian_type above
+        abelian_sufficient_condition=(
+            None if (sub := lat.fact(_abelian_sufficient_sublattice)) is None
+            else sub.member_list),
         supernilpotency_shape=supernilpotency_shape(lat),
         splitting_pairs=tuple((p.delta, p.epsilon)
                               for p in lat.fact(splitting_pairs)),

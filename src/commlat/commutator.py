@@ -182,10 +182,6 @@ class SeriesReport(namedtuple("SeriesReport", "derived lower_central kind")):
     def is_nilpotent(self):
         return _KIND_RANK[self.kind] >= 2
 
-    @property
-    def is_abelian(self):
-        return _KIND_RANK[self.kind] >= 3
-
 
 def _iterate(start, step):
     seq = [start]

@@ -145,16 +145,6 @@ def canonical_key(lat):
                       for at in positions)
 
 
-def canonical_form(lat):
-    """The isomorphic copy of ``lat`` with the canonical labeling."""
-    n, covers = canonical_key(lat)
-    return FiniteLattice(n, covers)
-
-
-def isomorphic(a, b):
-    return canonical_key(a) == canonical_key(b)
-
-
 def _candidate(n, below, covers):
     """A grown lattice as its covers and the masks that :func:`canonical_key`
     and ``_is_modular`` read; :func:`_checked` builds and validates it when

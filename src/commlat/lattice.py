@@ -154,9 +154,6 @@ class FiniteLattice:
     def leq(self, x, y):
         return bool(self._down[y] >> x & 1)
 
-    def lt(self, x, y):
-        return x != y and bool(self._down[y] >> x & 1)
-
     def meet(self, x, y):
         return self._meet[x][y]
 
@@ -188,10 +185,6 @@ class FiniteLattice:
     @property
     def elements(self):
         return range(self.n)
-
-    def is_cover(self, x, y):
-        return (0 <= x < self.n and 0 <= y < self.n
-                and bool(self._upper[x] >> y & 1))
 
     def cover_pairs(self):
         """The cover pairs in sorted order."""
@@ -328,14 +321,6 @@ class LatticePartition:
                         raise NotACongruence(
                             f"join translation by {z} separates {x} ~ {y}")
 
-    @classmethod
-    def identity(cls, lattice):
-        return cls(lattice, [(x,) for x in range(lattice.n)])
-
-    @classmethod
-    def single_block(cls, lattice):
-        return cls(lattice, [tuple(range(lattice.n))])
-
     def related(self, x, y):
         return self.class_of[x] == self.class_of[y]
 
@@ -346,11 +331,6 @@ class LatticePartition:
     def _require_on(self, lattice):
         if self.lattice is not lattice and self.lattice != lattice:
             raise ValueError("partition belongs to a different lattice")
-
-    def refines(self, other):
-        """Whether every block of self lies inside a block of ``other``."""
-        other._require_on(self.lattice)
-        return all(len({other.class_of[x] for x in b}) == 1 for b in self.blocks)
 
     def __eq__(self, other):
         return (isinstance(other, LatticePartition)
@@ -585,10 +565,6 @@ class LatticeMap:
     def __call__(self, x):
         return self.image[x]
 
-    @classmethod
-    def identity(cls, lattice):
-        return cls(lattice, lattice, range(lattice.n))
-
     def __eq__(self, other):
         return (isinstance(other, LatticeMap) and self.source == other.source
                 and self.target == other.target and self.image == other.image)
@@ -603,24 +579,24 @@ class LatticeMap:
 class SublatticeEmbedding:
     """A nonempty subset of a lattice closed under binary meet and join."""
 
-    __slots__ = ("ambient", "members", "member_list", "_mask")
+    __slots__ = ("ambient", "member_list", "_mask")
 
     def __init__(self, ambient, members):
-        member_set = frozenset(members)
-        if not member_set:
+        member_list = tuple(sorted(set(members)))
+        if not member_list:
             raise EmptySublattice("a sublattice needs at least one member")
-        if any(not 0 <= x < ambient.n for x in member_set):
+        if member_list[0] < 0 or member_list[-1] >= ambient.n:
             raise ValueError("member out of range")
-        for x in member_set:
-            for y in member_set:
-                if ambient.meet(x, y) not in member_set:
+        mask = sum(1 << x for x in member_list)
+        for x in member_list:
+            for y in member_list:
+                if not mask >> ambient.meet(x, y) & 1:
                     raise NotASublattice(f"not meet closed at ({x}, {y})")
-                if ambient.join(x, y) not in member_set:
+                if not mask >> ambient.join(x, y) & 1:
                     raise NotASublattice(f"not join closed at ({x}, {y})")
         self.ambient = ambient
-        self.members = member_set
-        self.member_list = tuple(sorted(member_set))
-        self._mask = sum(1 << x for x in member_set)
+        self.member_list = member_list
+        self._mask = mask
 
     @classmethod
     def generated(cls, ambient, seed):
@@ -639,11 +615,6 @@ class SublatticeEmbedding:
             if new <= members:
                 return cls(ambient, members)
             members |= new
-
-    @property
-    def is_zero_one(self):
-        return (self.ambient.bottom in self.members
-                and self.ambient.top in self.members)
 
     def closure(self, x):
         """The least member above x (the meet of all members above x)."""
@@ -679,10 +650,11 @@ class SublatticeEmbedding:
 
     def __eq__(self, other):
         return (isinstance(other, SublatticeEmbedding)
-                and self.ambient == other.ambient and self.members == other.members)
+                and self.ambient == other.ambient
+                and self._mask == other._mask)
 
     def __hash__(self):
-        return hash((self.ambient, self.members))
+        return hash((self.ambient, self._mask))
 
     def __repr__(self):
         return f"SublatticeEmbedding({self.member_list})"

@@ -316,7 +316,8 @@ def test_criterion_8_forcing_is_monotone(all7):
 
     def forcing(lat):
         report = series(largest_commutator(lat))
-        return report.is_abelian, report.is_nilpotent, report.is_solvable
+        return (report.kind == "abelian", report.is_nilpotent,
+                report.is_solvable)
 
     for lat in all7:
         big = forcing(lat)

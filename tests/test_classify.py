@@ -118,7 +118,8 @@ def test_verdicts_match_largest_series(modular8):
         rep = series(largest_commutator(lat))
         verdicts = (forces_solvable_type(lat), forces_nilpotent_type(lat),
                     forces_abelian_type(lat))
-        assert verdicts == (rep.is_solvable, rep.is_nilpotent, rep.is_abelian)
+        assert verdicts == (rep.is_solvable, rep.is_nilpotent,
+                            rep.kind == "abelian")
         profiles[verdicts] += 1
     # no modular lattice with at most 8 elements is solvable without being
     # nilpotent (see GLUED); the one nilpotent, non-abelian one is NILPOTENT8
@@ -132,9 +133,8 @@ def test_abelian_witness_is_genuine(modular8):
         witness = report.abelian_sufficient_condition
         if witness is None:
             continue
-        sub = SublatticeEmbedding(lat, witness)
-        assert sub.is_zero_one
-        own, _ = sub.as_lattice()
+        assert {lat.bottom, lat.top} <= set(witness)
+        own, _ = SublatticeEmbedding(lat, witness).as_lattice()
         assert own.n >= 3
         assert own.is_modular() and is_simple(own) and is_complemented(own)
         assert report.forces_abelian_type
@@ -239,6 +239,20 @@ def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
     monkeypatch.setattr(classify, "_abelian_sufficient_sublattice", counted)
     assert analyze(m3).abelian_sufficient_condition == (0, 1, 2, 3, 4)
     assert len(calls) == 1
+
+
+def test_analyze_builds_the_m3_witness_once(m3, monkeypatch):
+    # the witness search hands forces_abelian_type the embedding it checked
+    built = []
+    init = SublatticeEmbedding.__init__
+
+    def counted(self, ambient, members):
+        built.append(members)
+        init(self, ambient, members)
+
+    monkeypatch.setattr(SublatticeEmbedding, "__init__", counted)
+    assert analyze(m3).abelian_sufficient_condition == (0, 1, 2, 3, 4)
+    assert len(built) == 1
 
 
 def test_supernilpotency_matches_splitting(all8):

@@ -499,3 +499,41 @@ def test_the_exported_names_are_pinned():
         "separating_congruence", "series", "splitting_pairs",
         "supernilpotency_shape", "two_element_quotient", "zero_table",
     ]
+
+
+def _public(names):
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_the_record_surfaces_are_pinned():
+    # an alias added back to a record or to the corpus module is a change
+    # to one of these lists
+    assert {cls.__name__: _public(dir(cls)) for cls in (
+        commlat.FiniteLattice, commlat.LatticePartition, commlat.LatticeMap,
+        commlat.SublatticeEmbedding, commlat.CommutatorTable,
+        commlat.SeriesReport, commlat.ProjectivityClasses)} == {
+        "FiniteLattice": [
+            "bottom", "cover_pairs", "covers", "dual", "elements", "fact",
+            "is_modular", "join", "join_all", "leq", "lower_set", "meet",
+            "meet_all", "n", "top", "upper_set"],
+        "LatticePartition": [
+            "blocks", "class_of", "lattice", "num_blocks", "related"],
+        "LatticeMap": ["image", "is_zero_one", "source", "target"],
+        "SublatticeEmbedding": [
+            "ambient", "as_lattice", "closure", "generated", "member_list"],
+        "CommutatorTable": [
+            "entries", "is_valid", "lattice", "require_valid", "value",
+            "violations"],
+        # count and index are the tuple's
+        "SeriesReport": [
+            "count", "derived", "index", "is_nilpotent", "is_solvable", "kind",
+            "lower_central"],
+        "ProjectivityClasses": [
+            "ceilings", "class_of", "meet_counts", "n", "num_classes"],
+    }
+    functions = [name for name, value in vars(corpus).items()
+                 if callable(value) and value.__module__ == corpus.__name__]
+    assert _public(functions) == [
+        "all_lattices", "boolean", "canonical_key", "chain", "diamond",
+        "generate_corpus", "pentagon",
+    ]

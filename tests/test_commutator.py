@@ -29,7 +29,6 @@ from commlat.errors import (
 from commlat.lattice import (
     FiniteLattice,
     LatticeMap,
-    LatticePartition,
     SublatticeEmbedding,
     congruence_generated,
     quotient,
@@ -133,7 +132,7 @@ def test_series_nesting(all5):
     for lat in all5:
         for table in enumerate_commutators(lat):
             report = series(table)
-            if report.is_abelian:
+            if report.kind == "abelian":
                 assert report.is_nilpotent
             if report.is_nilpotent:
                 assert report.is_solvable
@@ -209,7 +208,7 @@ def test_construct_sublattice_m3_chain(m3):
 
 def test_construct_pullback_identity(b2):
     table = meet_table(b2)
-    out = construct_pullback(b2, LatticeMap.identity(b2), table)
+    out = construct_pullback(b2, LatticeMap(b2, b2, range(b2.n)), table)
     assert out.entries == table.entries
 
 
@@ -241,27 +240,27 @@ def test_construct_splitting_examples(b22, b2):
     assert table.value(1, 3) == 0
     assert table.value(1, 2) == 0
 
-    all_one = LatticePartition.single_block(b22)
+    all_one = congruence_generated(b22, [(b22.bottom, b22.top)])
     assert construct_splitting(b22, SplittingPair(1, 2), all_one).entries == \
         zero_table(b22).entries
 
-    identity = LatticePartition.identity(b2)
+    identity = congruence_generated(b2, [])
     out = construct_splitting(b2, SplittingPair(0, 1), identity)
     assert out.entries == meet_table(b2).entries
 
 
 def test_construct_splitting_errors(m3, b22):
-    identity = LatticePartition.identity(m3)
+    identity = congruence_generated(m3, [])
     with pytest.raises(NotASplittingPair):
         construct_splitting(m3, SplittingPair(1, 2), identity)
     with pytest.raises(CongruenceMissingSeed):
         construct_splitting(b22, SplittingPair(1, 2),
-                            LatticePartition.identity(b22))
+                            congruence_generated(b22, []))
 
 
 @pytest.mark.parametrize("pair", [(9, 2), (-1, 2), (1, 4), (1, -2)])
 def test_construct_splitting_rejects_elements_out_of_range(b22, pair):
-    theta = LatticePartition.single_block(b22)
+    theta = congruence_generated(b22, [(b22.bottom, b22.top)])
     with pytest.raises(NotASplittingPair):
         construct_splitting(b22, SplittingPair(*pair), theta)
 
@@ -271,7 +270,8 @@ def test_constructions_always_validate(all5):
         big = largest_commutator(lat)
         whole = SublatticeEmbedding(lat, lat.elements)
         assert construct_sublattice(big, whole).is_valid
-        image, proj = quotient(lat, LatticePartition.single_block(lat))
+        image, proj = quotient(lat, congruence_generated(
+            lat, [(lat.bottom, lat.top)]))
         assert construct_pullback(lat, proj, largest_commutator(image)).is_valid
 
 

@@ -32,8 +32,8 @@ def test_modular_four_corpus_is_the_expected_five():
     assert len(lats) == 5
     expected = [corpus.chain(1), corpus.chain(2), corpus.chain(3),
                 corpus.chain(4), corpus.boolean(2)]
-    for lat in expected:
-        assert any(corpus.isomorphic(lat, got) for got in lats)
+    keys = {corpus.canonical_key(got) for got in lats}
+    assert all(corpus.canonical_key(lat) in keys for lat in expected)
 
 
 def test_deterministic_and_canonical():
@@ -41,7 +41,7 @@ def test_deterministic_and_canonical():
     second = corpus.generate_corpus(6)
     assert [l.cover_pairs() for l in first] == [l.cover_pairs() for l in second]
     for lat in first:
-        assert corpus.canonical_form(lat) == lat
+        assert FiniteLattice(*corpus.canonical_key(lat)) == lat
 
 
 def test_no_isomorphic_duplicates(all6):
@@ -61,9 +61,10 @@ def test_isomorphism_detection(m3, n5):
     scramble = [3, 0, 4, 2, 1]
     relabeled = FiniteLattice(5, {(scramble[x], scramble[y])
                                   for x, y in m3.covers})
-    assert corpus.isomorphic(m3, relabeled)
-    assert not corpus.isomorphic(m3, n5)
-    assert not corpus.isomorphic(m3, corpus.chain(5))
+    key = corpus.canonical_key(m3)
+    assert corpus.canonical_key(relabeled) == key
+    assert corpus.canonical_key(n5) != key
+    assert corpus.canonical_key(corpus.chain(5)) != key
 
 
 def test_named_lattices(m3, n5, b22):
@@ -109,8 +110,9 @@ def test_m_k_is_keyed_in_one_relabeling(k):
     rng = random.Random(k)
     for _ in range(3):
         relabeled = FiniteLattice(*relabel(m(k), rng)[0])
-        assert corpus.isomorphic(lat, relabeled)
-    assert not corpus.isomorphic(lat, FiniteLattice(*m(k - 1)))
+        assert corpus.canonical_key(relabeled) == corpus.canonical_key(lat)
+    assert (corpus.canonical_key(FiniteLattice(*m(k - 1)))
+            != corpus.canonical_key(lat))
 
 
 def test_canonical_key_refuses_factorial_search():
@@ -119,8 +121,6 @@ def test_canonical_key_refuses_factorial_search():
     # searching
     with pytest.raises(LatticeTooLarge):
         corpus.canonical_key(corpus.boolean(4))
-    with pytest.raises(LatticeTooLarge):
-        corpus.isomorphic(corpus.boolean(4), corpus.boolean(4))
 
 
 @pytest.mark.parametrize("n, count", [(7, 320), (8, 3637)])

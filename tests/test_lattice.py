@@ -185,9 +185,11 @@ def test_is_modular_matches_the_identity_at_scale(pair, modular):
 
 def _brute_force_covers(lat):
     """x < y with nothing strictly between, read off the order."""
-    return {(x, y) for x in lat.elements for y in lat.elements
-            if lat.lt(x, y)
-            and not any(lat.lt(x, z) and lat.lt(z, y) for z in lat.elements)}
+    below = {(x, y) for x in lat.elements for y in lat.elements
+             if x != y and lat.leq(x, y)}
+    return {(x, y) for x, y in below
+            if not any((x, z) in below and (z, y) in below
+                       for z in lat.elements)}
 
 
 def _assert_masks_are_the_covers(lat, given):
@@ -199,8 +201,6 @@ def _assert_masks_are_the_covers(lat, given):
                           for x in lat.elements]
     assert lat.covers == given
     assert lat.cover_pairs() == tuple(sorted(given))
-    assert all(lat.is_cover(x, y) == ((x, y) in given)
-               for x in lat.elements for y in lat.elements)
 
 
 def test_cover_masks_on_the_corpus(all8):
@@ -222,11 +222,6 @@ def test_cover_masks_at_scale(pair):
     _assert_masks_are_the_covers(FiniteLattice(*pair), pair[1])
 
 
-def test_is_cover_outside_the_elements(m3):
-    assert not any(m3.is_cover(x, y) for x, y in [(-1, 0), (0, -1), (4, 5),
-                                                  (5, 4)])
-
-
 @pytest.mark.parametrize("lat", [corpus.pentagon(), corpus.diamond(),
                                  corpus.chain(3), corpus.boolean(2)],
                          ids=["N5", "M3", "C3", "B2"])
@@ -245,8 +240,8 @@ def test_dual_involution(all6):
 
 
 def test_dual_examples(m3, b22, chain3):
-    assert corpus.isomorphic(m3.dual(), m3)
-    assert corpus.isomorphic(b22.dual(), b22)
+    assert corpus.canonical_key(m3.dual()) == corpus.canonical_key(m3)
+    assert corpus.canonical_key(b22.dual()) == corpus.canonical_key(b22)
     dual_chain = chain3.dual()
     assert dual_chain.bottom == 2 and dual_chain.top == 0
 
@@ -255,7 +250,8 @@ def test_dual_examples(m3, b22, chain3):
 
 
 def test_congruence_generated_empty_seed(m3):
-    assert congruence_generated(m3, []) == LatticePartition.identity(m3)
+    assert congruence_generated(m3, []).blocks == ((0,), (1,), (2,), (3,),
+                                                   (4,))
 
 
 def test_congruence_generated_b22(b22):
@@ -642,14 +638,12 @@ def test_fault_census_of_the_dependency_masks(all7, modular8, monkeypatch):
 
 def test_partitions_of_another_lattice_are_refused():
     c2, c3 = corpus.chain(2), corpus.chain(3)
-    theta2, theta3 = LatticePartition.identity(c2), LatticePartition.identity(c3)
+    theta2, theta3 = congruence_generated(c2, []), congruence_generated(c3, [])
     for theta, other in ((theta3, theta2), (theta2, theta3)):
-        with pytest.raises(ValueError, match="different lattice"):
-            theta.refines(other)
         with pytest.raises(ValueError, match="different lattice"):
             quotient(other.lattice, theta)
     # an equal lattice built apart is the same lattice
-    assert theta3.refines(LatticePartition.single_block(corpus.chain(3)))
+    assert quotient(corpus.chain(3), theta3)[0] == c3
 
 
 def test_congruence_generated_reports_a_failed_check_as_a_bug(m3, monkeypatch):
@@ -692,10 +686,10 @@ def test_partition_names_the_separating_translation(chain3, m3):
 
 
 def test_quotient_identity_and_full(m3):
-    image, proj = quotient(m3, LatticePartition.identity(m3))
-    assert corpus.isomorphic(image, m3)
+    image, proj = quotient(m3, congruence_generated(m3, []))
+    assert corpus.canonical_key(image) == corpus.canonical_key(m3)
     assert proj.is_zero_one
-    image, proj = quotient(m3, LatticePartition.single_block(m3))
+    image, proj = quotient(m3, congruence_generated(m3, [(m3.bottom, m3.top)]))
     assert image.n == 1
 
 
@@ -895,8 +889,8 @@ def test_is_complemented(m3, b2, b22, chain3):
 
 
 def test_sublattice_validation(m3):
-    sub = SublatticeEmbedding(m3, [0, 1, 4])
-    assert sub.is_zero_one
+    sub = SublatticeEmbedding(m3, [4, 0, 1, 4])
+    assert sub.member_list == (0, 1, 4)
     with pytest.raises(NotASublattice):
         SublatticeEmbedding(m3, [1, 2])  # missing meet 0 and join 4
     with pytest.raises(EmptySublattice):
@@ -905,7 +899,7 @@ def test_sublattice_validation(m3):
 
 def test_sublattice_generated(m3):
     sub = SublatticeEmbedding.generated(m3, [1, 2])
-    assert sub.members == {0, 1, 2, 4}
+    assert sub.member_list == (0, 1, 2, 4)
 
 
 @pytest.mark.parametrize("seed", [[7], [1, -1]])

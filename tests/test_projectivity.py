@@ -32,7 +32,7 @@ from commlat.projectivity import (
     two_element_quotient,
 )
 from families import boolean, chain, m, product, projective_plane, relabel
-from test_lattice import _brute_force_congruences
+from test_lattice import _brute_force_congruences, _fixpoint
 
 
 def test_irreducibles_on_chain(chain3):
@@ -58,9 +58,9 @@ def test_irreducibles_on_one_element():
 def _assert_irreducibles_match_their_definition(lat):
     # reference: strictly below the meet of the strict upper bounds, and
     # dually strictly above the join of the strict lower bounds
-    plus = [lat.meet_all(y for y in lat.elements if lat.lt(x, y))
+    plus = [lat.meet_all(y for y in lat.elements if x != y and lat.leq(x, y))
             for x in lat.elements]
-    minus = [lat.join_all(y for y in lat.elements if lat.lt(y, x))
+    minus = [lat.join_all(y for y in lat.elements if x != y and lat.leq(y, x))
              for x in lat.elements]
     assert meet_irreducibles(lat) == tuple(
         MeetIrreducible(x, plus[x]) for x in lat.elements if plus[x] != x)
@@ -94,10 +94,11 @@ def test_irreducibles_from_the_masks_match_their_definition(all8):
 
 def test_irreducible_intervals_are_prime(modular8):
     for lat in modular8:
+        covers = lat.covers
         for eta in meet_irreducibles(lat):
-            assert lat.is_cover(eta.element, eta.plus)
+            assert (eta.element, eta.plus) in covers
         for rho in join_irreducibles(lat):
-            assert lat.is_cover(rho.minus, rho.element)
+            assert (rho.minus, rho.element) in covers
 
 
 def test_duality_of_irreducibles(all6):
@@ -321,6 +322,11 @@ def test_separating_congruence_examples(chain3, b22):
     assert part.blocks == ((0, 2), (1, 3))
 
 
+def _refines(fine, coarse):
+    # every block of ``fine`` lies inside one block of ``coarse``
+    return all(len({coarse.class_of[x] for x in b}) == 1 for b in fine.blocks)
+
+
 def test_separating_congruence_is_largest(modular6):
     # the largest brute-force congruence keeping the endpoints apart, on the
     # corpus names and on random renamings
@@ -335,14 +341,35 @@ def test_separating_congruence_is_largest(modular6):
                            for blocks in congruences
                            if not any(lo in b and hi in b for b in blocks)]
                 largest = [p for p in keeping
-                           if all(q.refines(p) for q in keeping)]
+                           if all(_refines(q, p) for q in keeping)]
                 assert [separating_congruence(lat, (lo, hi))] == largest
+
+
+def test_separating_congruence_is_largest_on_modular8(modular8):
+    # con(lo, hi) of a cover is join irreducible in the distributive lattice
+    # Con L, hence join prime, so the largest congruence that keeps lo and hi
+    # apart is the join of the con(k-, k) that keep them apart: one fixpoint
+    # closure per join irreducible k and one per cover, not Bell(n)
+    # partitions; on the corpus names and on two seeded renamings
+    rng = random.Random(8)
+    for base in modular8:
+        pair = base.n, base.covers
+        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
+                             for _ in range(2)]:
+            covers = lat.cover_pairs()
+            principal = {(x, k): _fixpoint(lat, [(x, k)]) for x, k in covers
+                         if [y for y, z in covers if z == k] == [x]}
+            for lo, hi in covers:
+                keeping = [g for g, blocks in principal.items()
+                           if not any(lo in b and hi in b for b in blocks)]
+                assert (separating_congruence(lat, (lo, hi)).blocks
+                        == _fixpoint(lat, keeping))
 
 
 def test_separating_congruence_checks_every_cover(b22, monkeypatch):
     # a closure that collapsed too little must not pass as the answer
     monkeypatch.setattr(projectivity, "_fibres",
-                        lambda lat, reach: LatticePartition.identity(lat))
+                        lambda lat, reach: congruence_generated(lat, []))
     with pytest.raises(VerificationError):
         separating_congruence(b22, PrimeInterval(0, 1))
 

@@ -121,9 +121,9 @@ def test_record_methods_and_properties():
     assert MeetIrreducible(1, 4).interval() == PrimeInterval(1, 4)
     report = series(largest_commutator(corpus.diamond()))
     assert report.kind == "abelian"
-    assert report.is_abelian and report.is_nilpotent and report.is_solvable
+    assert report.is_nilpotent and report.is_solvable
     chain = SeriesReport((2, 2), (2, 2), "none")
-    assert not (chain.is_abelian or chain.is_nilpotent or chain.is_solvable)
+    assert not (chain.is_nilpotent or chain.is_solvable)
     table = CommutatorTable(corpus.chain(3), [[0, 0, 0], [0, 1, 1], [0, 0, 2]])
     assert [v.law for v in table.violations()] == \
         ["symmetry", "join-distributivity"]
