@@ -62,7 +62,7 @@ def forces_nilpotent_type(lat):
 
 def _abelian_sufficient_sublattice(lat):
     """A simple complemented modular (0,1)-sublattice with at least three
-    elements, as the embedding generated and checked here, or None.
+    elements, as the embedding it generates, or None.
 
     The simple complemented modular lattices with 3 to 15 elements are
     exactly the M_k (3 <= k <= 13), and each contains M3 as a
@@ -70,9 +70,10 @@ def _abelian_sufficient_sublattice(lat):
     three elements are pairwise complements.  Returns the lexicographically first such triple
     with bottom and top, in O(n^3).  Larger ones, such as the subspace
     lattices of projective planes (16 elements and more), are out of scope:
-    a plane has no three pairwise complements.  The witness is checked to be
-    a genuine M3 before it is returned.  Callers read it through
-    ``lat.fact`` so that it is searched for once per lattice.
+    a plane has no three pairwise complements.  :func:`forces_abelian_type`
+    checks that the witness is a genuine M3 on the lattice its restriction
+    builds.  Callers read it through ``lat.fact`` so that it is searched for
+    once per lattice.
     """
     bottom, top = lat.bottom, lat.top
     complements = [{y for y in range(x + 1, lat.n)
@@ -83,14 +84,8 @@ def _abelian_sufficient_sublattice(lat):
             common = complements[a] & complements[b]
             if not common:
                 continue
-            seed = (bottom, top, a, b, min(common))
-            sub = SublatticeEmbedding.generated(lat, seed)
-            own, _ = sub.as_lattice()
-            if not (own.n == 5 and own.is_modular() and is_simple(own)
-                    and is_complemented(own)):
-                raise VerificationError(
-                    f"pairwise complements {seed[2:]} do not generate M3")
-            return sub
+            return SublatticeEmbedding.generated(
+                lat, (bottom, top, a, b, min(common)))
     return None
 
 
@@ -102,7 +97,8 @@ def forces_abelian_type(lat):
     second route when an M3 witness is found (see
     :func:`_abelian_sufficient_sublattice`): restricted to it, the largest
     table is a valid multiplication on M3, and M3 carries only the zero
-    table.  A negative verdict or a nonzero restriction then raises.  A
+    table.  A witness whose own lattice, built once for the restriction, is
+    not M3, a negative verdict or a nonzero restriction then raises.  A
     positive verdict without a witness (the Fano plane) has no second route.
     """
     _require_modular(lat)
@@ -110,9 +106,13 @@ def forces_abelian_type(lat):
     verdict = table.value(lat.top, lat.top) == lat.bottom
     witness = lat.fact(_abelian_sufficient_sublattice)
     if witness is not None:
-        own = construct_sublattice(table, witness)
-        square = own.value(own.lattice.top, own.lattice.top)
-        if not verdict or square != own.lattice.bottom:
+        restricted = construct_sublattice(table, witness)
+        own = restricted.lattice
+        if not (own.n == 5 and own.is_modular() and is_simple(own)
+                and is_complemented(own)):
+            raise VerificationError(
+                f"witness {list(witness.member_list)} is not M3")
+        if not verdict or restricted.value(own.top, own.top) != own.bottom:
             raise VerificationError("the M3 witness does not certify the "
                                     "abelian verdict")
     return verdict

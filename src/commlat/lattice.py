@@ -26,6 +26,7 @@ import weakref
 from .errors import (
     CycleDetected,
     EmptySublattice,
+    InputError,
     LatticeTooLarge,
     NotACongruence,
     NotAHomomorphism,
@@ -39,6 +40,17 @@ MAX_N = 64
 # all_congruences refuses a lattice with more congruences than this, C16's
 # count; C20 would take minutes and hundreds of MB, C32 all memory
 MAX_CONGRUENCES = 2**15
+
+
+def _built(producer, build, *args):
+    """``build(*args)`` for an object built from checked data: bad input
+    there is a bug in ``producer``, so it raises VerificationError (exit 3),
+    not the InputError (exit 2) that would blame the caller."""
+    try:
+        return build(*args)
+    except InputError as exc:
+        raise VerificationError(
+            f"{producer} built an invalid {build.__name__}: {exc}") from exc
 
 
 def _bits(mask):
@@ -211,7 +223,8 @@ class FiniteLattice:
 
     def dual(self):
         """The lattice with the order reversed (same element names)."""
-        return FiniteLattice(self.n, [(y, x) for x, y in self.cover_pairs()])
+        return _built("dual", FiniteLattice, self.n,
+                      [(y, x) for x, y in self.cover_pairs()])
 
     def is_modular(self):
         """Whether x <= z implies x v (y ^ z) = (x v y) ^ z for all y
@@ -451,8 +464,8 @@ def quotient(lattice, partition):
         return projection.target, projection
     cls = partition.class_of
     qcovers = {(cls[x], cls[y]) for x, y in lattice.cover_pairs() if cls[x] != cls[y]}
-    image = FiniteLattice(partition.num_blocks, qcovers)
-    projection = LatticeMap(lattice, image, cls)
+    image = _built("quotient", FiniteLattice, partition.num_blocks, qcovers)
+    projection = _built("quotient", LatticeMap, lattice, image, cls)
     partition._projection = weakref.ref(projection)
     return image, projection
 
@@ -646,7 +659,7 @@ class SublatticeEmbedding:
             above = up[m] & self._mask & ~(1 << m)
             covers.update((index[m], index[u]) for u in _bits(above)
                           if down[u] & above == 1 << u)
-        return FiniteLattice(len(order), covers), order
+        return _built("as_lattice", FiniteLattice, len(order), covers), order
 
     def __eq__(self, other):
         return (isinstance(other, SublatticeEmbedding)

@@ -17,7 +17,7 @@ meet is the canonical successor and [eta, eta+] is always a prime interval.
 from collections import namedtuple
 
 from .errors import NotModular, VerificationError
-from .lattice import FiniteLattice, LatticeMap, _fibres, _single_bits
+from .lattice import FiniteLattice, LatticeMap, _built, _fibres, _single_bits
 
 
 # The value records here, in ``commutator`` and in ``classify`` are named
@@ -87,10 +87,6 @@ class ProjectivityClasses:
         except (TypeError, ValueError):
             pass
         raise ValueError(f"{interval} is not a prime interval")
-
-    @property
-    def num_classes(self):
-        return len(self.ceilings)
 
 
 def projectivity_classes(lat):
@@ -228,5 +224,6 @@ def two_element_quotient(lat):
             raise VerificationError(
                 f"lonesome meet irreducible {eta.element} is not meet prime")
         image = [0 if lat.leq(x, eta.element) else 1 for x in lat.elements]
-        return LatticeMap(lat, FiniteLattice(2, {(0, 1)}), image)
+        return _built("two_element_quotient", LatticeMap, lat,
+                      FiniteLattice(2, {(0, 1)}), image)
     return None

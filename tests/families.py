@@ -1,20 +1,32 @@
-"""The lattices the tests build, as ``(n, covers)`` pairs.
+"""The lattices the tests build, as ``(n, covers)`` pairs, and the oracles
+that check commlat's answers on them.
 
 Chains, Boolean lattices, M_k, products and random renamings come from
-``perfbench/lattices.py``, loaded by path and unchanged; this module adds
-what the tests need beyond them.  Like that module it uses nothing of
-commlat, so the inputs stay independent of the program they test.
+``perfbench/lattices.py``, and the brute-force oracles from
+``perfbench/oracles.py``: ``oracles.Order(n, covers)`` reads a lattice's
+meets, joins, congruences and (0,1)-sublattices off its covers alone.  Both
+are loaded by path and unchanged; this module adds what the tests need
+beyond them.  Like them it uses nothing of commlat, so the inputs and the
+oracles stay independent of the program they test.
 """
 
 import importlib.util
 import itertools
 from pathlib import Path
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_lattices",
-    Path(__file__).resolve().parent.parent / "perfbench" / "lattices.py")
-_lattices = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_lattices)
+
+def _load(name):
+    """``perfbench/<name>.py`` as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}",
+        Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_lattices = _load("lattices")
+oracles = _load("oracles")
 
 chain = _lattices.chain
 boolean = _lattices.boolean

@@ -46,17 +46,18 @@ from commlat.projectivity import (
     separating_congruence,
     splitting_pairs,
 )
-from families import NILPOTENT8
+from families import NILPOTENT8, oracles
 
 
 def _zero_one_sublattices(lat):
-    inner = [x for x in lat.elements if x not in (lat.bottom, lat.top)]
+    # the member set of every (0,1)-sublattice, read off the covers alone
+    order = oracles.Order(lat.n, lat.covers)
+    inner = [x for x in range(order.n) if x not in (order.bottom, order.top)]
     for mask in range(1 << len(inner)):
-        members = {lat.bottom, lat.top}
+        members = {order.bottom, order.top}
         members.update(x for i, x in enumerate(inner) if mask >> i & 1)
-        if all(lat.meet(x, y) in members and lat.join(x, y) in members
-               for x in members for y in members):
-            yield SublatticeEmbedding(lat, members)
+        if order.is_zero_one_sublattice(members):
+            yield members
 
 
 def test_criterion_1_m3_uniqueness(tmp_path, capsys, m3):
@@ -218,22 +219,16 @@ def test_criterion_5_residuation_and_transfer_laws(all5, modular5, modular7):
           f"({elapsed:.2f}s)")
 
 
-def _is_b2_hom(lat, image):
-    return all(
-        image[lat.meet(x, y)] == min(image[x], image[y])
-        and image[lat.join(x, y)] == max(image[x], image[y])
-        for x in lat.elements for y in lat.elements)
-
-
 def test_criterion_6_projectivity_propositions(modular8):
     for lat in modular8:
         classes = projectivity_classes(lat)
         irr_meet = meet_irreducibles(lat)
         joins = _lonesome_joins(lat, classes)
+        order = oracles.Order(lat.n, lat.covers)
         # the floor of a class is the join of the join irreducibles in it
         floors = [lat.join_all(rho.element for rho, cid, _ in joins
                                if cid == c)
-                  for c in range(classes.num_classes)]
+                  for c in range(len(classes.ceilings))]
         for i in lat.cover_pairs():
             # every element is under the ceiling or over the floor
             ceiling = projective_ceiling(lat, i)
@@ -254,7 +249,7 @@ def test_criterion_6_projectivity_propositions(modular8):
             prime = is_completely_meet_prime(lat, eta.element)
             image_exists = any(
                 im[eta.element] == 0 and im[eta.plus] == 1
-                and _is_b2_hom(lat, im)
+                and order.is_hom_to_two(im)
                 for im in itertools.product((0, 1), repeat=lat.n))
             assert lonesome == prime == image_exists
     print("ACCEPTANCE 6: PASS - the splitting bound, lonesome duality, the "
@@ -274,7 +269,8 @@ def test_criterion_7_constructions_are_valid(all7):
     for lat in all7:
         big = largest_commutator(lat)
         sources = enumerate_commutators(lat) if lat.n <= 4 else [big]
-        for sub in _zero_one_sublattices(lat):
+        for members in _zero_one_sublattices(lat):
+            sub = SublatticeEmbedding(lat, members)
             sub_lat, embed = sub.as_lattice()
             for table in sources:
                 out = construct_sublattice(table, sub)
@@ -321,7 +317,8 @@ def test_criterion_8_forcing_is_monotone(all7):
 
     for lat in all7:
         big = forcing(lat)
-        for sub in _zero_one_sublattices(lat):
+        for members in _zero_one_sublattices(lat):
+            sub = SublatticeEmbedding(lat, members)
             own, _ = sub.as_lattice()
             small = forcing(own)
             assert all(not s or b for s, b in zip(small, big)), (lat, sub)

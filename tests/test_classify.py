@@ -26,8 +26,9 @@ from commlat.lattice import (
     is_complemented,
     is_simple,
 )
-from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m, product,
-                      projective_plane, relabel, relabel_monotone, rename)
+from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m, oracles,
+                      product, projective_plane, relabel, relabel_monotone,
+                      rename)
 
 
 def test_m3_forces_everything(m3):
@@ -186,7 +187,7 @@ def test_ceilings_that_all_read_top_are_a_bug(tmp_path, capsys, monkeypatch):
     def topped(lat):
         c = classes(lat)
         return projectivity.ProjectivityClasses(
-            c.n, c._table, bytes([lat.top]) * c.num_classes, c.meet_counts)
+            c.n, c._table, bytes([lat.top]) * len(c.ceilings), c.meet_counts)
 
     monkeypatch.setattr(classify, "projectivity_classes", topped)
     with pytest.raises(VerificationError, match="cover-ceiling"):
@@ -242,17 +243,91 @@ def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
 
 
 def test_analyze_builds_the_m3_witness_once(m3, monkeypatch):
-    # the witness search hands forces_abelian_type the embedding it checked
-    built = []
-    init = SublatticeEmbedding.__init__
+    # the witness search hands forces_abelian_type the embedding it found,
+    # and the M3 check reads the lattice that the restriction builds
+    built, lattices = [], []
+    init, lattice_init = SublatticeEmbedding.__init__, FiniteLattice.__init__
 
     def counted(self, ambient, members):
         built.append(members)
         init(self, ambient, members)
 
+    def counted_lattice(self, n, covers=()):
+        lattices.append(n)
+        lattice_init(self, n, covers)
+
     monkeypatch.setattr(SublatticeEmbedding, "__init__", counted)
+    monkeypatch.setattr(FiniteLattice, "__init__", counted_lattice)
     assert analyze(m3).abelian_sufficient_condition == (0, 1, 2, 3, 4)
     assert len(built) == 1
+    assert lattices == [5]
+
+
+def _bound_faults(lat):
+    """(kind, x, y, z) for each incomparable pair x < y whose meet (join)
+    has another common lower (upper) bound, z the first such element."""
+    order = oracles.Order(lat.n, lat.covers)
+    for kind, bound, cone in (("meet", order.meet, order.down),
+                              ("join", order.join, order.up)):
+        for x, y in itertools.combinations(range(order.n), 2):
+            others = cone[x] & cone[y] & ~(1 << bound[x][y])
+            if not (order.leq(x, y) or order.leq(y, x)) and others:
+                yield kind, x, y, (others & -others).bit_length() - 1
+
+
+def _fault_bound_table(monkeypatch, kind, x, y, z):
+    """The next ``kind`` table a FiniteLattice builds reads z at (x, y) and
+    (y, x), set right after ``_bound_table`` returns it."""
+    build, armed = FiniteLattice._bound_table, [True]
+
+    def faulty(self, cone, which):
+        rows = build(self, cone, which)
+        if which == kind and armed:
+            armed.clear()
+            rows[x] = rows[x][:y] + bytes([z]) + rows[x][y + 1:]
+            rows[y] = rows[y][:x] + bytes([z]) + rows[y][x + 1:]
+        return rows
+
+    monkeypatch.setattr(FiniteLattice, "_bound_table", faulty)
+
+
+def test_a_fault_in_a_bound_table_never_reads_as_bad_input(
+        modular8, tmp_path, capsys, monkeypatch):
+    # each of the 232 faults of the modular corpus lattices with 4 to 8
+    # elements, set in the lattice that `commlat analyze` loads: the command
+    # exits 3 on a failed cross-check or prints the true report, and never
+    # blames the input with exit 2
+    path = tmp_path / "lattice.json"
+    faults = collections.Counter()
+    for lat in modular8:
+        if lat.n < 4:
+            continue
+        path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+        assert main(["analyze", "--format", "json", str(path)]) == 0
+        truth = capsys.readouterr().out
+        for kind, *fault in _bound_faults(lat):
+            faults[kind] += 1
+            with monkeypatch.context() as patch:
+                _fault_bound_table(patch, kind, *fault)
+                code = main(["analyze", "--format", "json", str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 3), (lat, kind, fault, err)
+            assert out == truth if code == 0 else "cross-check violation" in err
+    assert faults == {"meet": 116, "join": 116}
+
+
+def test_a_map_that_a_bad_meet_table_breaks_is_a_bug(tmp_path, capsys,
+                                                     monkeypatch):
+    # 0 < 1 < 2, 3 < 4 with meet(2, 3) read as 0: the map onto the
+    # two-element lattice that analyze builds no longer preserves that meet,
+    # which is a bug in the map's producer, not bad input
+    path = tmp_path / "lattice.json"
+    lat = FiniteLattice(5, {(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)})
+    path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
+    _fault_bound_table(monkeypatch, "meet", 2, 3, 0)
+    assert main(["analyze", str(path)]) == 3
+    assert ("two_element_quotient built an invalid LatticeMap: meet of 2, 3 "
+            "not preserved") in capsys.readouterr().err
 
 
 def test_supernilpotency_matches_splitting(all8):

@@ -529,7 +529,7 @@ def test_the_record_surfaces_are_pinned():
             "count", "derived", "index", "is_nilpotent", "is_solvable", "kind",
             "lower_central"],
         "ProjectivityClasses": [
-            "ceilings", "class_of", "meet_counts", "n", "num_classes"],
+            "ceilings", "class_of", "meet_counts", "n"],
     }
     functions = [name for name, value in vars(corpus).items()
                  if callable(value) and value.__module__ == corpus.__name__]

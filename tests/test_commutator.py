@@ -34,7 +34,7 @@ from commlat.lattice import (
     quotient,
 )
 from commlat.projectivity import SplittingPair, splitting_pairs
-from families import (FANO, NILPOTENT8, boolean, chain, m, product,
+from families import (FANO, NILPOTENT8, boolean, chain, m, oracles, product,
                       relabel)
 from test_classify import _fails_its_cross_check
 
@@ -420,19 +420,20 @@ def test_enumerate_size_guard():
 
 
 def _brute_force_tables(lat):
-    cells = [(x, y) for x in lat.elements for y in lat.elements if x <= y]
-    choices = []
-    for x, y in cells:
-        mask = lat.lower_set(lat.meet(x, y))
-        choices.append([z for z in lat.elements if mask >> z & 1])
+    # every symmetric table bounded by the meet that meets the axioms, both
+    # read off the covers alone
+    order = oracles.Order(lat.n, lat.covers)
+    n = order.n
+    cells = [(x, y) for x in range(n) for y in range(x, n)]
+    choices = [[z for z in range(n) if order.down[order.meet[x][y]] >> z & 1]
+               for x, y in cells]
     out = set()
     for combo in itertools.product(*choices):
-        entries = [[0] * lat.n for _ in range(lat.n)]
+        entries = [[0] * n for _ in range(n)]
         for (x, y), v in zip(cells, combo):
             entries[x][y] = entries[y][x] = v
-        table = CommutatorTable(lat, entries)
-        if table.is_valid:
-            out.add(table.entries)
+        if oracles.table_violation(order, entries) is None:
+            out.add(tuple(map(tuple, entries)))
     return out
 
 

@@ -39,7 +39,8 @@ from commlat.lattice import (
 from commlat.projectivity import (PrimeInterval, projectivity_classes,
                                   separating_congruence)
 from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m,
-                      product, projective_plane, relabel, rename)
+                      oracles, product, projective_plane, relabel, rename)
+from test_classify import _fault_bound_table
 
 
 def test_one_element_lattice():
@@ -144,21 +145,15 @@ def test_modularity(m3, n5, chain3, b22):
     assert b22.is_modular()
 
 
-def _modular_by_identity(lat):
-    """The O(n^3) modular law: x <= z gives x v (y ^ z) = (x v y) ^ z."""
-    return all(lat.join(x, lat.meet(y, z)) == lat.meet(lat.join(x, y), z)
-               for x in lat.elements for z in lat.elements if lat.leq(x, z)
-               for y in lat.elements)
-
-
 def test_is_modular_matches_the_identity_on_the_corpus(all8):
-    # on the corpus names and three seeded renamings of each lattice
+    # the O(n^3) modular law, read off the covers alone, on the corpus names
+    # and three seeded renamings of each lattice
     rng = random.Random(11)
     for base in all8:
         pair = base.n, base.covers
-        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
-                             for _ in range(3)]:
-            assert lattice._is_modular(lat) == _modular_by_identity(lat), lat
+        for n, covers in [pair] + [relabel(pair, rng)[0] for _ in range(3)]:
+            assert (lattice._is_modular(FiniteLattice(n, covers))
+                    == oracles.Order(n, covers).is_modular()), covers
 
 
 N5 = 5, corpus.pentagon().covers
@@ -176,8 +171,8 @@ N5 = 5, corpus.pentagon().covers
     (product(m(3), N5), False),
 ], ids=["C64", "B6", "M62", "C2xC32", "M4xM5", "n8", "N5xC8", "M3xN5"])
 def test_is_modular_matches_the_identity_at_scale(pair, modular):
-    lat = FiniteLattice(*pair)
-    assert lattice._is_modular(lat) == _modular_by_identity(lat) == modular
+    assert (lattice._is_modular(FiniteLattice(*pair))
+            == oracles.Order(*pair).is_modular() == modular)
 
 
 # -- the cover masks ---------------------------------------------------------
@@ -264,53 +259,10 @@ def test_congruence_generated_m3_collapses(m3):
         assert congruence_generated(m3, [(0, atom)]).num_blocks == 1
 
 
-def _congruence_property_holds(lat, class_of):
-    for x in lat.elements:
-        for y in lat.elements:
-            if class_of[x] != class_of[y]:
-                continue
-            for z in lat.elements:
-                if class_of[lat.meet(x, z)] != class_of[lat.meet(y, z)]:
-                    return False
-                if class_of[lat.join(x, z)] != class_of[lat.join(y, z)]:
-                    return False
-    return True
-
-
-def _all_partitions(n):
-    # every set partition of range(n), by assigning each element to an
-    # existing block or a new one
-    def rec(x, blocks):
-        if x == n:
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(x)
-            yield from rec(x + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from rec(x + 1, blocks)
-        blocks.pop()
-
-    yield from rec(0, [])
-
-
-def _brute_force_congruences(lat):
-    out = []
-    for blocks in _all_partitions(lat.n):
-        class_of = {}
-        for i, b in enumerate(blocks):
-            for x in b:
-                class_of[x] = i
-        if _congruence_property_holds(lat, class_of):
-            out.append(tuple(sorted(tuple(sorted(b)) for b in blocks)))
-    return sorted(out)
-
-
 def test_congruence_generated_is_least(all5):
     # oracle: enumerate every congruence by brute force over set partitions
     for lat in all5:
-        congruences = _brute_force_congruences(lat)
+        congruences = oracles.congruences(oracles.Order(lat.n, lat.covers))
         pairs = [(x, y) for x in lat.elements for y in lat.elements if x < y]
         for seed in itertools.combinations(pairs, 2):
             generated = congruence_generated(lat, seed)
@@ -328,10 +280,13 @@ def test_all_congruences_matches_brute_force(all6):
     rng = random.Random(6)
     for base in all6:
         pair = base.n, base.covers
-        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
-                             for _ in range(3)]:
-            congruences = _brute_force_congruences(lat)
-            assert [p.blocks for p in all_congruences(lat)] == congruences
+        for n, covers in [pair] + [relabel(pair, rng)[0] for _ in range(3)]:
+            lat = FiniteLattice(n, covers)
+            congruences = oracles.congruences(oracles.Order(n, covers))
+            found = [frozenset(map(frozenset, p.blocks))
+                     for p in all_congruences(lat)]
+            assert len(found) == len(congruences)
+            assert set(found) == set(congruences)
             assert is_simple(lat) == (len(congruences) == 2)
 
 
@@ -402,12 +357,13 @@ def test_is_simple_builds_at_most_one_congruence_per_join_irreducible(
         assert len(calls) == 1
 
 
-def _fixpoint(lat, seed):
-    # con(seed) by brute force, sharing no code with the engine: a class is
-    # named by its least member, and whenever a meet or a join translate
-    # separates x from the least member of its class, the two classes merge;
-    # repeat until no translate separates anything
-    cls = list(lat.elements)
+def _fixpoint(order, seed):
+    # con(seed) by brute force on the tables of an oracles.Order, sharing no
+    # code with the engine: a class is named by its least member, and
+    # whenever a meet or a join translate separates x from the least member
+    # of its class, the two classes merge; repeat until no translate
+    # separates anything
+    cls = list(range(order.n))
 
     def merge(a, b):
         keep, drop = sorted((cls[a], cls[b]))
@@ -418,32 +374,33 @@ def _fixpoint(lat, seed):
     changed = True
     while changed:
         changed = False
-        for x, z in itertools.product(lat.elements, repeat=2):
-            for op in (lat.meet, lat.join):
-                if cls[op(x, z)] != cls[op(cls[x], z)]:
-                    merge(op(x, z), op(cls[x], z))
+        for x, z in itertools.product(range(order.n), repeat=2):
+            for op in (order.meet, order.join):
+                if cls[op[x][z]] != cls[op[cls[x]][z]]:
+                    merge(op[x][z], op[cls[x]][z])
                     changed = True
     blocks = {}
-    for x in lat.elements:
-        blocks.setdefault(cls[x], []).append(x)
+    for x, c in enumerate(cls):
+        blocks.setdefault(c, []).append(x)
     return tuple(map(tuple, blocks.values()))
 
 
-def _fixpoint_congruences(lat):
+def _fixpoint_congruences(order):
     # every congruence: the down-sets of the quasiorder on the join
     # irreducibles that the principal fixpoints give, each closed from
     # its generators (k-, k)
-    generators = [(x, j) for x, j in lat.covers
-                  if [y for y, z in lat.covers if z == j] == [x]]
+    covers = sorted(order.covers)
+    generators = [(x, j) for x, j in covers
+                  if [y for y, z in covers if z == j] == [x]]
     principal = set()
     for pair in generators:
-        blocks = _fixpoint(lat, [pair])
+        blocks = _fixpoint(order, [pair])
         principal.add(frozenset(k for k in generators
                                 if any(set(k) <= set(b) for b in blocks)))
     downsets = {frozenset()}
     for mask in principal:
         downsets |= {d | mask for d in downsets}
-    return sorted(_fixpoint(lat, d) for d in downsets)
+    return sorted(_fixpoint(order, d) for d in downsets)
 
 
 def _oracle_lattices(all7, modular8):
@@ -467,7 +424,7 @@ def _class_of(blocks):
 
 def test_all_congruences_match_the_fixpoint_oracle(all7, modular8):
     for lat in _oracle_lattices(all7, modular8):
-        expected = _fixpoint_congruences(lat)
+        expected = _fixpoint_congruences(oracles.Order(lat.n, lat.covers))
         congruences = all_congruences(lat)
         assert [p.blocks for p in congruences] == expected
         assert [p.class_of for p in congruences] == list(map(_class_of,
@@ -477,12 +434,13 @@ def test_all_congruences_match_the_fixpoint_oracle(all7, modular8):
 def test_principal_and_separating_congruences_match_the_fixpoint_oracle(
         all7, modular8):
     for lat in _oracle_lattices(all7, modular8):
-        principal = {q: _fixpoint(lat, [q]) for q in lat.cover_pairs()}
+        order = oracles.Order(lat.n, lat.covers)
+        principal = {q: _fixpoint(order, [q]) for q in sorted(order.covers)}
         for q, blocks in principal.items():
             theta = congruence_generated(lat, [q])
             assert theta.blocks == blocks
             assert theta.class_of == _class_of(blocks)
-        if not lat.is_modular():
+        if not order.is_modular():
             continue
         # in a modular lattice Con L is Boolean, so the largest congruence
         # keeping q apart joins the con(c) that keep it apart
@@ -490,7 +448,7 @@ def test_principal_and_separating_congruences_match_the_fixpoint_oracle(
             keeping = [c for c, blocks in principal.items()
                        if not any(set(q) <= set(b) for b in blocks)]
             theta = separating_congruence(lat, PrimeInterval(*q))
-            assert theta.blocks == _fixpoint(lat, keeping)
+            assert theta.blocks == _fixpoint(order, keeping)
 
 
 def test_engine_outputs_are_pinned(all8):
@@ -655,6 +613,34 @@ def test_congruence_generated_reports_a_failed_check_as_a_bug(m3, monkeypatch):
         congruence_generated(m3, [(0, 1)])
 
 
+def test_what_an_internal_construction_refuses_is_a_bug(chain3, m3,
+                                                       monkeypatch):
+    # dual, quotient and as_lattice build from checked data, so an
+    # InputError there is a bug of theirs, reported as VerificationError
+    sub = SublatticeEmbedding(m3, (0, 1, 4))
+    sub.member_list = (0, 1, 2, 4)          # 2 is not in the mask
+    with pytest.raises(VerificationError,
+                       match="^as_lattice built an invalid FiniteLattice"):
+        sub.as_lattice()
+    identity = congruence_generated(chain3, [])
+    pairs = FiniteLattice.cover_pairs
+    with monkeypatch.context() as patch:    # a redundant cover (0, 2)
+        patch.setattr(FiniteLattice, "cover_pairs",
+                      lambda self: pairs(self) + ((self.bottom, self.top),))
+        for producer, build in (("dual", chain3.dual),
+                                ("quotient", lambda: quotient(chain3, identity))):
+            with pytest.raises(VerificationError, match=(
+                    f"^{producer} built an invalid FiniteLattice: cover")):
+                build()
+    # meet(2, 3) read as 0, which the projection onto the quotient cannot
+    # preserve
+    _fault_bound_table(monkeypatch, "meet", 2, 3, 0)
+    lat = FiniteLattice(5, {(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)})
+    with pytest.raises(VerificationError,
+                       match="^quotient built an invalid LatticeMap: meet"):
+        quotient(lat, congruence_generated(lat, []))
+
+
 def test_partition_rejects_non_congruence(chain3):
     # 0 ~ 2 forces 0v1 ~ 2v1, i.e. 1 ~ 2, so {{0,2},{1}} is no congruence
     with pytest.raises(NotACongruence):
@@ -816,7 +802,7 @@ def test_dropped_quotients_are_freed_at_scale(pair, no_collection):
         image, projection = quotient(lat, theta)
         assert held.setdefault(theta, projection) is projection
         assert projection.target is image
-    assert len(held) == projectivity_classes(lat).num_classes
+    assert len(held) == len(projectivity_classes(lat).ceilings)
     images = [weakref.ref(projection.target) for projection in held.values()]
     del held, image, projection
     assert [ref() for ref in images] == [None] * len(images)

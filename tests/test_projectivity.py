@@ -10,7 +10,6 @@ from commlat.commutator import largest_commutator, residuation
 from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
     FiniteLattice,
-    LatticePartition,
     all_congruences,
     congruence_generated,
     is_complemented,
@@ -31,8 +30,9 @@ from commlat.projectivity import (
     splitting_pairs,
     two_element_quotient,
 )
-from families import boolean, chain, m, product, projective_plane, relabel
-from test_lattice import _brute_force_congruences, _fixpoint
+from families import (boolean, chain, m, oracles, product, projective_plane,
+                      relabel)
+from test_lattice import _fixpoint
 
 
 def test_irreducibles_on_chain(chain3):
@@ -109,13 +109,13 @@ def test_duality_of_irreducibles(all6):
 
 
 def test_projectivity_classes(m3, b22, chain3):
-    assert projectivity_classes(m3).num_classes == 1
+    assert len(projectivity_classes(m3).ceilings) == 1
     assert len(m3.cover_pairs()) == 6
     b22_classes = projectivity_classes(b22)
-    assert b22_classes.num_classes == 2
+    assert len(b22_classes.ceilings) == 2
     assert b22_classes.class_of((0, 1)) == b22_classes.class_of((2, 3))
     assert b22_classes.class_of((0, 1)) != b22_classes.class_of((0, 2))
-    assert projectivity_classes(chain3).num_classes == 2
+    assert len(projectivity_classes(chain3).ceilings) == 2
 
 
 def _transposes_up(lat, i, j):
@@ -228,7 +228,7 @@ def test_projective_planes_are_simple_with_every_ceiling_top(q):
     # projective and the largest multiplication is top at every cover
     lat = FiniteLattice(*relabel(projective_plane(q), random.Random(q))[0])
     classes = projectivity_classes(lat)
-    assert classes.num_classes == 1
+    assert len(classes.ceilings) == 1
     assert is_simple(lat)
     assert len(all_congruences(lat)) == 2
     assert is_complemented(lat)
@@ -322,27 +322,19 @@ def test_separating_congruence_examples(chain3, b22):
     assert part.blocks == ((0, 2), (1, 3))
 
 
-def _refines(fine, coarse):
-    # every block of ``fine`` lies inside one block of ``coarse``
-    return all(len({coarse.class_of[x] for x in b}) == 1 for b in fine.blocks)
-
-
 def test_separating_congruence_is_largest(modular6):
     # the largest brute-force congruence keeping the endpoints apart, on the
     # corpus names and on random renamings
     rng = random.Random(7)
     for base in modular6:
         pair = base.n, base.covers
-        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
-                             for _ in range(2)]:
-            congruences = _brute_force_congruences(lat)
-            for lo, hi in lat.cover_pairs():
-                keeping = [LatticePartition(lat, blocks)
-                           for blocks in congruences
-                           if not any(lo in b and hi in b for b in blocks)]
-                largest = [p for p in keeping
-                           if all(_refines(q, p) for q in keeping)]
-                assert [separating_congruence(lat, (lo, hi))] == largest
+        for n, covers in [pair] + [relabel(pair, rng)[0] for _ in range(2)]:
+            lat, order = FiniteLattice(n, covers), oracles.Order(n, covers)
+            congruences = oracles.congruences(order)
+            for lo, hi in sorted(covers):
+                blocks = separating_congruence(lat, (lo, hi)).blocks
+                assert frozenset(map(frozenset, blocks)) == oracles.separating(
+                    order, congruences, lo, hi)
 
 
 def test_separating_congruence_is_largest_on_modular8(modular8):
@@ -354,16 +346,16 @@ def test_separating_congruence_is_largest_on_modular8(modular8):
     rng = random.Random(8)
     for base in modular8:
         pair = base.n, base.covers
-        for lat in [base] + [FiniteLattice(*relabel(pair, rng)[0])
-                             for _ in range(2)]:
-            covers = lat.cover_pairs()
-            principal = {(x, k): _fixpoint(lat, [(x, k)]) for x, k in covers
+        for n, covers in [pair] + [relabel(pair, rng)[0] for _ in range(2)]:
+            lat, order = FiniteLattice(n, covers), oracles.Order(n, covers)
+            covers = sorted(covers)
+            principal = {(x, k): _fixpoint(order, [(x, k)]) for x, k in covers
                          if [y for y, z in covers if z == k] == [x]}
             for lo, hi in covers:
                 keeping = [g for g, blocks in principal.items()
                            if not any(lo in b and hi in b for b in blocks)]
                 assert (separating_congruence(lat, (lo, hi)).blocks
-                        == _fixpoint(lat, keeping))
+                        == _fixpoint(order, keeping))
 
 
 def test_separating_congruence_checks_every_cover(b22, monkeypatch):
@@ -392,7 +384,7 @@ def test_separating_congruence_closes_once_per_class(lat, monkeypatch):
     assert len(calls) == 1
     for i in rest:
         separating_congruence(lat, i)
-    assert len(calls) <= projectivity_classes(lat).num_classes
+    assert len(calls) <= len(projectivity_classes(lat).ceilings)
 
 
 def test_con_of_a_modular_lattice_is_boolean_on_the_classes(all8):
@@ -401,7 +393,7 @@ def test_con_of_a_modular_lattice_is_boolean_on_the_classes(all8):
     # one class
     for lat in all8:
         if lat.is_modular():
-            num_classes = projectivity_classes(lat).num_classes
+            num_classes = len(projectivity_classes(lat).ceilings)
             assert len(all_congruences(lat)) == 2 ** num_classes
             assert is_simple(lat) == (num_classes == 1)
 
@@ -445,7 +437,7 @@ def test_cover_transposes_to_separating_irreducible(modular8):
                 if lat.leq(lo, eta.element) and not lat.leq(hi, eta.element):
                     assert _transposes_up(lat, PrimeInterval(lo, hi),
                                           eta.interval())
-        assert meet_ids == join_ids == set(range(classes.num_classes))
+        assert meet_ids == join_ids == set(range(len(classes.ceilings)))
 
 
 def test_two_element_quotient(chain3, m3, b2):
@@ -466,21 +458,12 @@ def test_two_element_quotient_checks_that_lonesome_is_meet_prime(
         two_element_quotient(b22)
 
 
-def _all_b2_images(lat):
-    """Brute force: does any surjective 0/1 labeling preserve meet and join?"""
-    b2 = corpus.chain(2)
-    for image in itertools.product((0, 1), repeat=lat.n):
-        if 0 not in image or 1 not in image:
-            continue
-        if all(image[lat.meet(x, y)] == b2.meet(image[x], image[y])
-               and image[lat.join(x, y)] == b2.join(image[x], image[y])
-               for x in range(lat.n) for y in range(lat.n)):
-            yield image
-
-
 def test_two_element_quotient_existence_is_exact(modular8):
+    # brute force: is any 0/1 labeling a (0,1)-map onto the two-element chain?
     for lat in modular8:
-        exists = any(True for _ in _all_b2_images(lat))
+        order = oracles.Order(lat.n, lat.covers)
+        exists = any(map(order.is_hom_to_two,
+                         itertools.product((0, 1), repeat=lat.n)))
         assert (two_element_quotient(lat) is not None) == exists
 
 

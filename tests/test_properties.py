@@ -6,11 +6,15 @@ from commlat import corpus
 from commlat.commutator import enumerate_commutators, residuation
 from commlat.lattice import FiniteLattice, congruence_generated
 from families import rename
-from test_projectivity import _refines
 
 LATTICES = corpus.generate_corpus(6)
 SMALL = [lat for lat in corpus.generate_corpus(4)]
 TABLES = {lat: enumerate_commutators(lat) for lat in SMALL}
+
+
+def _refines(fine, coarse):
+    # every block of ``fine`` lies inside one block of ``coarse``
+    return all(len({coarse.class_of[x] for x in b}) == 1 for b in fine.blocks)
 
 
 @given(st.data())
