@@ -36,7 +36,6 @@ from .lattice import (
     SublatticeEmbedding,
     all_congruences,
     congruence_generated,
-    is_complemented,
     is_simple,
     quotient,
 )

@@ -18,7 +18,7 @@ from collections import namedtuple
 from .commutator import (construct_sublattice, largest_commutator,
                          residuation, series)
 from .errors import VerificationError
-from .lattice import SublatticeEmbedding, is_complemented, is_simple
+from .lattice import SublatticeEmbedding, is_simple
 from .projectivity import (
     _require_modular,
     projective_ceiling,
@@ -108,8 +108,9 @@ def forces_abelian_type(lat):
     if witness is not None:
         restricted = construct_sublattice(table, witness)
         own = restricted.lattice
-        if not (own.n == 5 and own.is_modular() and is_simple(own)
-                and is_complemented(own)):
+        # M3 is the one simple lattice with 5 elements (N5, C5, 1+B2 and
+        # B2+1 have a proper congruence)
+        if not (own.n == 5 and is_simple(own)):
             raise VerificationError(
                 f"witness {list(witness.member_list)} is not M3")
         if not verdict or restricted.value(own.top, own.top) != own.bottom:

@@ -34,7 +34,9 @@ The transfers compute each value once: the pullback along h: L -> K lifts
 each b in K to the least z with h(z) >= b, O(|L| |K|), and reads every
 entry off that lift table; the sublattice restriction closes each distinct
 value once; the residuation (x : y) reads row y of the symmetric table,
-O(n).  Each construction validates its output, O(n^3) at worst.
+O(n).  The descent and the constructions build their tables through
+``lattice._built`` with ``CommutatorTable._valid``, which validates them,
+O(n^3) at worst, so an invalid one raises VerificationError.
 """
 
 from collections import namedtuple
@@ -47,7 +49,7 @@ from .errors import (
     NotASplittingPair,
     VerificationError,
 )
-from .lattice import _bits, _translation
+from .lattice import _bits, _built, _translation
 from .projectivity import join_irreducibles, splitting_pairs
 
 
@@ -131,6 +133,13 @@ class CommutatorTable:
         bad = self.violations()
         if bad:
             raise InvalidTable(f"{bad[0].law} fails: {bad[0].detail}")
+
+    @classmethod
+    def _valid(cls, lattice, entries):
+        """The table, which must be a multiplication: else InvalidTable."""
+        table = cls(lattice, entries)
+        table.require_valid()
+        return table
 
     def __eq__(self, other):
         return (isinstance(other, CommutatorTable)
@@ -242,15 +251,6 @@ def series(table):
 # -- constructions ----------------------------------------------------------
 
 
-def _checked(table, producer):
-    """The freshly built table, valid by construction; an invalid one is a
-    bug in ``producer`` and raises."""
-    if not table.is_valid:
-        raise VerificationError(f"{producer} produced an invalid table: "
-                                f"{table.violations()[0]}")
-    return table
-
-
 def construct_sublattice(ambient_table, sub):
     """Restrict a multiplication to a sublattice by closing each value
     upward into the sublattice, once per distinct value.  The result is
@@ -267,8 +267,8 @@ def construct_sublattice(ambient_table, sub):
         if not sub.ambient.leq(raw, member):
             raise VerificationError("closure went down")
         closed[raw] = index[member]
-    out = CommutatorTable(sub_lat, [[closed[v] for v in row] for row in rows])
-    return _checked(out, "sublattice construction")
+    return _built("construct_sublattice", CommutatorTable._valid, sub_lat,
+                  [[closed[v] for v in row] for row in rows])
 
 
 def construct_pullback(source, hom, target_table):
@@ -284,15 +284,15 @@ def construct_pullback(source, hom, target_table):
     tgt = target_table.lattice
     lift = [source.meet_all(z for z in source.elements if tgt.leq(b, hom(z)))
             for b in tgt.elements]
-    out = CommutatorTable(source, [[lift[target_table.value(hom(x), hom(y))]
-                                    for y in source.elements]
-                                   for x in source.elements])
+    out = _built("construct_pullback", CommutatorTable._valid, source,
+                 [[lift[target_table.value(hom(x), hom(y))]
+                   for y in source.elements] for x in source.elements])
     for x in source.elements:
         for y in source.elements:
             if not tgt.leq(target_table.value(hom(x), hom(y)),
                            hom(out.value(x, y))):
                 raise VerificationError("pullback lost its lower bound")
-    return _checked(out, "pullback")
+    return out
 
 
 def construct_splitting(lat, pair, theta):
@@ -316,7 +316,7 @@ def construct_splitting(lat, pair, theta):
     entries = [[lat.bottom if lat.leq(x, delta) and lat.leq(y, delta)
                 else s[lat.meet(x, y)]
                 for y in lat.elements] for x in lat.elements]
-    return _checked(CommutatorTable(lat, entries), "splitting construction")
+    return _built("construct_splitting", CommutatorTable._valid, lat, entries)
 
 
 # -- the largest multiplication ---------------------------------------------
@@ -347,7 +347,7 @@ def largest_commutator(lat):
                     if meet[b][v] != b:
                         tx2[y] = t[y][x2] = meet[b][v]
                         changed = True
-    return _checked(CommutatorTable(lat, t), "descent")
+    return _built("largest_commutator", CommutatorTable._valid, lat, t)
 
 
 ENUMERATION_MAX_N = 5
@@ -394,7 +394,7 @@ def enumerate_commutators(lat, cap=None):
                         value = lat.join(value, assignment[key])
                 row.append(value)
             entries.append(row)
-        table = CommutatorTable(lat, entries)
+        table = _built("enumerate_commutators", CommutatorTable, lat, entries)
         if table.is_valid:
             found.setdefault(table.entries, table)
 

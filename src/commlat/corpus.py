@@ -15,8 +15,9 @@ lattices", 2002, build one labeling per class the same way).  Duplicates
 are detected with a canonical form read off the masks: the minimum
 cover-set encoding over the relabelings that respect an iterated
 neighborhood-color invariant, with twins kept in name order.  Only a class
-not seen before is built as a :class:`FiniteLattice`, which validates it.
-The modular stream keeps a grown lattice when ``_is_modular``, which reads
+not seen before is built as a :class:`FiniteLattice`, which validates it
+(through ``lattice._built``: a grown lattice it refuses is a bug).  The
+modular stream keeps a grown lattice when ``_is_modular``, which reads
 only the cover masks, accepts it.
 
 The hard size cap is 8 elements; beyond that the search space grows too fast
@@ -30,8 +31,8 @@ import math
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .errors import LatticeTooLarge, NotALattice, VerificationError
-from .lattice import FiniteLattice, _bits, _is_modular
+from .errors import LatticeTooLarge
+from .lattice import FiniteLattice, _bits, _built, _is_modular
 
 MAX_CORPUS_N = 8
 # relabelings canonical_key may try: 8! bounds any lattice with at most
@@ -147,8 +148,8 @@ def canonical_key(lat):
 
 def _candidate(n, below, covers):
     """A grown lattice as its covers and the masks that :func:`canonical_key`
-    and ``_is_modular`` read; :func:`_checked` builds and validates it when
-    it is kept."""
+    and ``_is_modular`` read; it is built as a :class:`FiniteLattice`, which
+    validates it, only when it is kept."""
     lower, upper = [0] * n, [0] * n
     up = [1 << v for v in range(n)]
     # the names extend the order: with x descending, each up[y] is whole
@@ -160,17 +161,6 @@ def _candidate(n, below, covers):
     return SimpleNamespace(n=n, covers=covers, _lower=lower, _upper=upper,
                            _down=[d | 1 << x for x, d in enumerate(below)],
                            _up=up)
-
-
-def _checked(n, covers):
-    """The lattice a grown candidate stands for, validated by
-    :class:`FiniteLattice`: a rejection is a bug."""
-    try:
-        return FiniteLattice(n, covers)
-    except NotALattice as exc:
-        raise VerificationError(
-            f"a grown meet-semilattice with a top is no lattice: {exc}"
-        ) from exc
 
 
 def _natural_order_lattices(n, modular_only=False, _size_ordered=False):
@@ -259,7 +249,7 @@ def all_lattices(n, modular_only=False):
                                                _size_ordered=True):
         key = canonical_key(candidate)
         if key not in seen:
-            seen[key] = _checked(*key)
+            seen[key] = _built("all_lattices", FiniteLattice, *key)
     return tuple(seen[key] for key in sorted(seen))
 
 
@@ -278,7 +268,8 @@ def generate_corpus(max_n, modular_only=False, dedupe_iso=True):
         if dedupe_iso:
             out += all_lattices(n, modular_only)
         else:
-            out += sorted((_checked(c.n, c.covers)
+            out += sorted((_built("generate_corpus", FiniteLattice, c.n,
+                                  c.covers)
                            for c in _natural_order_lattices(n, modular_only)),
                           key=FiniteLattice.cover_pairs)
     return out

@@ -43,14 +43,16 @@ MAX_CONGRUENCES = 2**15
 
 
 def _built(producer, build, *args):
-    """``build(*args)`` for an object built from checked data: bad input
-    there is a bug in ``producer``, so it raises VerificationError (exit 3),
-    not the InputError (exit 2) that would blame the caller."""
+    """``build(*args)`` for an object ``producer`` builds from data it has
+    checked: a refusal there, InputError or ValueError (exit 2), is its bug
+    and raises VerificationError (exit 3) naming ``producer`` and the class
+    part of ``build.__qualname__`` (a class, or a method of one)."""
     try:
         return build(*args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
+        built = build.__qualname__.partition(".")[0]
         raise VerificationError(
-            f"{producer} built an invalid {build.__name__}: {exc}") from exc
+            f"{producer} built an invalid {built}: {exc}") from exc
 
 
 def _bits(mask):
@@ -411,12 +413,8 @@ def _fibres(lattice, reach):
         raise VerificationError(f"below keeps {next(_bits(missed))} of the "
                                 "reach apart from its lower cover")
     kept = j_mask & ~collapsed
-    try:
-        return LatticePartition.__new__(LatticePartition)._fill(
-            lattice, [d & kept for d in lattice._down])
-    except NotACongruence as exc:
-        raise VerificationError(
-            f"dependency fibres are not a congruence: {exc}") from exc
+    return _built("_fibres", LatticePartition.__new__(LatticePartition)._fill,
+                  lattice, [d & kept for d in lattice._down])
 
 
 def congruence_generated(lattice, seed):
@@ -484,15 +482,6 @@ def is_simple(lattice):
     j = next((j for j in _bits(j_mask) if below[j] != j_mask),
              (j_mask & -j_mask).bit_length() - 1)
     return _fibres(lattice, 1 << j).num_blocks == 1
-
-
-def is_complemented(lattice):
-    """Whether every x has a y with x ^ y = bottom and x v y = top."""
-    return all(
-        any(lattice.meet(x, y) == lattice.bottom
-            and lattice.join(x, y) == lattice.top
-            for y in range(lattice.n))
-        for x in range(lattice.n))
 
 
 def _single_bits(masks):
@@ -626,7 +615,7 @@ class SublatticeEmbedding:
                     new.add(ambient.meet(x, y))
                     new.add(ambient.join(x, y))
             if new <= members:
-                return cls(ambient, members)
+                return _built("generated", cls, ambient, members)
             members |= new
 
     def closure(self, x):

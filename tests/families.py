@@ -42,6 +42,14 @@ def rename(lattice, perm):
     return n, {(perm[x], perm[y]) for x, y in covers}
 
 
+def complemented(order):
+    """Whether every x of an ``oracles.Order`` has a y with x ^ y = bottom
+    and x v y = top."""
+    return all(any(order.meet[x][y] == order.bottom
+                   and order.join[x][y] == order.top for y in range(order.n))
+               for x in range(order.n))
+
+
 def glued_sum(a, b):
     """The glued sum a + b of two lattices named with bottom 0 and top n - 1,
     as every family here names them: b on top of a, with b's bottom

@@ -23,12 +23,11 @@ from commlat.lattice import (
     FiniteLattice,
     SublatticeEmbedding,
     all_congruences,
-    is_complemented,
     is_simple,
 )
-from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m, oracles,
-                      product, projective_plane, relabel, relabel_monotone,
-                      rename)
+from families import (FANO, NILPOTENT8, boolean, chain, complemented,
+                      glued_sum, m, oracles, product, projective_plane,
+                      relabel, relabel_monotone, rename)
 
 
 def test_m3_forces_everything(m3):
@@ -137,8 +136,16 @@ def test_abelian_witness_is_genuine(modular8):
         assert {lat.bottom, lat.top} <= set(witness)
         own, _ = SublatticeEmbedding(lat, witness).as_lattice()
         assert own.n >= 3
-        assert own.is_modular() and is_simple(own) and is_complemented(own)
+        assert own.is_modular() and is_simple(own)
+        assert complemented(oracles.Order(own.n, own.covers))
         assert report.forces_abelian_type
+
+
+def test_m3_is_the_one_simple_lattice_with_5_elements(all5):
+    # what lets forces_abelian_type read a 5-element simple witness as M3
+    five = [lat for lat in all5 if lat.n == 5]
+    assert [lat for lat in five if len(oracles.congruences(
+        oracles.Order(lat.n, lat.covers))) == 2] == [corpus.diamond()]
 
 
 def test_witness_failing_its_check_is_a_bug(m3, monkeypatch):
@@ -407,7 +414,8 @@ def _brute_force_has_witness(lat):
                    for x in members for y in members):
                 continue
             own, _ = SublatticeEmbedding(lat, members).as_lattice()
-            if own.is_modular() and is_simple(own) and is_complemented(own):
+            if (own.is_modular() and is_simple(own)
+                    and complemented(oracles.Order(own.n, own.covers))):
                 return True
     return False
 

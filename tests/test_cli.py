@@ -11,6 +11,8 @@ import pytest
 import commlat
 from commlat import classify, corpus, fileio
 from commlat.cli import main
+from commlat.commutator import CommutatorTable
+from commlat.lattice import LatticeMap, LatticePartition
 
 
 def write_lattice(path, lat):
@@ -275,6 +277,112 @@ def test_construct_rejects_splitting_pair_out_of_range(capsys, b22_file, pair):
     assert "does not split" in err
 
 
+# input refusals that no other test reaches, each with its files as text
+_M3 = '{"n": 5, "covers": [[0,1],[0,2],[0,3],[1,4],[2,4],[3,4]]}'
+_C3 = '{"n": 3, "covers": [[0,1],[1,2]]}'
+_C2 = '{"n": 2, "covers": [[0,1]], "table": '
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    pytest.param({"l": _M3}, ["construct", "{l}", "sublattice"],
+                 "construct sublattice needs --members", id="no-members"),
+    pytest.param({"l": _M3, "t": _C2 + "[[0,0],[0,1]]}"},
+                 ["construct", "{l}", "sublattice", "--members", "0,1,4",
+                  "--table", "{t}"],
+                 "--table file does not match the lattice", id="table-of-c2"),
+    pytest.param({"l": _M3}, ["construct", "{l}", "pullback"],
+                 "construct pullback needs --seed-pairs", id="no-seed-pairs"),
+    pytest.param({"l": _M3}, ["construct", "{l}", "splitting"],
+                 "construct splitting needs --splitting", id="no-splitting"),
+    pytest.param({"l": "[1, 2]"}, ["analyze", "{l}"],
+                 "expected a JSON object", id="not-an-object"),
+    pytest.param({"l": '{"n": 0, "covers": []}'}, ["analyze", "{l}"],
+                 "element count must be a positive int, got 0", id="n-0"),
+    pytest.param({"l": '{"n": 2, "covers": [[0,2]]}'}, ["analyze", "{l}"],
+                 "bad cover pair (0, 2) for n=2", id="bad-cover"),
+    pytest.param({"l": _M3}, ["check-table", "{l}"],
+                 "missing field 'table'", id="no-table"),
+    pytest.param({"t": _C2 + "[[0,0]]}"}, ["check-table", "{t}"],
+                 "table must be an n x n matrix", id="not-square"),
+    pytest.param({"t": _C2 + "[[0,0],[0,2]]}"}, ["check-table", "{t}"],
+                 "table entry 2 out of range", id="entry-out-of-range"),
+    pytest.param({"l": _C3, "b": "[]"},
+                 ["construct", "{l}", "splitting", "--splitting", "1,2",
+                  "--congruence", "{b}"],
+                 "expected a JSON object with field 'blocks'",
+                 id="blocks-not-an-object"),
+    pytest.param({"l": _C3, "b": '{"blocks": [1, 2]}'},
+                 ["construct", "{l}", "splitting", "--splitting", "1,2",
+                  "--congruence", "{b}"],
+                 "blocks must be a list of lists", id="blocks-not-lists"),
+    pytest.param({}, ["analyze", "{dir}"], "cannot read {dir}: ",
+                 id="a-directory"),
+    pytest.param({}, ["corpus", "--max-n", "0"], "max_n must be at least 1",
+                 id="max-n-0"),
+    pytest.param({"l": _M3}, ["quotient", "{l}", "--seed-pairs", "9,9"],
+                 "seed pair (9, 9) out of range", id="seed-out-of-range"),
+])
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, files, argv,
+                                         message):
+    paths = {"dir": str(tmp_path)}
+    for name, text in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(text)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f"commlat: {message.format(**paths)}")
+
+
+def _one_short(monkeypatch):
+    # every partition reports one block fewer than it has
+    monkeypatch.setattr(LatticePartition, "num_blocks",
+                        property(lambda p: len(p.blocks) - 1))
+
+
+def _image_out_of_range(monkeypatch):
+    # the last image of every map read as the target's element count
+    init = LatticeMap.__init__
+    monkeypatch.setattr(LatticeMap, "__init__", lambda self, source, target,
+                        image: init(self, source, target,
+                                    (*image[:-1], target.n)))
+
+
+def _entry_out_of_range(monkeypatch):
+    # the last entry of every table read as the lattice's element count
+    init = CommutatorTable.__init__
+
+    def replaced(self, lattice, entries):
+        rows = [list(row) for row in entries]
+        rows[-1][-1] = lattice.n
+        init(self, lattice, rows)
+
+    monkeypatch.setattr(CommutatorTable, "__init__", replaced)
+
+
+@pytest.mark.parametrize("argv, fault, message", [
+    pytest.param(["quotient", "{c3}", "--seed-pairs", "1,2"], _one_short,
+                 "quotient built an invalid FiniteLattice: bad cover pair "
+                 "(0, 1) for n=1", id="quotient-block-count"),
+    pytest.param(["quotient", "{c3}", "--seed-pairs", "1,2"],
+                 _image_out_of_range,
+                 "quotient built an invalid LatticeMap: image element out "
+                 "of range", id="quotient-projection-image"),
+    pytest.param(["largest", "{c3}"], _entry_out_of_range,
+                 "largest_commutator built an invalid CommutatorTable: "
+                 "table entry out of range", id="largest-descent-entry"),
+])
+def test_a_refused_internal_build_exits_3(capsys, tmp_path, monkeypatch,
+                                          argv, fault, message):
+    # commlat builds these from data it has checked, so the refusal is its
+    # own bug, not bad input
+    path = write_lattice(tmp_path / "c3.json", corpus.chain(3))
+    fault(monkeypatch)
+    code, out, err = run(capsys, *(arg.format(c3=path) for arg in argv))
+    assert (code, out) == (3, "")
+    assert err == f"commlat: cross-check violation (bug): {message}\n"
+
+
 def test_corpus_stream_deterministic(capsys):
     code, first, _ = run(capsys, "corpus", "--max-n", "4", "--modular-only")
     code, second, _ = run(capsys, "corpus", "--max-n", "4", "--modular-only")
@@ -491,7 +599,7 @@ def test_the_exported_names_are_pinned():
         "VerificationError", "all_congruences", "analyze",
         "congruence_generated", "construct_pullback", "construct_splitting",
         "construct_sublattice", "enumerate_commutators", "forces_abelian_type",
-        "forces_nilpotent_type", "forces_solvable_type", "is_complemented",
+        "forces_nilpotent_type", "forces_solvable_type",
         "is_completely_meet_prime", "is_lonesome_meet_irreducible",
         "is_simple", "join_irreducibles", "largest_commutator",
         "meet_irreducibles", "meet_table", "projective_ceiling",

@@ -20,6 +20,7 @@ from commlat.commutator import (
 )
 from commlat.errors import (
     CongruenceMissingSeed,
+    EmptySublattice,
     InvalidTable,
     LatticeTooLarge,
     NotAHomomorphism,
@@ -35,7 +36,7 @@ from commlat.lattice import (
 )
 from commlat.projectivity import SplittingPair, splitting_pairs
 from families import (FANO, NILPOTENT8, boolean, chain, m, oracles, product,
-                      relabel)
+                      relabel, rename)
 from test_classify import _fails_its_cross_check
 
 
@@ -332,34 +333,61 @@ def test_constructions_at_scale_are_pinned():
         "90b45603f0cc87adafa586ec5f910d65a188e1b7d0ed3b5da1925a7ad977a16c")
 
 
-def _corrupting_table(lattice, entries):
-    # a table whose [bottom, top] entry is top, above bottom ^ top
-    rows = [list(row) for row in entries]
-    rows[lattice.bottom][lattice.top] = lattice.top
-    return CommutatorTable(lattice, rows)
-
-
 @pytest.mark.parametrize("producer", [
     "descent", "sublattice", "pullback", "splitting"])
 def test_an_invalid_output_table_is_a_bug(producer, b22, chain3, monkeypatch):
     # every input is valid (built before the patch), so only the output check
     # can fail, and it names the producer
     if producer == "descent":
-        build = lambda: largest_commutator(b22)
+        name, build = "largest_commutator", lambda: largest_commutator(b22)
     elif producer == "sublattice":
         ambient, sub = meet_table(b22), SublatticeEmbedding(b22, b22.elements)
-        build = lambda: construct_sublattice(ambient, sub)
+        name, build = ("construct_sublattice",
+                       lambda: construct_sublattice(ambient, sub))
     elif producer == "pullback":
         target = meet_table(corpus.chain(2))
         hom = LatticeMap(chain3, target.lattice, (0, 1, 1))
-        build = lambda: construct_pullback(chain3, hom, target)
+        name, build = ("construct_pullback",
+                       lambda: construct_pullback(chain3, hom, target))
     else:
         theta = congruence_generated(b22, [(2, 3)])
-        build = lambda: construct_splitting(b22, SplittingPair(1, 2), theta)
+        name, build = ("construct_splitting", lambda: construct_splitting(
+            b22, SplittingPair(1, 2), theta))
     build()
-    monkeypatch.setattr(commutator, "CommutatorTable", _corrupting_table)
-    with pytest.raises(VerificationError, match="produced an invalid table"):
+    init = CommutatorTable.__init__
+
+    def corrupting(table, lattice, entries):
+        # the [bottom, top] entry read as top, so t(bottom, top) != t(top,
+        # bottom)
+        rows = [list(row) for row in entries]
+        rows[lattice.bottom][lattice.top] = lattice.top
+        init(table, lattice, rows)
+
+    monkeypatch.setattr(CommutatorTable, "__init__", corrupting)
+    with pytest.raises(VerificationError, match=(
+            f"^{name} built an invalid CommutatorTable: symmetry fails")):
         build()
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda c3, m3, b22: construct_sublattice(
+        meet_table(b22), SublatticeEmbedding(m3, (0, 1, 4))), ValueError,
+        "^sublattice does not live in the table's lattice$", id="sublattice"),
+    pytest.param(lambda c3, m3, b22: construct_pullback(
+        c3, LatticeMap(c3, corpus.chain(2), (0, 1, 1)), meet_table(b22)),
+        ValueError, "^map endpoints do not match the inputs$", id="pullback"),
+    pytest.param(lambda c3, m3, b22: construct_splitting(
+        b22, SplittingPair(1, 2), congruence_generated(c3, [])), ValueError,
+        "^congruence belongs to a different lattice$", id="splitting"),
+    pytest.param(lambda c3, m3, b22: SublatticeEmbedding.generated(m3, []),
+                 EmptySublattice, "^cannot generate a sublattice from nothing$",
+                 id="generated-from-nothing"),
+])
+def test_inputs_that_do_not_fit_are_bad_input(build, error, message, chain3,
+                                              m3, b22):
+    # refused before anything is built: the caller's error, not a bug
+    with pytest.raises(error, match=message):
+        build(chain3, m3, b22)
 
 
 def test_a_closure_that_goes_down_is_a_bug(b22, tmp_path, capsys, monkeypatch):
@@ -438,12 +466,25 @@ def _brute_force_tables(lat):
 
 
 def test_enumeration_matches_full_brute_force(all5):
-    # independent oracle: try every symmetric bounded table outright
-    small = [lat for lat in all5 if lat.n <= 4]
-    small += [corpus.diamond(), corpus.pentagon(), corpus.chain(5)]
-    for lat in small:
-        assert {t.entries for t in enumerate_commutators(lat)} == \
-            _brute_force_tables(lat)
+    # independent oracle: try every symmetric bounded table outright, once
+    # per lattice, and carry its tables through each renaming.  The corpus
+    # names extend the order; a seeded renaming and the top-down one, whose
+    # names run against it, reach the pruning that those names never do
+    rng = random.Random(5)
+    for lat in all5:
+        truth = _brute_force_tables(lat)
+        pair, n = (lat.n, lat.covers), lat.n
+        top_down = [n - 1 - x for x in range(n)]
+        for renamed, perm in ((pair, range(n)), relabel(pair, rng),
+                              (rename(pair, top_down), top_down)):
+            carried = set()
+            for t in truth:
+                entries = [[0] * n for _ in range(n)]
+                for x, y in itertools.product(range(n), repeat=2):
+                    entries[perm[x]][perm[y]] = perm[t[x][y]]
+                carried.add(tuple(map(tuple, entries)))
+            assert {t.entries for t in enumerate_commutators(
+                FiniteLattice(*renamed))} == carried
 
 
 def test_known_table_counts():

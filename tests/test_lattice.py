@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import itertools
@@ -8,14 +9,20 @@ import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
 from commlat import corpus, fileio, lattice
 from commlat.cli import main
+from commlat.commutator import (CommutatorTable, construct_pullback,
+                                construct_splitting, construct_sublattice,
+                                enumerate_commutators, largest_commutator,
+                                meet_table)
 from commlat.errors import (
     CycleDetected,
     EmptySublattice,
+    InputError,
     LatticeTooLarge,
     NotACongruence,
     NotAHomomorphism,
@@ -32,12 +39,12 @@ from commlat.lattice import (
     _bits,
     all_congruences,
     congruence_generated,
-    is_complemented,
     is_simple,
     quotient,
 )
-from commlat.projectivity import (PrimeInterval, projectivity_classes,
-                                  separating_congruence)
+from commlat.projectivity import (PrimeInterval, SplittingPair,
+                                  projectivity_classes, separating_congruence,
+                                  two_element_quotient)
 from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m,
                       oracles, product, projective_plane, relabel, rename)
 from test_classify import _fault_bound_table
@@ -641,6 +648,77 @@ def test_what_an_internal_construction_refuses_is_a_bug(chain3, m3,
         quotient(lat, congruence_generated(lat, []))
 
 
+def _built_producers():
+    """The producer that each ``lattice._built`` call in the package names."""
+    return sorted(
+        node.args[0].value
+        for path in Path(lattice.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_built")
+
+
+def _built_census(chain3, m3, b22):
+    """Each ``_built`` site as its producer, the class it builds, the method
+    of that class a fault replaces, and a call that reaches the site; the
+    inputs are built here, before any fault."""
+    theta, other = (congruence_generated(chain3, [seed])
+                    for seed in ((1, 2), (0, 1)))
+    table, sub = meet_table(b22), SublatticeEmbedding(b22, b22.elements)
+    hom = LatticeMap(chain3, corpus.chain(2), (0, 1, 1))
+    target = meet_table(corpus.chain(2))
+    split = congruence_generated(b22, [(2, 3)])
+    return [
+        ("dual", FiniteLattice, "__init__", chain3.dual),
+        ("quotient", FiniteLattice, "__init__",
+         lambda: quotient(chain3, theta)),
+        ("quotient", LatticeMap, "__init__", lambda: quotient(chain3, other)),
+        ("as_lattice", FiniteLattice, "__init__",
+         SublatticeEmbedding(m3, (0, 1, 4)).as_lattice),
+        ("two_element_quotient", LatticeMap, "__init__",
+         lambda: two_element_quotient(chain3)),
+        ("_fibres", LatticePartition, "_check_congruence",
+         lambda: congruence_generated(chain3, [(1, 2)])),
+        ("generated", SublatticeEmbedding, "__init__",
+         lambda: SublatticeEmbedding.generated(m3, [1, 2])),
+        ("largest_commutator", CommutatorTable, "__init__",
+         lambda: largest_commutator(b22)),
+        ("construct_sublattice", CommutatorTable, "__init__",
+         lambda: construct_sublattice(table, sub)),
+        ("construct_pullback", CommutatorTable, "__init__",
+         lambda: construct_pullback(chain3, hom, target)),
+        ("construct_splitting", CommutatorTable, "__init__",
+         lambda: construct_splitting(b22, SplittingPair(1, 2), split)),
+        ("enumerate_commutators", CommutatorTable, "__init__",
+         lambda: enumerate_commutators(corpus.chain(2))),
+        ("all_lattices", FiniteLattice, "__init__",
+         lambda: corpus.all_lattices.__wrapped__(3)),
+        ("generate_corpus", FiniteLattice, "__init__",
+         lambda: corpus.generate_corpus(3, dedupe_iso=False)),
+    ]
+
+
+@pytest.mark.parametrize("error", [ValueError, InputError])
+def test_every_refused_internal_build_is_a_bug(chain3, m3, b22, monkeypatch,
+                                               error):
+    # the census of the _built sites: at each, a build that refuses with an
+    # error the CLI reads as bad input raises VerificationError naming the
+    # producer and the class it builds
+    census = _built_census(chain3, m3, b22)
+    assert sorted(site[0] for site in census) == _built_producers()
+
+    def refuse(*args):
+        raise error("refused")
+
+    for producer, cls, method, call in census:
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, method, refuse)
+            with pytest.raises(VerificationError, match=(
+                    f"^{producer} built an invalid {cls.__name__}: "
+                    "refused$")):
+                call()
+
+
 def test_partition_rejects_non_congruence(chain3):
     # 0 ~ 2 forces 0v1 ~ 2v1, i.e. 1 ~ 2, so {{0,2},{1}} is no congruence
     with pytest.raises(NotACongruence):
@@ -862,13 +940,6 @@ def test_is_simple_agrees_with_congruence_count(all6):
     for lat in all6:
         expected = lat.n >= 2 and len(all_congruences(lat)) == 2
         assert is_simple(lat) == expected
-
-
-def test_is_complemented(m3, b2, b22, chain3):
-    assert is_complemented(m3)
-    assert is_complemented(b2)
-    assert is_complemented(b22)
-    assert not is_complemented(chain3)
 
 
 # -- sublattices and maps ----------------------------------------------------

@@ -12,7 +12,6 @@ from commlat.lattice import (
     FiniteLattice,
     all_congruences,
     congruence_generated,
-    is_complemented,
     is_simple,
 )
 from commlat.projectivity import (
@@ -30,8 +29,8 @@ from commlat.projectivity import (
     splitting_pairs,
     two_element_quotient,
 )
-from families import (boolean, chain, m, oracles, product, projective_plane,
-                      relabel)
+from families import (boolean, chain, complemented, m, oracles, product,
+                      projective_plane, relabel)
 from test_lattice import _fixpoint
 
 
@@ -231,7 +230,7 @@ def test_projective_planes_are_simple_with_every_ceiling_top(q):
     assert len(classes.ceilings) == 1
     assert is_simple(lat)
     assert len(all_congruences(lat)) == 2
-    assert is_complemented(lat)
+    assert complemented(oracles.Order(lat.n, lat.covers))
     assert list(classes.ceilings) == [lat.top]
     big = largest_commutator(lat)
     assert all(residuation(big, *cover) == lat.top
@@ -293,26 +292,11 @@ def test_splitting_pairs(b22, m3, b2):
 
 
 def test_splitting_pairs_match_the_cubic_definition(all8):
-    # the same pairs in the same order as every (delta, epsilon) tried
-    # against every element
+    # the same pairs in the same sorted order as the oracle's, which tries
+    # every (delta, epsilon) against every element on the covers alone
     for lat in all8:
-        assert splitting_pairs(lat) == tuple(
-            SplittingPair(delta, epsilon)
-            for delta in lat.elements if delta != lat.top
-            for epsilon in lat.elements if epsilon != lat.bottom
-            and all(lat.leq(a, delta) or lat.leq(epsilon, a)
-                    for a in lat.elements))
-
-
-def test_splitting_pair_defining_property(all6):
-    for lat in all6:
-        found = set(splitting_pairs(lat))
-        for delta in lat.elements:
-            for epsilon in lat.elements:
-                good = (delta != lat.top and epsilon != lat.bottom
-                        and all(lat.leq(a, delta) or lat.leq(epsilon, a)
-                                for a in lat.elements))
-                assert ((SplittingPair(delta, epsilon) in found) == good)
+        assert list(splitting_pairs(lat)) == oracles.Order(
+            lat.n, lat.covers).splitting_pairs()
 
 
 def test_separating_congruence_examples(chain3, b22):
