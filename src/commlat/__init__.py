@@ -23,10 +23,8 @@ from .commutator import (
     construct_sublattice,
     enumerate_commutators,
     largest_commutator,
-    meet_table,
     residuation,
     series,
-    zero_table,
 )
 from .errors import CommlatError, InputError, VerificationError
 from .lattice import (
@@ -46,7 +44,6 @@ from .projectivity import (
     ProjectivityClasses,
     SplittingPair,
     is_completely_meet_prime,
-    is_lonesome_meet_irreducible,
     join_irreducibles,
     meet_irreducibles,
     projective_ceiling,

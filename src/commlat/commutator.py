@@ -152,16 +152,6 @@ class CommutatorTable:
         return f"CommutatorTable({self.entries})"
 
 
-def zero_table(lat):
-    b = lat.bottom
-    return CommutatorTable(lat, [[b] * lat.n for _ in range(lat.n)])
-
-
-def meet_table(lat):
-    return CommutatorTable(lat, [[lat.meet(x, y) for y in lat.elements]
-                                 for x in lat.elements])
-
-
 def residuation(table, x, y):
     """The largest z with t(z, y) <= x, i.e. the join of all such z; a valid
     table is symmetric, so those z are read off row y in O(n)."""

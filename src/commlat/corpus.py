@@ -57,11 +57,6 @@ def diamond():
     return FiniteLattice(5, {(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)})
 
 
-def pentagon():
-    """N5: the five-element nonmodular lattice 0 < a < c < 1, 0 < b < 1."""
-    return FiniteLattice(5, {(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)})
-
-
 def _color_classes(lat):
     """Iterated refinement of an isomorphism-invariant element coloring,
     read off the cover and cone masks alone: the classes in color order,

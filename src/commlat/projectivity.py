@@ -146,16 +146,6 @@ def projective_ceiling(lat, interval):
     return classes.ceilings[classes.class_of(interval)]
 
 
-def is_lonesome_meet_irreducible(lat, eta):
-    """Whether eta is the only meet irreducible whose canonical interval
-    lies in its projectivity class; eta must be one, else ValueError."""
-    classes = lat.fact(projectivity_classes)
-    cid = classes.class_of(eta.interval())
-    if lat._upper[eta.element] != 1 << eta.plus:
-        raise ValueError(f"{eta.element} is not meet irreducible")
-    return classes.meet_counts[cid] == 1
-
-
 def is_completely_meet_prime(lat, eta):
     """Whether no family with all members not below eta can meet below eta.
 
@@ -213,12 +203,13 @@ def two_element_quotient(lat):
     Built from the first (lowest element index) lonesome meet irreducible
     eta: everything below eta maps to 0, the rest to 1.  Lonesomeness makes
     eta meet prime, which is exactly what the map needs to preserve meets.
-    Each lonesomeness test is a lookup in the counts that
-    :func:`projectivity_classes` keeps, so the search is O(|M|).
+    eta is lonesome when its class counts one meet irreducible, a lookup
+    in the record of :func:`projectivity_classes` (which refuses
+    nonmodular input), so the search is O(|M|).
     """
-    _require_modular(lat)
+    classes = lat.fact(projectivity_classes)
     for eta in meet_irreducibles(lat):
-        if not is_lonesome_meet_irreducible(lat, eta):
+        if classes.meet_counts[classes.class_of(eta.interval())] != 1:
             continue
         if not is_completely_meet_prime(lat, eta.element):
             raise VerificationError(

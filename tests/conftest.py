@@ -1,6 +1,8 @@
 import pytest
 
 from commlat import corpus
+from commlat.lattice import FiniteLattice
+from families import N5
 
 
 @pytest.fixture
@@ -20,7 +22,7 @@ def m3():
 
 @pytest.fixture
 def n5():
-    return corpus.pentagon()
+    return FiniteLattice(*N5)
 
 
 @pytest.fixture

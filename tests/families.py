@@ -98,6 +98,9 @@ def projective_plane(q):
     return 2 * k + 2, covers
 
 
+# N5, the five-element nonmodular lattice 0 < 1 < 2 < 4, 0 < 3 < 4
+N5 = 5, {(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)}
+
 # the one modular lattice with at most 8 elements that forces nilpotent
 # type but not abelian type: both series of its largest multiplication
 # read top, 3, bottom

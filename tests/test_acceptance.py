@@ -38,7 +38,6 @@ from commlat.lattice import (
 from commlat.projectivity import (
     PrimeInterval,
     is_completely_meet_prime,
-    is_lonesome_meet_irreducible,
     join_irreducibles,
     meet_irreducibles,
     projective_ceiling,
@@ -47,6 +46,7 @@ from commlat.projectivity import (
     splitting_pairs,
 )
 from families import NILPOTENT8, oracles
+from test_projectivity import _lonesome
 
 
 def _zero_one_sublattices(lat):
@@ -167,7 +167,7 @@ def _check_residuation_laws(lat, table):
 def _lonesome_joins(lat, classes):
     """Each join irreducible, the class of its canonical interval, and
     whether it is the only join irreducible there: the dual of
-    ``is_lonesome_meet_irreducible``."""
+    :func:`_lonesome`."""
     irr = join_irreducibles(lat)
     ids = [classes.class_of((rho.minus, rho.element)) for rho in irr]
     return [(rho, cid, ids.count(cid) == 1) for rho, cid in zip(irr, ids)]
@@ -191,7 +191,7 @@ def _check_projective_residuation_laws(lat, table):
     # self-centralizing irreducibles are alone in their class
     for eta in meet_irreducibles(lat):
         if residuation(table, eta.element, eta.plus) == eta.element:
-            assert is_lonesome_meet_irreducible(lat, eta)
+            assert _lonesome(lat, eta)
     for rho, _, lonesome in _lonesome_joins(lat, classes):
         if table.value(rho.element, rho.element) == rho.element:
             assert lonesome
@@ -211,7 +211,7 @@ def test_criterion_5_residuation_and_transfer_laws(all5, modular5, modular7):
         _check_projective_residuation_laws(lat, big)
         for eta in meet_irreducibles(lat):                      # lone, both ways
             assert (residuation(big, eta.element, eta.plus) == eta.element) \
-                == is_lonesome_meet_irreducible(lat, eta)
+                == _lonesome(lat, eta)
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE 5: PASS - residuation laws, projective-interval "
           f"transfer, lower bound and lonesome criteria hold on every "
@@ -242,10 +242,10 @@ def test_criterion_6_projectivity_propositions(modular8):
         for _, cid, lonesome in joins:
             for eta in irr_meet:
                 if classes.class_of(eta.interval()) == cid:
-                    assert lonesome == is_lonesome_meet_irreducible(lat, eta)
+                    assert lonesome == _lonesome(lat, eta)
         # lonesome <=> meet prime <=> a two-element image separates the pair
         for eta in irr_meet:
-            lonesome = is_lonesome_meet_irreducible(lat, eta)
+            lonesome = _lonesome(lat, eta)
             prime = is_completely_meet_prime(lat, eta.element)
             image_exists = any(
                 im[eta.element] == 0 and im[eta.plus] == 1

@@ -17,7 +17,7 @@ from commlat.classify import (
     supernilpotency_shape,
 )
 from commlat.cli import main
-from commlat.commutator import largest_commutator, meet_table, series
+from commlat.commutator import largest_commutator, series
 from commlat.errors import NotModular, VerificationError
 from commlat.lattice import (
     FiniteLattice,
@@ -156,8 +156,9 @@ def test_witness_failing_its_check_is_a_bug(m3, monkeypatch):
 
 def test_broken_abelian_certificate_is_a_bug(m3, monkeypatch):
     # a restriction to the M3 witness whose [top, top] is not bottom
+    from test_commutator import _meets
     monkeypatch.setattr(classify, "construct_sublattice",
-                        lambda table, sub: meet_table(sub.as_lattice()[0]))
+                        lambda table, sub: _meets(sub.as_lattice()[0]))
     with pytest.raises(VerificationError, match="certify"):
         analyze(m3)
 
@@ -234,6 +235,26 @@ def test_a_lonesome_meet_irreducible_that_is_not_meet_prime_is_a_bug(
     with pytest.raises(VerificationError, match="not meet prime"):
         analyze(b22)
     assert _fails_its_cross_check(b22, tmp_path, capsys, "analyze")
+
+
+def test_a_meet_count_the_record_misreads_is_a_bug(m3, tmp_path, capsys,
+                                                   monkeypatch):
+    # M3's one class holds its three meet irreducibles; a record that counts
+    # one makes the atom 1 lonesome, and two_element_quotient reads that
+    # off the record, so its primeness check must refuse the map
+    classes = projectivity.projectivity_classes
+
+    def miscounted(lat):
+        c = classes(lat)
+        return projectivity.ProjectivityClasses(
+            c.n, c._table, c.ceilings, bytes([1]) * len(c.meet_counts))
+
+    assert classes(m3).meet_counts == bytes([3])
+    monkeypatch.setattr(projectivity, "projectivity_classes", miscounted)
+    with pytest.raises(VerificationError,
+                       match="lonesome meet irreducible 1 is not meet prime"):
+        analyze(m3)
+    assert _fails_its_cross_check(m3, tmp_path, capsys, "analyze")
 
 
 def test_analyze_searches_for_the_witness_once(m3, monkeypatch):

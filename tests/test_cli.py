@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -148,15 +149,15 @@ def test_enumerate_too_large(capsys, tmp_path):
 
 
 def test_check_table(capsys, tmp_path, m3):
-    from commlat.commutator import meet_table, zero_table
+    from test_commutator import _meets, _zeros
 
     good = tmp_path / "good.json"
-    good.write_text(fileio.canonical_dumps(fileio.table_to_doc(zero_table(m3))))
+    good.write_text(fileio.canonical_dumps(fileio.table_to_doc(_zeros(m3))))
     code, out, _ = run(capsys, "check-table", str(good))
     assert code == 0 and json.loads(out)["valid"] is True
 
     bad = tmp_path / "bad.json"
-    bad.write_text(fileio.canonical_dumps(fileio.table_to_doc(meet_table(m3))))
+    bad.write_text(fileio.canonical_dumps(fileio.table_to_doc(_meets(m3))))
     code, out, _ = run(capsys, "check-table", str(bad))
     assert code == 0
     doc = json.loads(out)
@@ -168,10 +169,10 @@ def test_check_table_violations_are_pinned(capsys, tmp_path, m3, b22, chain3):
     # SHA-256 of the check-table stdout for four invalid tables that between
     # them break all four laws: M3's meet table, an asymmetric table, a table
     # above the meet and a nonzero bottom row
-    from commlat.commutator import CommutatorTable, meet_table
+    from test_commutator import _meets
 
     tables = [
-        meet_table(m3),
+        _meets(m3),
         CommutatorTable(b22, [[0, 0, 0, 0], [0, 1, 0, 1],
                               [0, 0, 0, 0], [0, 0, 0, 0]]),
         CommutatorTable(chain3, [[2] * 3] * 3),
@@ -480,10 +481,10 @@ def test_repeated_key_exits_2(capsys, tmp_path, key, files, argv):
 
 def test_unknown_keys_are_ignored(capsys, tmp_path, m3):
     # a table file is a lattice file with one more key
-    from commlat.commutator import zero_table
+    from test_commutator import _zeros
 
     table = tmp_path / "table.json"
-    table.write_text(fileio.canonical_dumps(fileio.table_to_doc(zero_table(m3))))
+    table.write_text(fileio.canonical_dumps(fileio.table_to_doc(_zeros(m3))))
     lattice = write_lattice(tmp_path / "m3.json", m3)
     assert run(capsys, "analyze", str(table)) == run(capsys, "analyze", lattice)
 
@@ -600,12 +601,11 @@ def test_the_exported_names_are_pinned():
         "congruence_generated", "construct_pullback", "construct_splitting",
         "construct_sublattice", "enumerate_commutators", "forces_abelian_type",
         "forces_nilpotent_type", "forces_solvable_type",
-        "is_completely_meet_prime", "is_lonesome_meet_irreducible",
-        "is_simple", "join_irreducibles", "largest_commutator",
-        "meet_irreducibles", "meet_table", "projective_ceiling",
+        "is_completely_meet_prime", "is_simple", "join_irreducibles",
+        "largest_commutator", "meet_irreducibles", "projective_ceiling",
         "projectivity_classes", "quotient", "residuation",
         "separating_congruence", "series", "splitting_pairs",
-        "supernilpotency_shape", "two_element_quotient", "zero_table",
+        "supernilpotency_shape", "two_element_quotient",
     ]
 
 
@@ -643,5 +643,70 @@ def test_the_record_surfaces_are_pinned():
                  if callable(value) and value.__module__ == corpus.__name__]
     assert _public(functions) == [
         "all_lattices", "boolean", "canonical_key", "chain", "diamond",
-        "generate_corpus", "pentagon",
+        "generate_corpus",
     ]
+
+
+def _defined(statement):
+    """The names a top-level statement of a module binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, ast.Assign):
+        return {t.id for t in statement.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a name that only tests read goes.  A reader is a reference from
+    # another top-level statement of a module of src/commlat, through the
+    # module's own name or a relative import (__init__'s re-exports read
+    # nothing); an attribute <module>.<name> in perfbench, which reaches
+    # commlat only through its modules; or a word of README's Library
+    # example or of the CI workflow
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def source(*parts):
+        with open(os.path.join(root, *parts), encoding="utf-8") as handle:
+            return handle.read()
+
+    package = os.path.join(root, "src", "commlat")
+    modules = {name[:-3] for name in os.listdir(package)
+               if name.endswith(".py") and name != "__init__.py"}
+    public, read = set(), set()
+    for module in modules:
+        tree = ast.parse(source("src", "commlat", module + ".py"))
+        bound = {name: (module, name)
+                 for statement in tree.body for name in _defined(statement)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                bound.update((alias.asname or alias.name,
+                              (node.module, alias.name) if node.module
+                              else alias.name) for alias in node.names)
+        for statement in tree.body:
+            own = _defined(statement)
+            public |= {(module, name) for name in own
+                       if not name.startswith("_")}
+            for node in ast.walk(statement):
+                if (isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load)
+                        and node.id not in own
+                        and isinstance(bound.get(node.id), tuple)):
+                    read.add(bound[node.id])
+                elif (isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name)
+                      and bound.get(node.value.id) in modules):
+                    read.add((bound[node.value.id], node.attr))
+    for name in sorted(os.listdir(os.path.join(root, "perfbench"))):
+        if name.endswith(".py"):
+            for node in ast.walk(ast.parse(source("perfbench", name))):
+                if isinstance(node, ast.Attribute):
+                    inner = node.value
+                    module = getattr(inner, "attr", getattr(inner, "id", None))
+                    if module in modules:
+                        read.add((module, node.attr))
+    library = source("README.md").split("\n## Library\n", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    words = set(re.findall(r"\w+", example + source(".github", "workflows",
+                                                    "tests.yml")))
+    assert sorted(f"{module}.{name}" for module, name in public - read
+                  if name not in words) == []

@@ -13,10 +13,8 @@ from commlat.commutator import (
     construct_sublattice,
     enumerate_commutators,
     largest_commutator,
-    meet_table,
     residuation,
     series,
-    zero_table,
 )
 from commlat.errors import (
     CongruenceMissingSeed,
@@ -35,9 +33,20 @@ from commlat.lattice import (
     quotient,
 )
 from commlat.projectivity import SplittingPair, splitting_pairs
-from families import (FANO, NILPOTENT8, boolean, chain, m, oracles, product,
-                      relabel, rename)
+from families import (FANO, N5, NILPOTENT8, boolean, chain, m, oracles,
+                      product, relabel, rename)
 from test_classify import _fails_its_cross_check
+
+
+def _zeros(lat):
+    """The zero multiplication: every entry is bottom."""
+    return CommutatorTable(lat, [[lat.bottom] * lat.n] * lat.n)
+
+
+def _meets(lat):
+    """The meet table, which dominates every multiplication."""
+    return CommutatorTable(lat, [[lat.meet(x, y) for y in lat.elements]
+                                 for x in lat.elements])
 
 
 # -- validation ---------------------------------------------------------------
@@ -45,15 +54,15 @@ from test_classify import _fails_its_cross_check
 
 def test_zero_table_is_valid(all5):
     for lat in all5:
-        assert zero_table(lat).is_valid
+        assert _zeros(lat).is_valid
 
 
 def test_meet_table_on_b2_valid(b2):
-    assert meet_table(b2).is_valid
+    assert _meets(b2).is_valid
 
 
 def test_meet_table_on_m3_invalid(m3):
-    violations = meet_table(m3).violations()
+    violations = _meets(m3).violations()
     assert violations
     assert violations[0].law == "join-distributivity"
     assert violations[0].witness == (1, 2, 3)  # (a v b) ^ c = c but 0 v 0 = 0
@@ -74,12 +83,12 @@ def test_validation_witnesses():
 
 
 def test_residuation_examples(b2, m3):
-    mt = meet_table(b2)
+    mt = _meets(b2)
     assert residuation(mt, 0, 1) == 0
-    for lat, table in ((b2, mt), (m3, zero_table(m3))):
+    for lat, table in ((b2, mt), (m3, _zeros(m3))):
         for x in lat.elements:
             assert residuation(table, x, x) == lat.top
-    zt = zero_table(m3)
+    zt = _zeros(m3)
     assert all(residuation(zt, x, y) == m3.top
                for x in m3.elements for y in m3.elements)
 
@@ -87,27 +96,27 @@ def test_residuation_examples(b2, m3):
 @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (5, 0), (0, 7)])
 def test_residuation_rejects_elements_out_of_range(m3, x, y):
     with pytest.raises(ValueError, match="out of range"):
-        residuation(zero_table(m3), x, y)
+        residuation(_zeros(m3), x, y)
 
 
 def test_residuation_requires_valid_table(m3):
     with pytest.raises(InvalidTable):
-        residuation(meet_table(m3), 0, 1)
+        residuation(_meets(m3), 0, 1)
 
 
 def test_series_zero_table_is_abelian(m3):
-    assert series(zero_table(m3)).kind == "abelian"
+    assert series(_zeros(m3)).kind == "abelian"
 
 
 def test_series_meet_on_b2_is_none(b2):
-    report = series(meet_table(b2))
+    report = series(_meets(b2))
     assert report.kind == "none"
     assert report.derived == (1, 1)
 
 
 def test_series_one_element_lattice():
     one = corpus.chain(1)
-    assert series(zero_table(one)).kind == "abelian"
+    assert series(_zeros(one)).kind == "abelian"
 
 
 def test_series_of_splitting_table_on_b22(b22):
@@ -196,39 +205,39 @@ def test_cover_residuations_that_miss_top_are_a_bug(monkeypatch):
 
 
 def test_construct_sublattice_whole_lattice(m3):
-    table = zero_table(m3)
+    table = _zeros(m3)
     whole = SublatticeEmbedding(m3, range(5))
     assert construct_sublattice(table, whole).entries == table.entries
 
 
 def test_construct_sublattice_m3_chain(m3):
     sub = SublatticeEmbedding(m3, [0, 1, 4])
-    out = construct_sublattice(zero_table(m3), sub)
-    assert out.entries == zero_table(corpus.chain(3)).entries
+    out = construct_sublattice(_zeros(m3), sub)
+    assert out.entries == _zeros(corpus.chain(3)).entries
 
 
 def test_construct_pullback_identity(b2):
-    table = meet_table(b2)
+    table = _meets(b2)
     out = construct_pullback(b2, LatticeMap(b2, b2, range(b2.n)), table)
     assert out.entries == table.entries
 
 
 def test_construct_pullback_zero_target(chain3, b2):
     hom = LatticeMap(chain3, b2, (0, 1, 1))
-    out = construct_pullback(chain3, hom, zero_table(b2))
-    assert out.entries == zero_table(chain3).entries
+    out = construct_pullback(chain3, hom, _zeros(b2))
+    assert out.entries == _zeros(chain3).entries
 
 
 def test_construct_pullback_chain_onto_b2(chain3, b2):
     hom = LatticeMap(chain3, b2, (0, 1, 1))
-    out = construct_pullback(chain3, hom, meet_table(b2))
+    out = construct_pullback(chain3, hom, _meets(b2))
     assert out.entries == ((0, 0, 0), (0, 1, 1), (0, 1, 1))
 
 
 def test_construct_pullback_needs_01_map(chain3, b2):
     collapse = LatticeMap(chain3, b2, (0, 0, 0))
     with pytest.raises(NotAHomomorphism):
-        construct_pullback(chain3, collapse, meet_table(b2))
+        construct_pullback(chain3, collapse, _meets(b2))
 
 
 def test_construct_splitting_examples(b22, b2):
@@ -243,11 +252,11 @@ def test_construct_splitting_examples(b22, b2):
 
     all_one = congruence_generated(b22, [(b22.bottom, b22.top)])
     assert construct_splitting(b22, SplittingPair(1, 2), all_one).entries == \
-        zero_table(b22).entries
+        _zeros(b22).entries
 
     identity = congruence_generated(b2, [])
     out = construct_splitting(b2, SplittingPair(0, 1), identity)
-    assert out.entries == meet_table(b2).entries
+    assert out.entries == _meets(b2).entries
 
 
 def test_construct_splitting_errors(m3, b22):
@@ -341,11 +350,11 @@ def test_an_invalid_output_table_is_a_bug(producer, b22, chain3, monkeypatch):
     if producer == "descent":
         name, build = "largest_commutator", lambda: largest_commutator(b22)
     elif producer == "sublattice":
-        ambient, sub = meet_table(b22), SublatticeEmbedding(b22, b22.elements)
+        ambient, sub = _meets(b22), SublatticeEmbedding(b22, b22.elements)
         name, build = ("construct_sublattice",
                        lambda: construct_sublattice(ambient, sub))
     elif producer == "pullback":
-        target = meet_table(corpus.chain(2))
+        target = _meets(corpus.chain(2))
         hom = LatticeMap(chain3, target.lattice, (0, 1, 1))
         name, build = ("construct_pullback",
                        lambda: construct_pullback(chain3, hom, target))
@@ -371,10 +380,10 @@ def test_an_invalid_output_table_is_a_bug(producer, b22, chain3, monkeypatch):
 
 @pytest.mark.parametrize("build, error, message", [
     pytest.param(lambda c3, m3, b22: construct_sublattice(
-        meet_table(b22), SublatticeEmbedding(m3, (0, 1, 4))), ValueError,
+        _meets(b22), SublatticeEmbedding(m3, (0, 1, 4))), ValueError,
         "^sublattice does not live in the table's lattice$", id="sublattice"),
     pytest.param(lambda c3, m3, b22: construct_pullback(
-        c3, LatticeMap(c3, corpus.chain(2), (0, 1, 1)), meet_table(b22)),
+        c3, LatticeMap(c3, corpus.chain(2), (0, 1, 1)), _meets(b22)),
         ValueError, "^map endpoints do not match the inputs$", id="pullback"),
     pytest.param(lambda c3, m3, b22: construct_splitting(
         b22, SplittingPair(1, 2), congruence_generated(c3, [])), ValueError,
@@ -430,7 +439,7 @@ def test_enumerate_b2(b2):
 def test_enumerate_m3_only_zero(m3):
     tables = enumerate_commutators(m3)
     assert len(tables) == 1
-    assert tables[0] == zero_table(m3)
+    assert tables[0] == _zeros(m3)
 
 
 def test_enumerate_one_element():
@@ -492,14 +501,14 @@ def test_known_table_counts():
     for k, expected in counts.items():
         assert len(enumerate_commutators(corpus.chain(k))) == expected
     assert len(enumerate_commutators(corpus.boolean(2))) == 4
-    assert len(enumerate_commutators(corpus.pentagon())) == 4
+    assert len(enumerate_commutators(FiniteLattice(*N5))) == 4
 
 
 def test_largest_commutator_examples(m3, b2, b22):
-    assert largest_commutator(m3) == zero_table(m3)
-    assert largest_commutator(b2) == meet_table(b2)
-    assert largest_commutator(b22) == meet_table(b22)
-    assert largest_commutator(corpus.chain(4)) == meet_table(corpus.chain(4))
+    assert largest_commutator(m3) == _zeros(m3)
+    assert largest_commutator(b2) == _meets(b2)
+    assert largest_commutator(b22) == _meets(b22)
+    assert largest_commutator(corpus.chain(4)) == _meets(corpus.chain(4))
 
 
 def test_largest_is_pointwise_join_of_all(all5):

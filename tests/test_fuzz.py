@@ -17,10 +17,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from commlat import corpus, fileio
 from commlat.cli import main
-from commlat.commutator import largest_commutator, meet_table
+from commlat.commutator import largest_commutator
+from commlat.lattice import FiniteLattice
+from families import N5
+from test_commutator import _meets
 
 LATTICES = [corpus.diamond(), corpus.boolean(2), corpus.chain(3),
-            corpus.pentagon()]
+            FiniteLattice(*N5)]
 PARTITIONS = {4: {"blocks": [[0, 1], [2, 3]]}, 5: {"blocks": [[0, 1, 2, 3, 4]]}}
 
 # valid values first; each flag may also get one of HOSTILE
@@ -167,7 +170,7 @@ def test_hostile_input_exits_0_or_2(tmp_path, data):
     valid = {
         "LATTICE": fileio.lattice_to_doc(lat),
         "TABLE": fileio.table_to_doc(data.draw(st.sampled_from(
-            [largest_commutator(lat), meet_table(lat)]))),
+            [largest_commutator(lat), _meets(lat)]))),
         "CONGRUENCE": PARTITIONS.get(lat.n, {"blocks": [[0], [1, 2]]}),
     }
     if argv[-1] in FLAGS:

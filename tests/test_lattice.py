@@ -17,8 +17,7 @@ from commlat import corpus, fileio, lattice
 from commlat.cli import main
 from commlat.commutator import (CommutatorTable, construct_pullback,
                                 construct_splitting, construct_sublattice,
-                                enumerate_commutators, largest_commutator,
-                                meet_table)
+                                enumerate_commutators, largest_commutator)
 from commlat.errors import (
     CycleDetected,
     EmptySublattice,
@@ -45,9 +44,10 @@ from commlat.lattice import (
 from commlat.projectivity import (PrimeInterval, SplittingPair,
                                   projectivity_classes, separating_congruence,
                                   two_element_quotient)
-from families import (FANO, NILPOTENT8, boolean, chain, glued_sum, m,
+from families import (FANO, N5, NILPOTENT8, boolean, chain, glued_sum, m,
                       oracles, product, projective_plane, relabel, rename)
 from test_classify import _fault_bound_table
+from test_commutator import _meets
 
 
 def test_one_element_lattice():
@@ -163,9 +163,6 @@ def test_is_modular_matches_the_identity_on_the_corpus(all8):
                     == oracles.Order(n, covers).is_modular()), covers
 
 
-N5 = 5, corpus.pentagon().covers
-
-
 @pytest.mark.parametrize("pair, modular", [
     (chain(64), True),
     (boolean(6), True),
@@ -224,7 +221,7 @@ def test_cover_masks_at_scale(pair):
     _assert_masks_are_the_covers(FiniteLattice(*pair), pair[1])
 
 
-@pytest.mark.parametrize("lat", [corpus.pentagon(), corpus.diamond(),
+@pytest.mark.parametrize("lat", [FiniteLattice(*N5), corpus.diamond(),
                                  corpus.chain(3), corpus.boolean(2)],
                          ids=["N5", "M3", "C3", "B2"])
 def test_equality_and_hash_follow_the_covers(lat):
@@ -356,7 +353,7 @@ def test_is_simple_builds_at_most_one_congruence_per_join_irreducible(
         monkeypatch):
     calls, _ = _count_calls(monkeypatch)
     for lat, simple in ((corpus.boolean(3), False), (corpus.diamond(), True),
-                        (corpus.pentagon(), False),
+                        (FiniteLattice(*N5), False),
                         (FiniteLattice(*m(7)), True)):
         del calls[:]
         assert is_simple(lat) is simple
@@ -504,7 +501,7 @@ def _drop_each_dependency(lat):
 
 
 @pytest.mark.parametrize("lat", [
-    corpus.pentagon(),
+    FiniteLattice(*N5),
     # modular with n = 8 and [top, top] = 3 in the largest table
     FiniteLattice(*NILPOTENT8),
 ], ids=["N5", "modular8"])
@@ -538,7 +535,7 @@ def test_a_join_irreducible_missing_from_its_own_below_is_caught(
     # also when the seed is an iterator, which can be read only once.
     # No down-set then holds j, so all_congruences would seed no call with
     # (j-, j) and list too few congruences; it checks the bit first
-    n5 = corpus.pentagon()
+    n5 = FiniteLattice(*N5)
     cases = [(lat, j, wrong) for lat in all7 + [n5]
              for j, k, wrong in _drop_each_dependency(lat) if k == j]
     assert len(cases) == 327 + 3
@@ -664,9 +661,9 @@ def _built_census(chain3, m3, b22):
     inputs are built here, before any fault."""
     theta, other = (congruence_generated(chain3, [seed])
                     for seed in ((1, 2), (0, 1)))
-    table, sub = meet_table(b22), SublatticeEmbedding(b22, b22.elements)
+    table, sub = _meets(b22), SublatticeEmbedding(b22, b22.elements)
     hom = LatticeMap(chain3, corpus.chain(2), (0, 1, 1))
-    target = meet_table(corpus.chain(2))
+    target = _meets(corpus.chain(2))
     split = congruence_generated(b22, [(2, 3)])
     return [
         ("dual", FiniteLattice, "__init__", chain3.dual),

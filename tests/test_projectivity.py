@@ -20,7 +20,6 @@ from commlat.projectivity import (
     PrimeInterval,
     SplittingPair,
     is_completely_meet_prime,
-    is_lonesome_meet_irreducible,
     join_irreducibles,
     meet_irreducibles,
     projective_ceiling,
@@ -187,8 +186,6 @@ def test_nonmodular_rejected(n5):
 _PER_INTERVAL = {
     "projective_ceiling": projective_ceiling,
     "separating_congruence": separating_congruence,
-    "is_lonesome_meet_irreducible":
-        lambda lat, i: is_lonesome_meet_irreducible(lat, MeetIrreducible(*i)),
     "class_of": lambda lat, i: projectivity_classes(lat).class_of(i),
 }
 
@@ -276,11 +273,17 @@ def test_ceiling(m3, b22, chain3):
     assert projective_ceiling(chain3, PrimeInterval(1, 2)) == 1
 
 
+def _lonesome(lat, eta):
+    """Whether the meet irreducible eta is the only one whose canonical
+    interval lies in its class, read off the projectivity record."""
+    classes = lat.fact(projectivity_classes)
+    return classes.meet_counts[classes.class_of(eta.interval())] == 1
+
+
 def test_lonesome(b22, m3, chain3):
-    eta_a = MeetIrreducible(1, 3)
-    assert is_lonesome_meet_irreducible(b22, eta_a)
-    assert not is_lonesome_meet_irreducible(m3, MeetIrreducible(1, 4))
-    assert is_lonesome_meet_irreducible(chain3, MeetIrreducible(0, 1))
+    assert _lonesome(b22, MeetIrreducible(1, 3))
+    assert not _lonesome(m3, MeetIrreducible(1, 4))
+    assert _lonesome(chain3, MeetIrreducible(0, 1))
 
 
 def test_splitting_pairs(b22, m3, b2):
@@ -461,7 +464,7 @@ def _recounted_lonesome(lat, irreducibles):
 def test_lonesome_irreducibles_match_a_recount(modular8):
     for lat in modular8:
         meets = meet_irreducibles(lat)
-        assert [m for m in meets if is_lonesome_meet_irreducible(lat, m)] \
+        assert [m for m in meets if _lonesome(lat, m)] \
             == _recounted_lonesome(lat, meets)
 
 
@@ -474,15 +477,6 @@ def test_two_element_quotient_uses_the_first_lonesome_irreducible(modular8):
         if lonesome:
             assert hom.image == tuple(0 if lat.leq(x, lonesome[0]) else 1
                                       for x in lat.elements)
-
-
-def test_lonesome_tests_refuse_what_is_not_irreducible(b22):
-    # in B2^2 and in B4 the bottom has more than one upper cover
-    b4 = corpus.boolean(4)
-    for lat, eta in ((b22, MeetIrreducible(0, 1)), (b4, MeetIrreducible(0, 1))):
-        with pytest.raises(ValueError, match=r"^0 is not meet irreducible$"):
-            is_lonesome_meet_irreducible(lat, eta)
-    assert is_lonesome_meet_irreducible(b22, MeetIrreducible(1, 3))
 
 
 def test_elements_out_of_range_are_refused(b22):
