@@ -43,7 +43,6 @@ from .projectivity import (
     PrimeInterval,
     ProjectivityClasses,
     SplittingPair,
-    is_completely_meet_prime,
     join_irreducibles,
     meet_irreducibles,
     projective_ceiling,

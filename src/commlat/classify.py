@@ -4,8 +4,8 @@ A lattice forces a type (abelian, nilpotent, solvable) when its pointwise
 largest commutator multiplication has that type.  The nilpotent and
 solvable verdicts are decided by the cheap lattice-side criterion and
 cross-checked against the series of the largest multiplication; the
-abelian verdict is read off that multiplication and certified through an
-M3 witness when there is one.  A mismatch raises instead of warning.
+abelian verdict is read off that multiplication, and an M3 witness, when
+there is one, forces it.  A mismatch raises instead of warning.
 
 The non-splitting verdict is included because, for congruence lattices of
 algebras in congruence modular varieties, not splitting is exactly the shape
@@ -15,8 +15,7 @@ lattice side.
 
 from collections import namedtuple
 
-from .commutator import (construct_sublattice, largest_commutator,
-                         residuation, series)
+from .commutator import largest_commutator, residuation, series
 from .errors import VerificationError
 from .lattice import SublatticeEmbedding, is_simple
 from .projectivity import (
@@ -71,8 +70,8 @@ def _abelian_sufficient_sublattice(lat):
     with bottom and top, in O(n^3).  Larger ones, such as the subspace
     lattices of projective planes (16 elements and more), are out of scope:
     a plane has no three pairwise complements.  :func:`forces_abelian_type`
-    checks that the witness is a genuine M3 on the lattice its restriction
-    builds.  Callers read it through ``lat.fact`` so that it is searched for
+    checks that the witness is a genuine M3 on the lattice it builds.
+    Callers read it through ``lat.fact`` so that it is searched for
     once per lattice.
     """
     bottom, top = lat.bottom, lat.top
@@ -92,28 +91,28 @@ def _abelian_sufficient_sublattice(lat):
 def forces_abelian_type(lat):
     """True iff the largest multiplication sends (top, top) to bottom.
 
-    The certificate of a negative verdict is the validated largest table, a
-    multiplication with [top, top] above bottom.  A positive one has a
-    second route when an M3 witness is found (see
-    :func:`_abelian_sufficient_sublattice`): restricted to it, the largest
-    table is a valid multiplication on M3, and M3 carries only the zero
-    table.  A witness whose own lattice, built once for the restriction, is
-    not M3, a negative verdict or a nonzero restriction then raises.  A
-    positive verdict without a witness (the Fano plane) has no second route.
+    A negative verdict's certificate is the validated largest table, whose
+    [top, top] is above bottom.  A positive one has a second route when an
+    M3 witness is found (see :func:`_abelian_sufficient_sublattice`): the
+    largest table restricted to it is a valid multiplication on M3, which
+    carries only the zero table, and its [top, top] is the least member
+    above t(top, top), bottom exactly when t(top, top) is.  So a witness
+    whose own lattice, built once, is not M3, or a genuine one beside a
+    negative verdict, raises.  A positive verdict without a witness (the
+    Fano plane) has no second route.
     """
     _require_modular(lat)
     table = lat.fact(largest_commutator)
     verdict = table.value(lat.top, lat.top) == lat.bottom
     witness = lat.fact(_abelian_sufficient_sublattice)
     if witness is not None:
-        restricted = construct_sublattice(table, witness)
-        own = restricted.lattice
+        own, _ = witness.as_lattice()
         # M3 is the one simple lattice with 5 elements (N5, C5, 1+B2 and
         # B2+1 have a proper congruence)
         if not (own.n == 5 and is_simple(own)):
             raise VerificationError(
                 f"witness {list(witness.member_list)} is not M3")
-        if not verdict or restricted.value(own.top, own.top) != own.bottom:
+        if not verdict:
             raise VerificationError("the M3 witness does not certify the "
                                     "abelian verdict")
     return verdict

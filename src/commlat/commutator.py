@@ -348,67 +348,48 @@ def enumerate_commutators(lat, cap=None):
 
     A multiplication is determined by its values on pairs of join
     irreducibles (every element is the join of the join irreducibles below
-    it, so distributivity extends the seed uniquely); the search assigns
-    those seed values, prunes assignments that already break symmetry or
-    monotonicity, extends, and keeps exactly the extensions that validate.
-    Any valid table restricts to a monotone symmetric seed and is the
-    extension of that seed, so nothing is missed.  Deterministic order; a
-    cap, if given, truncates the sorted result and must not be negative.
+    it, so distributivity extends the seed uniquely).  In order of down-set
+    size, a linear extension, every seed pair below p comes before p, so
+    monotonicity asks only that p's value lie above the join of theirs.
+    Extension and restriction are inverse between the valid tables and the
+    monotone symmetric seeds whose extension validates, so keeping those
+    extensions misses no table and finds none twice.  Sorted by entries; a
+    cap, if given, truncates that list and must not be negative.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must not be negative, got {cap}")
     if lat.n > ENUMERATION_MAX_N:
         raise LatticeTooLarge(
             f"exhaustive enumeration is capped at n = {ENUMERATION_MAX_N}")
-    irr = [j.element for j in join_irreducibles(lat)]
+    irr = sorted((j.element for j in join_irreducibles(lat)),
+                 key=lambda e: lat.lower_set(e).bit_count())
     pairs = [(irr[a], irr[b]) for a in range(len(irr))
              for b in range(a, len(irr))]
     below = [[e for e in irr if lat.leq(e, x)] for x in lat.elements]
+    found, seeds = [], {}
 
-    def pair_leq(p, q):
-        return ((lat.leq(p[0], q[0]) and lat.leq(p[1], q[1]))
-                or (lat.leq(p[0], q[1]) and lat.leq(p[1], q[0])))
-
-    found = {}
-    assignment = {}
-
-    def extend():
-        entries = []
-        for x in lat.elements:
-            row = []
-            for y in lat.elements:
-                value = lat.bottom
-                for a in below[x]:
-                    for b in below[y]:
-                        key = (a, b) if (a, b) in assignment else (b, a)
-                        value = lat.join(value, assignment[key])
-                row.append(value)
-            entries.append(row)
-        table = _built("enumerate_commutators", CommutatorTable, lat, entries)
-        if table.is_valid:
-            found.setdefault(table.entries, table)
+    def spread(x, y):
+        # the join of the seed values below (x, y), each stored under both
+        # orientations of its pair
+        return lat.join_all(seeds[a, b] for a in below[x] for b in below[y])
 
     def search(k):
         if k == len(pairs):
-            extend()
+            table = _built("enumerate_commutators", CommutatorTable, lat,
+                           [[spread(x, y) for y in lat.elements]
+                            for x in lat.elements])
+            if table.is_valid:
+                found.append(table)
             return
-        p = pairs[k]
-        for v in _bits(lat.lower_set(lat.meet(*p))):
-            ok = True
-            for q, w in assignment.items():
-                if pair_leq(q, p) and not lat.leq(w, v):
-                    ok = False
-                    break
-                if pair_leq(p, q) and not lat.leq(v, w):
-                    ok = False
-                    break
-            if ok:
-                assignment[p] = v
-                search(k + 1)
-                del assignment[p]
+        a, b = pairs[k]
+        # every other seed pair below (a, b) is assigned already, so with
+        # (a, b) at bottom spread reads the join of their values
+        seeds[a, b] = seeds[b, a] = lat.bottom
+        floor = spread(a, b)
+        for v in _bits(lat.lower_set(lat.meet(a, b)) & lat.upper_set(floor)):
+            seeds[a, b] = seeds[b, a] = v
+            search(k + 1)
 
     search(0)
-    tables = [found[key] for key in sorted(found)]
-    if cap is not None:
-        tables = tables[:cap]
-    return tables
+    found.sort(key=lambda table: table.entries)
+    return found if cap is None else found[:cap]

@@ -50,6 +50,21 @@ def complemented(order):
                for x in range(order.n))
 
 
+def sub_order(order, members):
+    """The members of an ``oracles.Order`` as a lattice of their own, an
+    ``(k, covers)`` pair: member i is the i-th smallest name, and u covers
+    m when no member lies strictly between them."""
+    names = sorted(members)
+
+    def between(x, y):
+        return any(order.leq(x, z) and order.leq(z, y)
+                   for z in names if z not in (x, y))
+
+    return len(names), {(i, j) for i, x in enumerate(names)
+                        for j, y in enumerate(names)
+                        if x != y and order.leq(x, y) and not between(x, y)}
+
+
 def glued_sum(a, b):
     """The glued sum a + b of two lattices named with bottom 0 and top n - 1,
     as every family here names them: b on top of a, with b's bottom

@@ -27,7 +27,7 @@ from commlat.lattice import (
 )
 from families import (FANO, NILPOTENT8, boolean, chain, complemented,
                       glued_sum, m, oracles, product, projective_plane,
-                      relabel, relabel_monotone, rename)
+                      relabel, relabel_monotone, rename, sub_order)
 
 
 def test_m3_forces_everything(m3):
@@ -127,17 +127,23 @@ def test_verdicts_match_largest_series(modular8):
                         (True, True, False): 1}
 
 
+def _is_simple_complemented_modular(order, members):
+    # read off the covers alone: the members as an order of their own, and
+    # simple as having exactly two congruences
+    own = oracles.Order(*sub_order(order, members))
+    return (own.is_modular() and complemented(own)
+            and len(oracles.congruences(own)) == 2)
+
+
 def test_abelian_witness_is_genuine(modular8):
     for lat in modular8:
         report = analyze(lat)
         witness = report.abelian_sufficient_condition
         if witness is None:
             continue
-        assert {lat.bottom, lat.top} <= set(witness)
-        own, _ = SublatticeEmbedding(lat, witness).as_lattice()
-        assert own.n >= 3
-        assert own.is_modular() and is_simple(own)
-        assert complemented(oracles.Order(own.n, own.covers))
+        order = oracles.Order(lat.n, lat.covers)
+        assert len(witness) >= 3 and order.is_zero_one_sublattice(witness)
+        assert _is_simple_complemented_modular(order, witness)
         assert report.forces_abelian_type
 
 
@@ -155,12 +161,12 @@ def test_witness_failing_its_check_is_a_bug(m3, monkeypatch):
 
 
 def test_broken_abelian_certificate_is_a_bug(m3, monkeypatch):
-    # a restriction to the M3 witness whose [top, top] is not bottom
+    # M3 is its own witness and carries only the zero table, so a largest
+    # table whose [top, top] is not bottom contradicts it
     from test_commutator import _meets
-    monkeypatch.setattr(classify, "construct_sublattice",
-                        lambda table, sub: _meets(sub.as_lattice()[0]))
+    monkeypatch.setattr(classify, "largest_commutator", _meets)
     with pytest.raises(VerificationError, match="certify"):
-        analyze(m3)
+        forces_abelian_type(m3)
 
 
 def test_a_residuation_that_misses_its_ceiling_is_a_bug(m3, tmp_path, capsys,
@@ -226,22 +232,12 @@ def test_verdicts_out_of_their_nesting_are_a_bug(verdict, match, m3, tmp_path,
     assert _fails_its_cross_check(m3, tmp_path, capsys, "analyze")
 
 
-def test_a_lonesome_meet_irreducible_that_is_not_meet_prime_is_a_bug(
-        b22, tmp_path, capsys, monkeypatch):
-    # B2 x B2 has a lonesome meet irreducible, so two_element_quotient
-    # builds its map only after the primeness check passes
-    monkeypatch.setattr(projectivity, "is_completely_meet_prime",
-                        lambda lat, eta: False)
-    with pytest.raises(VerificationError, match="not meet prime"):
-        analyze(b22)
-    assert _fails_its_cross_check(b22, tmp_path, capsys, "analyze")
-
-
 def test_a_meet_count_the_record_misreads_is_a_bug(m3, tmp_path, capsys,
                                                    monkeypatch):
     # M3's one class holds its three meet irreducibles; a record that counts
     # one makes the atom 1 lonesome, and two_element_quotient reads that
-    # off the record, so its primeness check must refuse the map
+    # off the record, so the validation of its map must refuse the map: 1
+    # is not meet prime, as 2 ^ 3 = 0
     classes = projectivity.projectivity_classes
 
     def miscounted(lat):
@@ -251,8 +247,8 @@ def test_a_meet_count_the_record_misreads_is_a_bug(m3, tmp_path, capsys,
 
     assert classes(m3).meet_counts == bytes([3])
     monkeypatch.setattr(projectivity, "projectivity_classes", miscounted)
-    with pytest.raises(VerificationError,
-                       match="lonesome meet irreducible 1 is not meet prime"):
+    with pytest.raises(VerificationError, match="two_element_quotient built "
+                       "an invalid LatticeMap: meet of 2, 3 not preserved"):
         analyze(m3)
     assert _fails_its_cross_check(m3, tmp_path, capsys, "analyze")
 
@@ -272,7 +268,7 @@ def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
 
 def test_analyze_builds_the_m3_witness_once(m3, monkeypatch):
     # the witness search hands forces_abelian_type the embedding it found,
-    # and the M3 check reads the lattice that the restriction builds
+    # and the M3 check reads the lattice that the embedding builds
     built, lattices = [], []
     init, lattice_init = SublatticeEmbedding.__init__, FiniteLattice.__init__
 
@@ -426,17 +422,13 @@ def test_analyze_holds_no_memory_across_lattices():
 def _brute_force_has_witness(lat):
     """Whether some (0,1)-subset with >= 3 elements is a simple complemented
     modular sublattice, by trying every subset."""
-    inner = [x for x in lat.elements if x not in (lat.bottom, lat.top)]
+    order = oracles.Order(lat.n, lat.covers)
+    inner = [x for x in range(order.n) if x not in (order.bottom, order.top)]
     for k in range(1, len(inner) + 1):
         for extra in itertools.combinations(inner, k):
-            members = {lat.bottom, lat.top, *extra}
-            if any(lat.meet(x, y) not in members
-                   or lat.join(x, y) not in members
-                   for x in members for y in members):
-                continue
-            own, _ = SublatticeEmbedding(lat, members).as_lattice()
-            if (own.is_modular() and is_simple(own)
-                    and complemented(oracles.Order(own.n, own.covers))):
+            members = {order.bottom, order.top, *extra}
+            if (order.is_zero_one_sublattice(members)
+                    and _is_simple_complemented_modular(order, members)):
                 return True
     return False
 

@@ -600,8 +600,8 @@ def test_the_exported_names_are_pinned():
         "VerificationError", "all_congruences", "analyze",
         "congruence_generated", "construct_pullback", "construct_splitting",
         "construct_sublattice", "enumerate_commutators", "forces_abelian_type",
-        "forces_nilpotent_type", "forces_solvable_type",
-        "is_completely_meet_prime", "is_simple", "join_irreducibles",
+        "forces_nilpotent_type", "forces_solvable_type", "is_simple",
+        "join_irreducibles",
         "largest_commutator", "meet_irreducibles", "projective_ceiling",
         "projectivity_classes", "quotient", "residuation",
         "separating_congruence", "series", "splitting_pairs",

@@ -93,7 +93,7 @@ def test_residuation_examples(b2, m3):
                for x in m3.elements for y in m3.elements)
 
 
-@pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (5, 0), (0, 7)])
+@pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (5, 0), (0, 5), (0, 7)])
 def test_residuation_rejects_elements_out_of_range(m3, x, y):
     with pytest.raises(ValueError, match="out of range"):
         residuation(_zeros(m3), x, y)
@@ -449,6 +449,7 @@ def test_enumerate_one_element():
 
 def test_enumerate_cap(b2):
     assert len(enumerate_commutators(b2, cap=1)) == 1
+    assert enumerate_commutators(b2, cap=0) == []
 
 
 def test_enumerate_size_guard():
@@ -478,7 +479,8 @@ def test_enumeration_matches_full_brute_force(all5):
     # independent oracle: try every symmetric bounded table outright, once
     # per lattice, and carry its tables through each renaming.  The corpus
     # names extend the order; a seeded renaming and the top-down one, whose
-    # names run against it, reach the pruning that those names never do
+    # names run against it, reach the pruning that those names never do.
+    # The list is the sorted set: in order, and with no table twice
     rng = random.Random(5)
     for lat in all5:
         truth = _brute_force_tables(lat)
@@ -492,8 +494,8 @@ def test_enumeration_matches_full_brute_force(all5):
                 for x, y in itertools.product(range(n), repeat=2):
                     entries[perm[x]][perm[y]] = perm[t[x][y]]
                 carried.add(tuple(map(tuple, entries)))
-            assert {t.entries for t in enumerate_commutators(
-                FiniteLattice(*renamed))} == carried
+            assert [t.entries for t in enumerate_commutators(
+                FiniteLattice(*renamed))] == sorted(carried)
 
 
 def test_known_table_counts():

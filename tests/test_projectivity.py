@@ -19,7 +19,6 @@ from commlat.projectivity import (
     MeetIrreducible,
     PrimeInterval,
     SplittingPair,
-    is_completely_meet_prime,
     join_irreducibles,
     meet_irreducibles,
     projective_ceiling,
@@ -194,14 +193,18 @@ _PER_INTERVAL = {
 def test_per_interval_functions_refuse_what_is_no_cover(name, m3, n5):
     # a non-cover, a reversed cover and out-of-range elements of M3, as
     # tuples and as lists, are no prime interval; (0, 9), (2, -1) and
-    # (-1, 6) would read the entry of a cover at lo * 5 + hi.  A list that
-    # is a cover works as the tuple does.  N5 is refused as nonmodular even
-    # at a cover
+    # (-1, 6) would read the entry of a cover at lo * 5 + hi, and (5, 0)
+    # past the table.  So would (0, 2) of C2 named top-down, at the cover
+    # (1, 0).  A list that is a cover works as the tuple does.  N5 is
+    # refused as nonmodular even at a cover
     function = _PER_INTERVAL[name]
-    for pair in [(0, 4), (1, 0), (0, 5), (0, 9), (-1, 0), (2, -1), (-1, 6)]:
+    cases = [(m3, pair) for pair in [(0, 4), (1, 0), (0, 5), (5, 0), (0, 9),
+                                     (-1, 0), (2, -1), (-1, 6)]]
+    cases.append((FiniteLattice(2, {(1, 0)}), (0, 2)))
+    for lat, pair in cases:
         for interval in (PrimeInterval(*pair), list(pair)):
             with pytest.raises(ValueError, match="not a prime interval"):
-                function(m3, interval)
+                function(lat, interval)
     assert function(m3, [1, 4]) == function(m3, PrimeInterval(1, 4))
     with pytest.raises(NotModular):
         function(n5, PrimeInterval(0, 1))
@@ -435,16 +438,6 @@ def test_two_element_quotient(chain3, m3, b2):
     assert two_element_quotient(b2).image == (0, 1)
 
 
-def test_two_element_quotient_checks_that_lonesome_is_meet_prime(
-        b22, monkeypatch):
-    # B2 x B2 has a lonesome meet irreducible; the map is built only after
-    # the primeness check passes
-    monkeypatch.setattr(projectivity, "is_completely_meet_prime",
-                        lambda lat, eta: False)
-    with pytest.raises(VerificationError, match="not meet prime"):
-        two_element_quotient(b22)
-
-
 def test_two_element_quotient_existence_is_exact(modular8):
     # brute force: is any 0/1 labeling a (0,1)-map onto the two-element chain?
     for lat in modular8:
@@ -477,16 +470,3 @@ def test_two_element_quotient_uses_the_first_lonesome_irreducible(modular8):
         if lonesome:
             assert hom.image == tuple(0 if lat.leq(x, lonesome[0]) else 1
                                       for x in lat.elements)
-
-
-def test_elements_out_of_range_are_refused(b22):
-    for x in (-1, 4, 5, 7):
-        with pytest.raises(ValueError, match="out of range"):
-            is_completely_meet_prime(b22, x)
-
-
-def test_completely_meet_prime(chain3, m3):
-    assert is_completely_meet_prime(chain3, 0)
-    assert is_completely_meet_prime(chain3, 1)
-    assert not is_completely_meet_prime(m3, 1)
-    assert not is_completely_meet_prime(m3, 4)  # top never qualifies
