@@ -184,7 +184,7 @@ class ForcingReport(namedtuple("ForcingReport", (
 
 
 def analyze(lat):
-    """Full forcing report; raises NotModular for nonmodular input and
+    """Full forcing report; raises InputError for nonmodular input and
     verifies the type-nesting invariant before returning.  At every cover
     the residuation of the largest table is the projective ceiling of the
     cover's class; each is computed once and a mismatch raises."""

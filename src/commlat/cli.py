@@ -20,7 +20,7 @@ from .commutator import (
     enumerate_commutators,
     largest_commutator,
 )
-from .errors import CommlatError, FileFormatError, VerificationError
+from .errors import InputError, VerificationError
 from .lattice import SublatticeEmbedding, congruence_generated, quotient
 from .projectivity import SplittingPair
 
@@ -28,11 +28,11 @@ from .projectivity import SplittingPair
 def _parse_pair(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise FileFormatError(f"expected 'a,b', got {text!r}")
+        raise InputError(f"expected 'a,b', got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError:
-        raise FileFormatError(f"expected integers in {text!r}") from None
+        raise InputError(f"expected integers in {text!r}") from None
 
 
 def _parse_pairs(text):
@@ -43,7 +43,7 @@ def _parse_members(text):
     try:
         return [int(chunk) for chunk in text.split(",") if chunk]
     except ValueError:
-        raise FileFormatError(f"expected integers in {text!r}") from None
+        raise InputError(f"expected integers in {text!r}") from None
 
 
 def _emit(doc):
@@ -88,26 +88,26 @@ def _cmd_construct(args):
     lat = fileio.load_lattice(args.path)
     if args.kind == "sublattice":
         if args.members is None:
-            raise FileFormatError("construct sublattice needs --members")
+            raise InputError("construct sublattice needs --members")
         sub = SublatticeEmbedding(lat, _parse_members(args.members))
         ambient = fileio.load_table(args.table) if args.table \
             else largest_commutator(lat)
         if ambient.lattice != lat:
-            raise FileFormatError("--table file does not match the lattice")
+            raise InputError("--table file does not match the lattice")
         result = construct_sublattice(ambient, sub)
     elif args.kind == "pullback":
         if args.seed_pairs is None:
-            raise FileFormatError("construct pullback needs --seed-pairs")
+            raise InputError("construct pullback needs --seed-pairs")
         theta = congruence_generated(lat, _parse_pairs(args.seed_pairs))
         image, projection = quotient(lat, theta)
         target = fileio.load_table(args.table) if args.table \
             else largest_commutator(image)
         if target.lattice != image:
-            raise FileFormatError("--table file does not match the quotient")
+            raise InputError("--table file does not match the quotient")
         result = construct_pullback(lat, projection, target)
     else:
         if args.splitting is None:
-            raise FileFormatError("construct splitting needs --splitting")
+            raise InputError("construct splitting needs --splitting")
         delta, epsilon = _parse_pair(args.splitting)
         if args.congruence:
             theta = fileio.partition_from_doc(
@@ -227,7 +227,7 @@ def main(argv=None):
     except VerificationError as exc:
         print(f"commlat: cross-check violation (bug): {exc}", file=sys.stderr)
         return 3
-    except (CommlatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"commlat: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

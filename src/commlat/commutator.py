@@ -41,20 +41,12 @@ O(n^3) at worst, so an invalid one raises VerificationError.
 
 from collections import namedtuple
 
-from .errors import (
-    CongruenceMissingSeed,
-    InvalidTable,
-    LatticeTooLarge,
-    NotAHomomorphism,
-    NotASplittingPair,
-    VerificationError,
-)
+from .errors import InputError, VerificationError
 from .lattice import _bits, _built, _translation
 from .projectivity import join_irreducibles, splitting_pairs
 
 
-class Violation(namedtuple("Violation", "law witness detail")):
-    __slots__ = ()
+Violation = namedtuple("Violation", "law witness detail")
 
 
 class CommutatorTable:
@@ -65,9 +57,9 @@ class CommutatorTable:
     def __init__(self, lattice, entries):
         entries = tuple(tuple(row) for row in entries)
         if len(entries) != lattice.n or any(len(r) != lattice.n for r in entries):
-            raise ValueError("table shape does not match the lattice")
+            raise InputError("table shape does not match the lattice")
         if any(not 0 <= v < lattice.n for row in entries for v in row):
-            raise ValueError("table entry out of range")
+            raise InputError("table entry out of range")
         self.lattice = lattice
         self.entries = entries
         self._violations = None
@@ -132,11 +124,11 @@ class CommutatorTable:
     def require_valid(self):
         bad = self.violations()
         if bad:
-            raise InvalidTable(f"{bad[0].law} fails: {bad[0].detail}")
+            raise InputError(f"{bad[0].law} fails: {bad[0].detail}")
 
     @classmethod
     def _valid(cls, lattice, entries):
-        """The table, which must be a multiplication: else InvalidTable."""
+        """The table, which must be a multiplication: else InputError."""
         table = cls(lattice, entries)
         table.require_valid()
         return table
@@ -158,13 +150,10 @@ def residuation(table, x, y):
     table.require_valid()
     lat = table.lattice
     if not (0 <= x < lat.n and 0 <= y < lat.n):
-        raise ValueError(f"residuation at ({x}, {y}) out of range")
+        raise InputError(f"residuation at ({x}, {y}) out of range")
     below = lat.lower_set(x)
     return lat.join_all(z for z, v in enumerate(table.entries[y])
                         if below >> v & 1)
-
-
-_KIND_RANK = {"none": 0, "solvable": 1, "nilpotent": 2, "abelian": 3}
 
 
 class SeriesReport(namedtuple("SeriesReport", "derived lower_central kind")):
@@ -175,11 +164,11 @@ class SeriesReport(namedtuple("SeriesReport", "derived lower_central kind")):
 
     @property
     def is_solvable(self):
-        return _KIND_RANK[self.kind] >= 1
+        return self.kind != "none"
 
     @property
     def is_nilpotent(self):
-        return _KIND_RANK[self.kind] >= 2
+        return self.kind in ("nilpotent", "abelian")
 
 
 def _iterate(start, step):
@@ -247,7 +236,7 @@ def construct_sublattice(ambient_table, sub):
     always valid and lies pointwise above the plain restriction."""
     ambient_table.require_valid()
     if sub.ambient != ambient_table.lattice:
-        raise ValueError("sublattice does not live in the table's lattice")
+        raise InputError("sublattice does not live in the table's lattice")
     sub_lat, embed = sub.as_lattice()
     index = {m: i for i, m in enumerate(embed)}
     rows = [[ambient_table.value(x, y) for y in embed] for x in embed]
@@ -267,10 +256,10 @@ def construct_pullback(source, hom, target_table):
     (never empty, as h(top) = top), computed once per target element b."""
     target_table.require_valid()
     if hom.source != source or hom.target != target_table.lattice:
-        raise ValueError("map endpoints do not match the inputs")
+        raise InputError("map endpoints do not match the inputs")
     if not hom.is_zero_one:
-        raise NotAHomomorphism("pullback needs a map sending bottom to "
-                               "bottom and top to top")
+        raise InputError("pullback needs a map sending bottom to "
+                         "bottom and top to top")
     tgt = target_table.lattice
     lift = [source.meet_all(z for z in source.elements if tgt.leq(b, hom(z)))
             for b in tgt.elements]
@@ -295,12 +284,11 @@ def construct_splitting(lat, pair, theta):
     where s(x) is the least member of x's theta class."""
     delta, epsilon = pair.delta, pair.epsilon
     if pair not in lat.fact(splitting_pairs):
-        raise NotASplittingPair(f"({delta}, {epsilon}) does not split the lattice")
+        raise InputError(f"({delta}, {epsilon}) does not split the lattice")
     if theta.lattice != lat:
-        raise ValueError("congruence belongs to a different lattice")
+        raise InputError("congruence belongs to a different lattice")
     if not theta.related(epsilon, lat.top):
-        raise CongruenceMissingSeed(
-            f"congruence does not relate ({epsilon}, top)")
+        raise InputError(f"congruence does not relate ({epsilon}, top)")
     least = [lat.meet_all(block) for block in theta.blocks]
     s = [least[theta.class_of[x]] for x in lat.elements]
     entries = [[lat.bottom if lat.leq(x, delta) and lat.leq(y, delta)
@@ -357,9 +345,9 @@ def enumerate_commutators(lat, cap=None):
     cap, if given, truncates that list and must not be negative.
     """
     if cap is not None and cap < 0:
-        raise ValueError(f"cap must not be negative, got {cap}")
+        raise InputError(f"cap must not be negative, got {cap}")
     if lat.n > ENUMERATION_MAX_N:
-        raise LatticeTooLarge(
+        raise InputError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_MAX_N}")
     irr = sorted((j.element for j in join_irreducibles(lat)),
                  key=lambda e: lat.lower_set(e).bit_count())

@@ -31,7 +31,7 @@ import math
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .errors import LatticeTooLarge
+from .errors import InputError
 from .lattice import FiniteLattice, _bits, _built, _is_modular
 
 MAX_CORPUS_N = 8
@@ -122,8 +122,8 @@ def canonical_key(lat):
     7 elements and the modular ones with 8 take 312 instead of 2,031.
     Only ``n``, ``_lower``, ``_upper``, ``_down`` and ``_up`` are read, so
     a grown candidate is keyed before any lattice is built.
-    Raises :class:`LatticeTooLarge`, before searching, when there are more
-    than ``MAX_RELABELINGS`` relabelings to try.
+    Raises :class:`InputError`, before searching, when there are more than
+    ``MAX_RELABELINGS`` relabelings to try.
     """
     classes = _color_classes(lat)
     relabelings = math.prod(
@@ -131,7 +131,7 @@ def canonical_key(lat):
         // math.prod(math.factorial(len(g)) for g in groups)
         for groups in classes)
     if relabelings > MAX_RELABELINGS:
-        raise LatticeTooLarge(
+        raise InputError(
             f"canonical form would try {relabelings} relabelings; the limit "
             f"is {MAX_RELABELINGS}")
     pairs = [(x, y) for x, rest in enumerate(lat._upper) for y in _bits(rest)]
@@ -238,7 +238,7 @@ def all_lattices(n, modular_only=False):
     only a class not seen before is built and validated, in its canonical
     labeling: 222 builds for n = 8."""
     if n > MAX_CORPUS_N:
-        raise LatticeTooLarge(f"corpus generation is capped at n = {MAX_CORPUS_N}")
+        raise InputError(f"corpus generation is capped at n = {MAX_CORPUS_N}")
     seen = {}
     for candidate in _natural_order_lattices(n, modular_only,
                                                _size_ordered=True):
@@ -255,9 +255,9 @@ def generate_corpus(max_n, modular_only=False, dedupe_iso=True):
     it every naturally labeled one (see :func:`_natural_order_lattices`),
     each built and validated."""
     if max_n > MAX_CORPUS_N:
-        raise LatticeTooLarge(f"corpus generation is capped at n = {MAX_CORPUS_N}")
+        raise InputError(f"corpus generation is capped at n = {MAX_CORPUS_N}")
     if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+        raise InputError("max_n must be at least 1")
     out = []
     for n in range(1, max_n + 1):
         if dedupe_iso:

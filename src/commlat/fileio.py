@@ -13,7 +13,7 @@ indent, trailing newline — so equal objects produce byte-identical files.
 import json
 
 from .commutator import CommutatorTable
-from .errors import FileFormatError
+from .errors import InputError
 from .lattice import FiniteLattice, LatticePartition
 
 
@@ -31,33 +31,30 @@ def lattice_to_doc(lat):
 
 def _expect_int(value, what):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise FileFormatError(f"{what} must be an integer, got {value!r}")
+        raise InputError(f"{what} must be an integer, got {value!r}")
     return value
 
 
 def lattice_from_doc(doc):
     if not isinstance(doc, dict):
-        raise FileFormatError("expected a JSON object")
+        raise InputError("expected a JSON object")
     try:
         n = doc["n"]
         covers = doc["covers"]
     except KeyError as exc:
-        raise FileFormatError(f"missing field {exc.args[0]!r}") from None
+        raise InputError(f"missing field {exc.args[0]!r}") from None
     _expect_int(n, "n")
     if not isinstance(covers, list):
-        raise FileFormatError("covers must be a list of pairs")
+        raise InputError("covers must be a list of pairs")
     pairs = []
     for entry in covers:
         if not isinstance(entry, list) or len(entry) != 2:
-            raise FileFormatError(f"cover entry {entry!r} is not a pair")
+            raise InputError(f"cover entry {entry!r} is not a pair")
         pairs.append((_expect_int(entry[0], "cover element"),
                       _expect_int(entry[1], "cover element")))
     if len(set(pairs)) != len(pairs):
-        raise FileFormatError("duplicate cover pair")
-    try:
-        return FiniteLattice(n, pairs)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
+        raise InputError("duplicate cover pair")
+    return FiniteLattice(n, pairs)
 
 
 def table_to_doc(table):
@@ -69,40 +66,37 @@ def table_to_doc(table):
 def table_from_doc(doc):
     lat = lattice_from_doc(doc)
     if "table" not in doc:
-        raise FileFormatError("missing field 'table'")
+        raise InputError("missing field 'table'")
     matrix = doc["table"]
     if (not isinstance(matrix, list) or len(matrix) != lat.n
             or any(not isinstance(row, list) or len(row) != lat.n
                    for row in matrix)):
-        raise FileFormatError("table must be an n x n matrix")
+        raise InputError("table must be an n x n matrix")
     for row in matrix:
         for v in row:
             _expect_int(v, "table entry")
             if not 0 <= v < lat.n:
-                raise FileFormatError(f"table entry {v!r} out of range")
+                raise InputError(f"table entry {v!r} out of range")
     return CommutatorTable(lat, matrix)
 
 
 def partition_from_doc(doc, lat):
     if not isinstance(doc, dict) or "blocks" not in doc:
-        raise FileFormatError("expected a JSON object with field 'blocks'")
+        raise InputError("expected a JSON object with field 'blocks'")
     blocks = doc["blocks"]
     if not isinstance(blocks, list) or any(not isinstance(b, list) for b in blocks):
-        raise FileFormatError("blocks must be a list of lists")
+        raise InputError("blocks must be a list of lists")
     for b in blocks:
         for x in b:
             _expect_int(x, "block element")
-    try:
-        return LatticePartition(lat, blocks)
-    except ValueError as exc:
-        raise FileFormatError(str(exc)) from exc
+    return LatticePartition(lat, blocks)
 
 
 def _unique_keys(pairs):
     doc = {}
     for key, value in pairs:
         if key in doc:
-            raise FileFormatError(f"repeated key {key!r}")
+            raise InputError(f"repeated key {key!r}")
         doc[key] = value
     return doc
 
@@ -112,18 +106,20 @@ def load_doc(path):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise FileFormatError(f"{path} is not valid UTF-8: {exc}") from exc
+        raise InputError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except InputError:  # a repeated key, from _unique_keys
+        raise
     except ValueError:  # the interpreter caps the digits of an int literal
-        raise FileFormatError(
+        raise InputError(
             f"{path} holds an integer with too many digits") from None
     except RecursionError:
-        raise FileFormatError(f"{path} is nested too deeply to parse") from None
+        raise InputError(f"{path} is nested too deeply to parse") from None
 
 
 def load_lattice(path):

@@ -7,11 +7,10 @@ irreducibles and every other reader of the covers read them, and no layer
 rebuilds them.  The down-sets, up-sets, meet and join tables, bottom and top
 are derived and validated at construction time.  All subsets of elements
 are int bitmasks, exact and fast at the intended sizes: a lattice has at
-most ``MAX_N`` = 64 elements, and a larger one raises
-:class:`LatticeTooLarge` before anything is allocated per element.  Since
-n < 256, the rows of the meet and join tables are ``bytes``, so a row read
-through a labelling of the elements (classes, or a map's images) is one
-``bytes.translate``.
+most ``MAX_N`` = 64 elements, and a larger one raises :class:`InputError`
+before anything is allocated per element.  Since n < 256, the rows of the
+meet and join tables are ``bytes``, so a row read through a labelling of
+the elements (classes, or a map's images) is one ``bytes.translate``.
 
 Everything in this module is immutable after construction (a lattice only
 remembers the facts computed once each by :meth:`FiniteLattice.fact`, which
@@ -23,18 +22,7 @@ The one other memory is weak: a partition remembers the projection that
 import itertools
 import weakref
 
-from .errors import (
-    CycleDetected,
-    EmptySublattice,
-    InputError,
-    LatticeTooLarge,
-    NotACongruence,
-    NotAHomomorphism,
-    NotALattice,
-    NotASublattice,
-    RedundantCover,
-    VerificationError,
-)
+from .errors import InputError, VerificationError
 
 MAX_N = 64
 # all_congruences refuses a lattice with more congruences than this, C16's
@@ -44,12 +32,13 @@ MAX_CONGRUENCES = 2**15
 
 def _built(producer, build, *args):
     """``build(*args)`` for an object ``producer`` builds from data it has
-    checked: a refusal there, InputError or ValueError (exit 2), is its bug
-    and raises VerificationError (exit 3) naming ``producer`` and the class
-    part of ``build.__qualname__`` (a class, or a method of one)."""
+    checked: a refusal there, a ValueError (every InputError is one; exit
+    2), is its bug and raises VerificationError (exit 3) naming ``producer``
+    and the class part of ``build.__qualname__`` (a class, or a method of
+    one)."""
     try:
         return build(*args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         built = build.__qualname__.partition(".")[0]
         raise VerificationError(
             f"{producer} built an invalid {built}: {exc}") from exc
@@ -66,9 +55,9 @@ def _bits(mask):
 class FiniteLattice:
     """A finite lattice on elements ``0 .. n-1`` with a validated cover set.
 
-    Raises :class:`CycleDetected`, :class:`RedundantCover` or
-    :class:`NotALattice` when the covers do not describe a lattice order,
-    and :class:`LatticeTooLarge` for more than ``MAX_N`` elements.
+    Raises :class:`InputError` when the covers do not describe a lattice
+    order (a cycle, a redundant cover, a pair without a meet or a join) and
+    for more than ``MAX_N`` elements.
     """
 
     __slots__ = ("n", "_lower", "_upper", "_down", "_up", "_meet", "_join",
@@ -76,15 +65,15 @@ class FiniteLattice:
 
     def __init__(self, n, covers=()):
         if not isinstance(n, int) or n < 1:
-            raise ValueError(f"element count must be a positive int, got {n!r}")
+            raise InputError(f"element count must be a positive int, got {n!r}")
         if n > MAX_N:
-            raise LatticeTooLarge(f"{n} elements; lattices are limited to "
-                                  f"{MAX_N}")
+            raise InputError(f"{n} elements; lattices are limited to "
+                             f"{MAX_N}")
         lower, upper = [0] * n, [0] * n
         for pair in covers:
             x, y = pair
             if not (0 <= x < n and 0 <= y < n) or x == y:
-                raise ValueError(f"bad cover pair {pair!r} for n={n}")
+                raise InputError(f"bad cover pair {pair!r} for n={n}")
             lower[y] |= 1 << x
             upper[x] |= 1 << y
         self.n, self._lower, self._upper = n, lower, upper
@@ -110,7 +99,7 @@ class FiniteLattice:
             if reach & lower[v]:
                 x = next(_bits(reach & lower[v]))
                 z = next(z for z in _bits(m) if z != x and down[z] >> x & 1)
-                raise RedundantCover(
+                raise InputError(
                     f"cover ({x}, {v}) is implied transitively (via {z})")
             down[v] = m | 1 << v
             rest = upper[v]
@@ -120,13 +109,13 @@ class FiniteLattice:
                 if not lower[y] & ~placed:
                     ready.append(y)
         if len(order) != n:
-            raise CycleDetected("cover relation contains a directed cycle")
+            raise InputError("cover relation contains a directed cycle")
         # checked before the n^2 tables are built, so e.g. an antichain is
         # rejected cheaply; then the order starts at bottom and ends at top
         minimal, maximal = lower.count(0), upper.count(0)
         if minimal != 1 or maximal != 1:
-            raise NotALattice(f"{minimal} minimal and {maximal} maximal "
-                              "elements; a lattice has one of each")
+            raise InputError(f"{minimal} minimal and {maximal} maximal "
+                             "elements; a lattice has one of each")
         self.bottom, self.top = order[0], order[-1]
         up = [0] * n
         for v in reversed(order):
@@ -159,8 +148,8 @@ class FiniteLattice:
         if missing >= 0:
             # the first failing row fails first at some y >= x, since the
             # table is symmetric
-            raise NotALattice(f"elements {missing // n} and {missing % n} "
-                              f"have no {kind}")
+            raise InputError(f"elements {missing // n} and {missing % n} "
+                             f"have no {kind}")
         return [table[i:i + n] for i in range(0, n * n, n)]
 
     # -- order primitives ---------------------------------------------------
@@ -279,7 +268,7 @@ class LatticePartition:
     partition, and ``class_of[x]`` is the index of x's block, as ``bytes``
     (n < 256): facts keep partitions on their lattice, so they stay small.
     Blocks that repeat an element, miss one or are empty raise
-    :class:`ValueError`; they are not repaired.
+    :class:`InputError`; they are not repaired.
     """
 
     __slots__ = ("lattice", "blocks", "class_of", "_projection")
@@ -288,13 +277,13 @@ class LatticePartition:
         n, label = lattice.n, {}
         for i, block in enumerate(map(tuple, blocks)):
             if not block:
-                raise ValueError(f"block {i} is empty")
+                raise InputError(f"block {i} is empty")
             for x in block:
                 if x in label:
-                    raise ValueError(f"element {x} appears twice in the blocks")
+                    raise InputError(f"element {x} appears twice in the blocks")
                 label[x] = i
         if label.keys() != set(range(n)):
-            raise ValueError(f"blocks do not partition 0..{n - 1}")
+            raise InputError(f"blocks do not partition 0..{n - 1}")
         self._fill(lattice, map(label.__getitem__, range(n)))
 
     def _fill(self, lattice, labels):
@@ -330,10 +319,10 @@ class LatticePartition:
                     continue
                 for z in range(len(cls)):
                     if meet_x[z] != cls[meet[y][z]]:
-                        raise NotACongruence(
+                        raise InputError(
                             f"meet translation by {z} separates {x} ~ {y}")
                     if join_x[z] != cls[join[y][z]]:
-                        raise NotACongruence(
+                        raise InputError(
                             f"join translation by {z} separates {x} ~ {y}")
 
     def related(self, x, y):
@@ -345,7 +334,7 @@ class LatticePartition:
 
     def _require_on(self, lattice):
         if self.lattice is not lattice and self.lattice != lattice:
-            raise ValueError("partition belongs to a different lattice")
+            raise InputError("partition belongs to a different lattice")
 
     def __eq__(self, other):
         return (isinstance(other, LatticePartition)
@@ -434,7 +423,7 @@ def congruence_generated(lattice, seed):
     reach = 0
     for x, y in seed:
         if not (0 <= x < n and 0 <= y < n):
-            raise ValueError(f"seed pair ({x}, {y}) out of range")
+            raise InputError(f"seed pair ({x}, {y}) out of range")
         reach |= down[join[x][y]] & ~down[meet[x][y]]
     return _fibres(lattice, reach)
 
@@ -497,8 +486,8 @@ def all_congruences(lattice):
     theta -> {j : theta collapses (j-, j)} is a bijection from Con L onto
     the down-sets of Freese's quasiorder on J(L) (see :func:`_dependencies`),
     the unions of the ``below`` masks.  They are ORed and counted as they
-    grow: past ``MAX_CONGRUENCES`` :class:`LatticeTooLarge` is raised
-    before any partition is built.  Each down-set s is one
+    grow: past ``MAX_CONGRUENCES`` :class:`InputError` is raised before
+    any partition is built.  Each down-set s is one
     :func:`congruence_generated` call, seeded with the (j-, j) for j in s,
     whose reach is s: O(n) plus the row check per congruence, plus
     O(|Con L| * |J(L)|) ORs.  A join irreducible j missing from its own
@@ -516,7 +505,7 @@ def all_congruences(lattice):
     for mask in {below[j] for j, _ in irreducibles}:
         downsets |= {d | mask for d in downsets}
         if len(downsets) > MAX_CONGRUENCES:
-            raise LatticeTooLarge(f"more than {MAX_CONGRUENCES} congruences")
+            raise InputError(f"more than {MAX_CONGRUENCES} congruences")
     found = sorted((congruence_generated(
         lattice, ((lo, j) for j, lo in irreducibles if s >> j & 1))
         for s in downsets), key=lambda p: p.blocks)
@@ -533,9 +522,9 @@ class LatticeMap:
     def __init__(self, source, target, image):
         image = tuple(image)
         if len(image) != source.n:
-            raise ValueError("image length does not match the source lattice")
+            raise InputError("image length does not match the source lattice")
         if min(image) < 0 or max(image) >= target.n:
-            raise ValueError("image element out of range")
+            raise InputError("image element out of range")
         # row x of each source table read through the image must equal row
         # image[x] of the target table read at the images; tables are
         # symmetric, so the first failing row fails first past the diagonal
@@ -550,9 +539,9 @@ class LatticeMap:
             tmeet, tjoin = target._meet[image[x]], target._join[image[x]]
             for y in range(x + 1, source.n):
                 if image[smeet[x][y]] != tmeet[image[y]]:
-                    raise NotAHomomorphism(f"meet of {x}, {y} not preserved")
+                    raise InputError(f"meet of {x}, {y} not preserved")
                 if image[sjoin[x][y]] != tjoin[image[y]]:
-                    raise NotAHomomorphism(f"join of {x}, {y} not preserved")
+                    raise InputError(f"join of {x}, {y} not preserved")
         self.source = source
         self.target = target
         self.image = image
@@ -586,16 +575,16 @@ class SublatticeEmbedding:
     def __init__(self, ambient, members):
         member_list = tuple(sorted(set(members)))
         if not member_list:
-            raise EmptySublattice("a sublattice needs at least one member")
+            raise InputError("a sublattice needs at least one member")
         if member_list[0] < 0 or member_list[-1] >= ambient.n:
-            raise ValueError("member out of range")
+            raise InputError("member out of range")
         mask = sum(1 << x for x in member_list)
         for x in member_list:
             for y in member_list:
                 if not mask >> ambient.meet(x, y) & 1:
-                    raise NotASublattice(f"not meet closed at ({x}, {y})")
+                    raise InputError(f"not meet closed at ({x}, {y})")
                 if not mask >> ambient.join(x, y) & 1:
-                    raise NotASublattice(f"not join closed at ({x}, {y})")
+                    raise InputError(f"not join closed at ({x}, {y})")
         self.ambient = ambient
         self.member_list = member_list
         self._mask = mask
@@ -605,9 +594,9 @@ class SublatticeEmbedding:
         """The least sublattice containing the seed elements."""
         members = set(seed)
         if not members:
-            raise EmptySublattice("cannot generate a sublattice from nothing")
+            raise InputError("cannot generate a sublattice from nothing")
         if any(not 0 <= x < ambient.n for x in members):
-            raise ValueError("seed element out of range")
+            raise InputError("seed element out of range")
         while True:
             new = set()
             for x in members:
@@ -621,10 +610,10 @@ class SublatticeEmbedding:
     def closure(self, x):
         """The least member above x (the meet of all members above x)."""
         if not 0 <= x < self.ambient.n:
-            raise ValueError(f"element {x} out of range")
+            raise InputError(f"element {x} out of range")
         above = self.ambient.upper_set(x) & self._mask
         if not above:
-            raise EmptySublattice(f"no member of the sublattice lies above {x}")
+            raise InputError(f"no member of the sublattice lies above {x}")
         out = self.ambient.meet_all(_bits(above))
         if not self._mask >> out & 1:
             raise VerificationError(f"the meet of the members above {x} is "

@@ -16,15 +16,14 @@ meet is the canonical successor and [eta, eta+] is always a prime interval.
 
 from collections import namedtuple
 
-from .errors import NotModular, VerificationError
+from .errors import InputError, VerificationError
 from .lattice import FiniteLattice, LatticeMap, _built, _fibres, _single_bits
 
 
 # The value records here, in ``commutator`` and in ``classify`` are named
 # tuples: they need only ``collections``, which ``argparse`` imports anyway,
 # so they add little to the start-up that every CLI child pays.
-class PrimeInterval(namedtuple("PrimeInterval", "lo hi")):
-    __slots__ = ()
+PrimeInterval = namedtuple("PrimeInterval", "lo hi")
 
 
 class MeetIrreducible(namedtuple("MeetIrreducible", "element plus")):
@@ -34,17 +33,13 @@ class MeetIrreducible(namedtuple("MeetIrreducible", "element plus")):
         return PrimeInterval(self.element, self.plus)
 
 
-class JoinIrreducible(namedtuple("JoinIrreducible", "element minus")):
-    __slots__ = ()
-
-
-class SplittingPair(namedtuple("SplittingPair", "delta epsilon")):
-    __slots__ = ()
+JoinIrreducible = namedtuple("JoinIrreducible", "element minus")
+SplittingPair = namedtuple("SplittingPair", "delta epsilon")
 
 
 def _require_modular(lat):
     if not lat.is_modular():
-        raise NotModular("operation requires a modular lattice")
+        raise InputError("operation requires a modular lattice")
 
 
 def meet_irreducibles(lat):
@@ -69,7 +64,7 @@ class ProjectivityClasses:
     are one ``bytes`` table at ``lo * n + hi``, 0xFF where (lo, hi) is no
     cover (at most |J| <= 63 classes), and the per-class values are
     ``bytes`` too.  ``class_of``, the one check that a pair is a prime
-    interval, takes any pair of ints, else ValueError."""
+    interval, takes any pair of ints, else InputError."""
 
     __slots__ = ("n", "_table", "ceilings", "meet_counts", "_separating")
 
@@ -86,7 +81,7 @@ class ProjectivityClasses:
                 return cid
         except (TypeError, ValueError):
             pass
-        raise ValueError(f"{interval} is not a prime interval")
+        raise InputError(f"{interval} is not a prime interval")
 
 
 def projectivity_classes(lat):

@@ -18,7 +18,7 @@ from commlat.classify import (
 )
 from commlat.cli import main
 from commlat.commutator import largest_commutator, series
-from commlat.errors import NotModular, VerificationError
+from commlat.errors import InputError, VerificationError
 from commlat.lattice import (
     FiniteLattice,
     SublatticeEmbedding,
@@ -73,9 +73,11 @@ def test_boolean_cube_verdicts():
 
 
 def test_nonmodular_rejected(n5):
-    with pytest.raises(NotModular):
+    with pytest.raises(InputError, match="^operation requires a modular "
+                       "lattice$"):
         analyze(n5)
-    with pytest.raises(NotModular):
+    with pytest.raises(InputError, match="^operation requires a modular "
+                       "lattice$"):
         forces_solvable_type(n5)
     assert not supernilpotency_shape(n5)  # shape check has no modularity gate
 

@@ -10,7 +10,7 @@ import types
 import pytest
 
 import commlat
-from commlat import classify, corpus, fileio
+from commlat import classify, corpus, errors, fileio
 from commlat.cli import main
 from commlat.commutator import CommutatorTable
 from commlat.lattice import LatticeMap, LatticePartition
@@ -572,19 +572,44 @@ def test_cli_import_stays_lean():
     assert result.stdout == "[]\n"
 
 
-def test_no_assert_in_the_package():
-    # `python -O` strips assert statements, so a cross-check written as one
-    # would silently stop running; cross-checks raise VerificationError
+def _package_nodes():
+    """(module file name, node) for every AST node of src/commlat."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src", "commlat")
-    found = []
     for name in sorted(os.listdir(src)):
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as handle:
                 tree = ast.parse(handle.read(), name)
-            found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Assert)]
+            for node in ast.walk(tree):
+                yield name, node
+
+
+def test_no_assert_in_the_package():
+    # `python -O` strips assert statements, so a cross-check written as one
+    # would silently stop running; cross-checks raise VerificationError
+    assert [f"{name}:{node.lineno}" for name, node in _package_nodes()
+            if isinstance(node, ast.Assert)] == []
+
+
+def test_every_raise_is_bad_input_or_a_bug():
+    # the CLI tells exit 2 from exit 3 by these two classes alone, so a
+    # refusal raises InputError, whatever was wrong, and a failed
+    # cross-check VerificationError; a bare raise re-raises
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name)
+                    and exc.id in ("InputError", "VerificationError")):
+                found.append(f"{name}:{node.lineno}")
     assert found == []
+    assert sorted(name for name, value in vars(errors).items()
+                  if isinstance(value, type)) == [
+        "CommlatError", "InputError", "VerificationError"]
+    assert issubclass(errors.InputError, ValueError)
+    assert issubclass(errors.InputError, errors.CommlatError)
+    assert issubclass(errors.VerificationError, errors.CommlatError)
+    assert not issubclass(errors.VerificationError, ValueError)
 
 
 def test_the_exported_names_are_pinned():

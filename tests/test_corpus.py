@@ -4,7 +4,7 @@ import random
 import pytest
 
 from commlat import corpus
-from commlat.errors import LatticeTooLarge, NotALattice, VerificationError
+from commlat.errors import InputError, VerificationError
 from commlat.lattice import FiniteLattice
 from families import m, relabel
 
@@ -21,9 +21,11 @@ def test_counts_match_literature():
 
 
 def test_size_cap():
-    with pytest.raises(LatticeTooLarge):
+    with pytest.raises(InputError,
+                       match="^corpus generation is capped at n = 8$"):
         corpus.all_lattices(9)
-    with pytest.raises(LatticeTooLarge):
+    with pytest.raises(InputError,
+                       match="^corpus generation is capped at n = 8$"):
         corpus.generate_corpus(9)
 
 
@@ -119,7 +121,8 @@ def test_canonical_key_refuses_factorial_search():
     # B4's color classes have 4, 6 and 4 elements and no twins: 4! * 6! *
     # 4! = 414,720 relabelings, over the 8! limit, so this raises before
     # searching
-    with pytest.raises(LatticeTooLarge):
+    with pytest.raises(InputError, match="^canonical form would try 414720 "
+                       "relabelings; the limit is 40320$"):
         corpus.canonical_key(corpus.boolean(4))
 
 
@@ -171,7 +174,7 @@ def test_a_rejected_candidate_is_a_bug(monkeypatch):
     # validated where it is built
     class Rejecting(FiniteLattice):
         def __init__(self, n, covers=()):
-            raise NotALattice("forced")
+            raise InputError("forced")
 
     monkeypatch.setattr(corpus, "all_lattices", corpus.all_lattices.__wrapped__)
     monkeypatch.setattr(corpus, "FiniteLattice", Rejecting)

@@ -7,7 +7,7 @@ import pytest
 
 from commlat import corpus, lattice, projectivity
 from commlat.commutator import largest_commutator, residuation
-from commlat.errors import NotModular, VerificationError
+from commlat.errors import InputError, VerificationError
 from commlat.lattice import (
     FiniteLattice,
     all_congruences,
@@ -174,11 +174,14 @@ def test_a_transpose_that_is_no_cover_is_a_bug(n5, monkeypatch):
 
 
 def test_nonmodular_rejected(n5):
-    with pytest.raises(NotModular):
+    with pytest.raises(InputError, match="^operation requires a modular "
+                       "lattice$"):
         projectivity_classes(n5)
-    with pytest.raises(NotModular):
+    with pytest.raises(InputError, match="^operation requires a modular "
+                       "lattice$"):
         projective_ceiling(n5, PrimeInterval(0, 1))
-    with pytest.raises(NotModular):
+    with pytest.raises(InputError, match="^operation requires a modular "
+                       "lattice$"):
         two_element_quotient(n5)
 
 
@@ -206,7 +209,8 @@ def test_per_interval_functions_refuse_what_is_no_cover(name, m3, n5):
             with pytest.raises(ValueError, match="not a prime interval"):
                 function(lat, interval)
     assert function(m3, [1, 4]) == function(m3, PrimeInterval(1, 4))
-    with pytest.raises(NotModular):
+    with pytest.raises(InputError, match="^operation requires a modular "
+                       "lattice$"):
         function(n5, PrimeInterval(0, 1))
 
 
