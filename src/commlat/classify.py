@@ -4,8 +4,10 @@ A lattice forces a type (abelian, nilpotent, solvable) when its pointwise
 largest commutator multiplication has that type.  The nilpotent and
 solvable verdicts are decided by the cheap lattice-side criterion and
 cross-checked against the series of the largest multiplication; the
-abelian verdict is read off that multiplication, and an M3 witness, when
-there is one, forces it.  A mismatch raises instead of warning.
+abelian verdict is read off that multiplication, and an M3 witness forces
+it: three pairwise complements read off the down-sets and up-sets, whose
+closure through the meet and join tables has five members.  A mismatch
+raises instead of warning.
 
 The non-splitting verdict is included because, for congruence lattices of
 algebras in congruence modular varieties, not splitting is exactly the shape
@@ -17,7 +19,7 @@ from collections import namedtuple
 
 from .commutator import largest_commutator, residuation, series
 from .errors import VerificationError
-from .lattice import SublatticeEmbedding, is_simple
+from .lattice import SublatticeEmbedding
 from .projectivity import (
     _require_modular,
     projective_ceiling,
@@ -66,17 +68,16 @@ def _abelian_sufficient_sublattice(lat):
     The simple complemented modular lattices with 3 to 15 elements are
     exactly the M_k (3 <= k <= 13), and each contains M3 as a
     (0,1)-sublattice, so such a sublattice of at most 15 elements exists iff
-    three elements are pairwise complements.  Returns the lexicographically first such triple
-    with bottom and top, in O(n^3).  Larger ones, such as the subspace
-    lattices of projective planes (16 elements and more), are out of scope:
-    a plane has no three pairwise complements.  :func:`forces_abelian_type`
-    checks that the witness is a genuine M3 on the lattice it builds.
-    Callers read it through ``lat.fact`` so that it is searched for
-    once per lattice.
+    three elements are pairwise complements: their down-sets share only
+    bottom, their up-sets only top.  Returns the lexicographically first
+    such triple with bottom and top, in O(n^3).  Larger ones, the planes
+    (16 elements and more), are out of scope: a plane has no such triple.
+    Callers read it through ``lat.fact``, once per lattice.
     """
-    bottom, top = lat.bottom, lat.top
+    bottom, top, down, up = lat.bottom, lat.top, lat._down, lat._up
     complements = [{y for y in range(x + 1, lat.n)
-                    if lat.meet(x, y) == bottom and lat.join(x, y) == top}
+                    if down[x] & down[y] == 1 << bottom
+                    and up[x] & up[y] == 1 << top}
                    for x in range(lat.n)]
     for a in range(lat.n):
         for b in sorted(complements[a]):
@@ -96,20 +97,18 @@ def forces_abelian_type(lat):
     M3 witness is found (see :func:`_abelian_sufficient_sublattice`): the
     largest table restricted to it is a valid multiplication on M3, which
     carries only the zero table, and its [top, top] is the least member
-    above t(top, top), bottom exactly when t(top, top) is.  So a witness
-    whose own lattice, built once, is not M3, or a genuine one beside a
-    negative verdict, raises.  A positive verdict without a witness (the
-    Fano plane) has no second route.
+    above t(top, top), bottom exactly when t(top, top) is.  Three pairwise
+    complements in the order, with bottom and top, are an M3, so a witness
+    whose closure through the meet and join tables is not those five
+    members, or a genuine one beside a negative verdict, raises.  A positive
+    verdict without a witness (the Fano plane) has no second route.
     """
     _require_modular(lat)
     table = lat.fact(largest_commutator)
     verdict = table.value(lat.top, lat.top) == lat.bottom
     witness = lat.fact(_abelian_sufficient_sublattice)
     if witness is not None:
-        own, _ = witness.as_lattice()
-        # M3 is the one simple lattice with 5 elements (N5, C5, 1+B2 and
-        # B2+1 have a proper congruence)
-        if not (own.n == 5 and is_simple(own)):
+        if len(witness.member_list) != 5:
             raise VerificationError(
                 f"witness {list(witness.member_list)} is not M3")
         if not verdict:

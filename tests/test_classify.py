@@ -149,17 +149,14 @@ def test_abelian_witness_is_genuine(modular8):
         assert report.forces_abelian_type
 
 
-def test_m3_is_the_one_simple_lattice_with_5_elements(all5):
-    # what lets forces_abelian_type read a 5-element simple witness as M3
-    five = [lat for lat in all5 if lat.n == 5]
-    assert [lat for lat in five if len(oracles.congruences(
-        oracles.Order(lat.n, lat.covers))) == 2] == [corpus.diamond()]
-
-
-def test_witness_failing_its_check_is_a_bug(m3, monkeypatch):
-    monkeypatch.setattr(classify, "is_simple", lambda lat: False)
-    with pytest.raises(VerificationError):
-        analyze(m3)
+def test_witness_failing_its_check_is_a_bug(monkeypatch):
+    # a closure that adds a member to the three complements with bottom and
+    # top is no M3: here the whole of M4, six members
+    monkeypatch.setattr(SublatticeEmbedding, "generated", classmethod(
+        lambda cls, ambient, seed: cls(ambient, ambient.elements)))
+    with pytest.raises(VerificationError, match=r"^witness \[0, 1, 2, 3, 4, "
+                       r"5\] is not M3$"):
+        analyze(FiniteLattice(*m(4)))
 
 
 def test_broken_abelian_certificate_is_a_bug(m3, monkeypatch):
@@ -270,7 +267,7 @@ def test_analyze_searches_for_the_witness_once(m3, monkeypatch):
 
 def test_analyze_builds_the_m3_witness_once(m3, monkeypatch):
     # the witness search hands forces_abelian_type the embedding it found,
-    # and the M3 check reads the lattice that the embedding builds
+    # and the M3 check reads its members, building no lattice of its own
     built, lattices = [], []
     init, lattice_init = SublatticeEmbedding.__init__, FiniteLattice.__init__
 
@@ -286,7 +283,7 @@ def test_analyze_builds_the_m3_witness_once(m3, monkeypatch):
     monkeypatch.setattr(FiniteLattice, "__init__", counted_lattice)
     assert analyze(m3).abelian_sufficient_condition == (0, 1, 2, 3, 4)
     assert len(built) == 1
-    assert lattices == [5]
+    assert lattices == []
 
 
 def _bound_faults(lat):
@@ -317,17 +314,14 @@ def _fault_bound_table(monkeypatch, kind, x, y, z):
     monkeypatch.setattr(FiniteLattice, "_bound_table", faulty)
 
 
-def test_a_fault_in_a_bound_table_never_reads_as_bad_input(
-        modular8, tmp_path, capsys, monkeypatch):
-    # each of the 232 faults of the modular corpus lattices with 4 to 8
-    # elements, set in the lattice that `commlat analyze` loads: the command
-    # exits 3 on a failed cross-check or prints the true report, and never
-    # blames the input with exit 2
+def _bound_table_census(lattices, tmp_path, capsys, monkeypatch):
+    """The count of each kind of fault of :func:`_bound_faults` on
+    ``lattices``, each set in the lattice that `commlat analyze` loads,
+    after checking that the command exits 3 on a failed cross-check or
+    prints the true report, and never blames the input with exit 2."""
     path = tmp_path / "lattice.json"
     faults = collections.Counter()
-    for lat in modular8:
-        if lat.n < 4:
-            continue
+    for lat in lattices:
         path.write_text(fileio.canonical_dumps(fileio.lattice_to_doc(lat)))
         assert main(["analyze", "--format", "json", str(path)]) == 0
         truth = capsys.readouterr().out
@@ -339,7 +333,26 @@ def test_a_fault_in_a_bound_table_never_reads_as_bad_input(
             out, err = capsys.readouterr()
             assert code in (0, 3), (lat, kind, fault, err)
             assert out == truth if code == 0 else "cross-check violation" in err
-    assert faults == {"meet": 116, "join": 116}
+    return faults
+
+
+def test_a_fault_in_a_bound_table_never_reads_as_bad_input(
+        modular8, tmp_path, capsys, monkeypatch):
+    # the 232 faults of the modular corpus lattices with 4 to 8 elements
+    lattices = [lat for lat in modular8 if lat.n >= 4]
+    assert _bound_table_census(lattices, tmp_path, capsys, monkeypatch) == {
+        "meet": 116, "join": 116}
+
+
+def test_a_fault_in_a_bound_table_of_the_fano_plane_gives_no_false_witness(
+        tmp_path, capsys, monkeypatch):
+    # each meet fault reads two lines as meeting in bottom, so the meet
+    # table makes them complements while their down-sets still share a
+    # point: with a point on neither line, three complements read off the
+    # tables would make a witness that is no sublattice
+    fano = FiniteLattice(*FANO)
+    assert _bound_table_census([fano], tmp_path, capsys, monkeypatch) == {
+        "meet": 21, "join": 21}
 
 
 def test_a_map_that_a_bad_meet_table_breaks_is_a_bug(tmp_path, capsys,
