@@ -76,7 +76,7 @@ def _cmd_check_table(args):
 
 def _cmd_enumerate(args):
     lat = fileio.load_lattice(args.path)
-    tables = enumerate_commutators(lat, cap=args.cap)
+    tables = enumerate_commutators(lat)
     doc = fileio.lattice_to_doc(lat)
     doc["count"] = len(tables)
     doc["tables"] = [[list(row) for row in t.entries] for t in tables]
@@ -84,11 +84,25 @@ def _cmd_enumerate(args):
     return 0
 
 
+# what each construct kind reads, its required option first
+_CONSTRUCT_READS = {
+    "sublattice": ("members", "table"),
+    "pullback": ("seed_pairs", "table"),
+    "splitting": ("splitting", "seed_pairs"),
+}
+
+
 def _cmd_construct(args):
     lat = fileio.load_lattice(args.path)
+    reads = _CONSTRUCT_READS[args.kind]
+    for option in ("members", "seed_pairs", "splitting", "table"):
+        given = getattr(args, option) is not None
+        flag = "--" + option.replace("_", "-")
+        if given and option not in reads:
+            raise InputError(f"construct {args.kind} does not read {flag}")
+        if not given and option == reads[0]:
+            raise InputError(f"construct {args.kind} needs {flag}")
     if args.kind == "sublattice":
-        if args.members is None:
-            raise InputError("construct sublattice needs --members")
         sub = SublatticeEmbedding(lat, _parse_members(args.members))
         ambient = fileio.load_table(args.table) if args.table \
             else largest_commutator(lat)
@@ -96,8 +110,6 @@ def _cmd_construct(args):
             raise InputError("--table file does not match the lattice")
         result = construct_sublattice(ambient, sub)
     elif args.kind == "pullback":
-        if args.seed_pairs is None:
-            raise InputError("construct pullback needs --seed-pairs")
         theta = congruence_generated(lat, _parse_pairs(args.seed_pairs))
         image, projection = quotient(lat, theta)
         target = fileio.load_table(args.table) if args.table \
@@ -106,16 +118,9 @@ def _cmd_construct(args):
             raise InputError("--table file does not match the quotient")
         result = construct_pullback(lat, projection, target)
     else:
-        if args.splitting is None:
-            raise InputError("construct splitting needs --splitting")
         delta, epsilon = _parse_pair(args.splitting)
-        if args.congruence:
-            theta = fileio.partition_from_doc(
-                fileio.load_doc(args.congruence), lat)
-        else:
-            seeds = _parse_pairs(args.seed_pairs) if args.seed_pairs else []
-            seeds.append((epsilon, lat.top))
-            theta = congruence_generated(lat, seeds)
+        seeds = _parse_pairs(args.seed_pairs) if args.seed_pairs else []
+        theta = congruence_generated(lat, seeds + [(epsilon, lat.top)])
         result = construct_splitting(lat, SplittingPair(delta, epsilon), theta)
     _emit(fileio.table_to_doc(result))
     return 0
@@ -181,8 +186,6 @@ def _build_parser():
     p = sub.add_parser("enumerate",
                        help="all commutator multiplications (n <= 5)")
     p.add_argument("path")
-    p.add_argument("--cap", type=int, default=None,
-                   help="truncate the sorted table list")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("construct",
@@ -193,7 +196,6 @@ def _build_parser():
     p.add_argument("--seed-pairs",
                    help="congruence generators, e.g. 1,2;0,3")
     p.add_argument("--splitting", help="splitting pair delta,epsilon")
-    p.add_argument("--congruence", help="congruence file with 'blocks'")
     p.add_argument("--table", help="table file to restrict or pull back")
     p.set_defaults(handler=_cmd_construct)
 
@@ -234,7 +236,3 @@ def main(argv=None):
         print(f"commlat: internal error (bug): {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -331,7 +331,7 @@ def largest_commutator(lat):
 ENUMERATION_MAX_N = 5
 
 
-def enumerate_commutators(lat, cap=None):
+def enumerate_commutators(lat):
     """All commutator multiplications on a lattice with at most 5 elements.
 
     A multiplication is determined by its values on pairs of join
@@ -341,11 +341,8 @@ def enumerate_commutators(lat, cap=None):
     monotonicity asks only that p's value lie above the join of theirs.
     Extension and restriction are inverse between the valid tables and the
     monotone symmetric seeds whose extension validates, so keeping those
-    extensions misses no table and finds none twice.  Sorted by entries; a
-    cap, if given, truncates that list and must not be negative.
+    extensions misses no table and finds none twice.  Sorted by entries.
     """
-    if cap is not None and cap < 0:
-        raise InputError(f"cap must not be negative, got {cap}")
     if lat.n > ENUMERATION_MAX_N:
         raise InputError(
             f"exhaustive enumeration is capped at n = {ENUMERATION_MAX_N}")
@@ -380,4 +377,4 @@ def enumerate_commutators(lat, cap=None):
 
     search(0)
     found.sort(key=lambda table: table.entries)
-    return found if cap is None else found[:cap]
+    return found

@@ -3,18 +3,18 @@
 A lattice file is a JSON object with fields ``n`` and ``covers``; the cover
 list is read order-insensitively but must be duplicate-free and irredundant
 (the lattice constructor rejects redundant or cyclic covers).  A table file
-adds an n x n integer matrix under ``table``; a congruence file holds
-``blocks``.  Readers refuse a key repeated within one object and ignore
-keys they do not read, so a table file is also a lattice file.  Writers
-always emit the canonical form: sorted keys, sorted cover list, two-space
-indent, trailing newline — so equal objects produce byte-identical files.
+adds an n x n integer matrix under ``table``.  Readers refuse a key repeated
+within one object and ignore keys they do not read, so a table file is also
+a lattice file.  Writers always emit the canonical form: sorted keys, sorted
+cover list, two-space indent, trailing newline — so equal objects produce
+byte-identical files.
 """
 
 import json
 
 from .commutator import CommutatorTable
 from .errors import InputError
-from .lattice import FiniteLattice, LatticePartition
+from .lattice import FiniteLattice
 
 
 def canonical_dumps(doc):
@@ -78,18 +78,6 @@ def table_from_doc(doc):
             if not 0 <= v < lat.n:
                 raise InputError(f"table entry {v!r} out of range")
     return CommutatorTable(lat, matrix)
-
-
-def partition_from_doc(doc, lat):
-    if not isinstance(doc, dict) or "blocks" not in doc:
-        raise InputError("expected a JSON object with field 'blocks'")
-    blocks = doc["blocks"]
-    if not isinstance(blocks, list) or any(not isinstance(b, list) for b in blocks):
-        raise InputError("blocks must be a list of lists")
-    for b in blocks:
-        for x in b:
-            _expect_int(x, "block element")
-    return LatticePartition(lat, blocks)
 
 
 def _unique_keys(pairs):

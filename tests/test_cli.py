@@ -127,21 +127,6 @@ def test_enumerate_b2(capsys, tmp_path, b2):
     assert doc["tables"] == [[[0, 0], [0, 0]], [[0, 0], [0, 1]]]
 
 
-def test_enumerate_cap(capsys, tmp_path, b2):
-    path = write_lattice(tmp_path / "b2.json", b2)
-    code, out, _ = run(capsys, "enumerate", path, "--cap", "1")
-    assert json.loads(out)["count"] == 1
-
-
-def test_enumerate_rejects_negative_cap(capsys, tmp_path, b22):
-    # B2^2 has 4 tables; a negative cap must not silently drop some
-    path = write_lattice(tmp_path / "b22.json", b22)
-    code, out, err = run(capsys, "enumerate", path, "--cap", "-1")
-    assert code == 2
-    assert out == ""
-    assert "cap" in err
-
-
 def test_enumerate_too_large(capsys, tmp_path):
     path = write_lattice(tmp_path / "c6.json", corpus.chain(6))
     code, _, err = run(capsys, "enumerate", path)
@@ -239,28 +224,12 @@ def test_construct_splitting(capsys, b22_file):
                             [0, 0, 2, 2], [0, 0, 2, 2]]
 
 
-def test_construct_splitting_with_congruence_file(capsys, tmp_path, b22_file):
-    blocks = tmp_path / "theta.json"
-    blocks.write_text(json.dumps({"blocks": [[0, 1], [2, 3]]}))
+def test_construct_splitting_with_seed_pairs(capsys, b22_file):
+    # theta = con((2, top)) v con(0, 1), whose blocks are {0, 1} and {2, 3}
     code, out, _ = run(capsys, "construct", b22_file, "splitting",
-                       "--splitting", "1,2", "--congruence", str(blocks))
+                       "--splitting", "1,2", "--seed-pairs", "0,1;2,3")
     assert code == 0
     assert json.loads(out)["table"][3][3] == 2
-
-
-@pytest.mark.parametrize("blocks, message", [
-    ([[0, 0, 1], [2, 3]], "element 0 appears twice"),
-    ([[0, 1], [], [2, 3]], "block 1 is empty"),
-])
-def test_construct_rejects_a_congruence_file_with_bad_blocks(
-        capsys, tmp_path, b22_file, blocks, message):
-    theta = tmp_path / "theta.json"
-    theta.write_text(json.dumps({"blocks": blocks}))
-    code, out, err = run(capsys, "construct", b22_file, "splitting",
-                         "--splitting", "1,2", "--congruence", str(theta))
-    assert code == 2
-    assert out == ""
-    assert message in err
 
 
 def test_construct_rejects_bad_splitting_pair(capsys, m3_file):
@@ -295,6 +264,21 @@ _C2 = '{"n": 2, "covers": [[0,1]], "table": '
                  "construct pullback needs --seed-pairs", id="no-seed-pairs"),
     pytest.param({"l": _M3}, ["construct", "{l}", "splitting"],
                  "construct splitting needs --splitting", id="no-splitting"),
+    pytest.param({"l": _M3},
+                 ["construct", "{l}", "sublattice", "--members", "0,1,4",
+                  "--seed-pairs", "9,9"],
+                 "construct sublattice does not read --seed-pairs",
+                 id="sublattice-seed-pairs"),
+    pytest.param({"l": _M3},
+                 ["construct", "{l}", "pullback", "--seed-pairs", "0,1",
+                  "--members", "7"],
+                 "construct pullback does not read --members",
+                 id="pullback-members"),
+    pytest.param({"l": _C3, "t": _C2 + "[[0,0],[0,1]]}"},
+                 ["construct", "{l}", "splitting", "--splitting", "1,2",
+                  "--table", "{t}"],
+                 "construct splitting does not read --table",
+                 id="splitting-table"),
     pytest.param({"l": "[1, 2]"}, ["analyze", "{l}"],
                  "expected a JSON object", id="not-an-object"),
     pytest.param({"l": '{"n": 0, "covers": []}'}, ["analyze", "{l}"],
@@ -307,15 +291,6 @@ _C2 = '{"n": 2, "covers": [[0,1]], "table": '
                  "table must be an n x n matrix", id="not-square"),
     pytest.param({"t": _C2 + "[[0,0],[0,2]]}"}, ["check-table", "{t}"],
                  "table entry 2 out of range", id="entry-out-of-range"),
-    pytest.param({"l": _C3, "b": "[]"},
-                 ["construct", "{l}", "splitting", "--splitting", "1,2",
-                  "--congruence", "{b}"],
-                 "expected a JSON object with field 'blocks'",
-                 id="blocks-not-an-object"),
-    pytest.param({"l": _C3, "b": '{"blocks": [1, 2]}'},
-                 ["construct", "{l}", "splitting", "--splitting", "1,2",
-                  "--congruence", "{b}"],
-                 "blocks must be a list of lists", id="blocks-not-lists"),
     pytest.param({}, ["analyze", "{dir}"], "cannot read {dir}: ",
                  id="a-directory"),
     pytest.param({}, ["corpus", "--max-n", "0"], "max_n must be at least 1",
@@ -454,7 +429,6 @@ def test_analyze_huge_element_count_exits_2(capsys, tmp_path):
 
 
 M3_KEYS = '"n": 5, "covers": [[0, 1], [0, 2], [0, 3], [1, 4], [2, 4], [3, 4]]'
-B22_KEYS = '"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]'
 
 
 @pytest.mark.parametrize("key, files, argv", [
@@ -465,12 +439,7 @@ B22_KEYS = '"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]'
     ("table", {"dup.json": "{" + M3_KEYS + ', "table": ' + json.dumps([[4] * 5] * 5)
                + ', "table": ' + json.dumps([[0] * 5] * 5) + "}"},
      ["check-table", "dup.json"]),
-    ("blocks", {"b22.json": "{" + B22_KEYS + "}",
-                "dup.json": '{"blocks": [[0], [1], [2], [3]], '
-                            '"blocks": [[0, 1], [2, 3]]}'},
-     ["construct", "b22.json", "splitting", "--splitting", "1,2",
-      "--congruence", "dup.json"]),
-], ids=["lattice", "table", "congruence"])
+], ids=["lattice", "table"])
 def test_repeated_key_exits_2(capsys, tmp_path, key, files, argv):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -386,6 +386,11 @@ def test_an_invalid_output_table_is_a_bug(producer, b22, chain3, monkeypatch):
     pytest.param(lambda c3, m3, b22: SublatticeEmbedding.generated(m3, []),
                  "^cannot generate a sublattice from nothing$",
                  id="generated-from-nothing"),
+    pytest.param(lambda c3, m3, b22: CommutatorTable(m3, [[0] * 5] * 4),
+                 "^table shape does not match the lattice$", id="table-shape"),
+    pytest.param(lambda c3, m3, b22: LatticeMap(c3, corpus.chain(2), (0, 1)),
+                 "^image length does not match the source lattice$",
+                 id="image-length"),
 ])
 def test_inputs_that_do_not_fit_are_bad_input(build, message, chain3, m3,
                                               b22):
@@ -440,11 +445,6 @@ def test_enumerate_m3_only_zero(m3):
 def test_enumerate_one_element():
     one = corpus.chain(1)
     assert len(enumerate_commutators(one)) == 1
-
-
-def test_enumerate_cap(b2):
-    assert len(enumerate_commutators(b2, cap=1)) == 1
-    assert enumerate_commutators(b2, cap=0) == []
 
 
 def test_enumerate_size_guard():

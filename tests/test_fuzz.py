@@ -1,12 +1,14 @@
 """Hostile input through the command line, in process.
 
-Valid lattice, table and partition documents are mutated (repeated keys,
-wrong types, bools, floats, huge integers, deep nesting, truncation, invalid
-UTF-8) and every subcommand runs on them with mutated flag values.  Each run
-must exit 0 or 2, never 3: an argparse usage error is ``SystemExit(2)`` with
-a usage block, any other exit 2 prints one stderr line starting
-``commlat:``, and an exit 0 prints the same as the run on the documents
-re-serialized with ``json.dumps``.
+Valid lattice and table documents are mutated (repeated keys, wrong types,
+bools, floats, huge integers, deep nesting, truncation, invalid UTF-8) and
+every subcommand runs on them with mutated flag values; a ``construct`` run
+may also get a flag that only another kind reads.  Each run must exit 0 or
+2, never 3: an argparse usage error is ``SystemExit(2)`` with a usage block,
+any other exit 2 prints one stderr line starting ``commlat:``, an exit 0
+prints the same as the run on the documents re-serialized with
+``json.dumps``, and a run with another kind's flag exits 2, naming that
+flag once its lattice file loads.
 """
 
 import contextlib
@@ -24,12 +26,10 @@ from test_commutator import _meets
 
 LATTICES = [corpus.diamond(), corpus.boolean(2), corpus.chain(3),
             FiniteLattice(*N5)]
-PARTITIONS = {4: {"blocks": [[0, 1], [2, 3]]}, 5: {"blocks": [[0, 1, 2, 3, 4]]}}
 
 # valid values first; each flag may also get one of HOSTILE
 FLAGS = {
     "--format": ["json", "text"],
-    "--cap": ["1", "0", "3"],
     "--members": ["0,1,4", "0,3", "0,1,2,3"],
     "--seed-pairs": ["2,3", "0,1", "1,2;0,3"],
     "--splitting": ["1,2", "2,1", "0,1"],
@@ -40,17 +40,22 @@ HOSTILE = ["", "-1", "0", "x", "1,", ",", ";", "0,0;;1,1", "1.5", "1e3",
            "0,99999999999999999999", "٣", "1,2,3", "a,b", " 1 , 2 ",
            "\x00", "-1,0", "4,0"]
 
-# (argv, optional flags); LATTICE, TABLE and CONGRUENCE stand for the
-# document files, and a last argv entry in FLAGS takes a value
+# the flags each construct kind reads, its required one first
+CONSTRUCT = {
+    "sublattice": ["--members", "--table"],
+    "pullback": ["--seed-pairs", "--table"],
+    "splitting": ["--splitting", "--seed-pairs"],
+}
+
+# (argv, optional flags); LATTICE and TABLE stand for the document files,
+# and a last argv entry in FLAGS takes a value
 COMMANDS = [
     (["analyze", "LATTICE"], ["--format"]),
     (["largest", "LATTICE"], []),
     (["check-table", "TABLE"], []),
-    (["enumerate", "LATTICE"], ["--cap"]),
-    (["construct", "LATTICE", "sublattice", "--members"], ["--table"]),
-    (["construct", "LATTICE", "pullback", "--seed-pairs"], ["--table"]),
-    (["construct", "LATTICE", "splitting", "--splitting"],
-     ["--seed-pairs", "--congruence"]),
+    (["enumerate", "LATTICE"], []),
+    *((["construct", "LATTICE", kind, required], optional)
+      for kind, (required, *optional) in CONSTRUCT.items()),
     (["corpus", "--max-n"], ["--modular-only", "--keep-isomorphic"]),
     (["quotient", "LATTICE", "--seed-pairs"], []),
     (["dual", "LATTICE"], []),
@@ -145,7 +150,7 @@ def _document(data, doc):
 def _flag_value(data, flag):
     if flag in FLAGS:
         return [data.draw(st.sampled_from(FLAGS[flag] + HOSTILE))]
-    return [flag[2:].upper()] if flag in ("--table", "--congruence") else []
+    return ["TABLE"] if flag == "--table" else []
 
 
 def _run(argv):
@@ -171,13 +176,17 @@ def test_hostile_input_exits_0_or_2(tmp_path, data):
         "LATTICE": fileio.lattice_to_doc(lat),
         "TABLE": fileio.table_to_doc(data.draw(st.sampled_from(
             [largest_commutator(lat), _meets(lat)]))),
-        "CONGRUENCE": PARTITIONS.get(lat.n, {"blocks": [[0], [1, 2]]}),
     }
     if argv[-1] in FLAGS:
         argv = argv + _flag_value(data, argv[-1])
     for flag in optional:
         if data.draw(st.booleans()):
             argv = argv + [flag] + _flag_value(data, flag)
+    foreign = argv[0] == "construct" and data.draw(st.booleans())
+    if foreign:
+        flag = data.draw(st.sampled_from(sorted(
+            set().union(*CONSTRUCT.values()) - set(CONSTRUCT[argv[2]]))))
+        argv = argv + [flag] + _flag_value(data, flag)
     if argv[0] == "corpus" and data.draw(st.booleans()):
         argv += ["--out-dir", str(tmp_path / "out")]
     reads = sorted(set(argv) & set(valid))
@@ -190,7 +199,7 @@ def test_hostile_input_exits_0_or_2(tmp_path, data):
     argv = [paths.get(a, a) for a in argv]
 
     code, usage, out, err = _run(argv)
-    assert code in (0, 2), (argv, err)
+    assert code == 2 if foreign else code in (0, 2), (argv, err)
     if usage:
         assert err.startswith("usage: commlat")
     elif code == 2:
@@ -202,3 +211,9 @@ def test_hostile_input_exits_0_or_2(tmp_path, data):
         with open(paths[target], "w", encoding="utf-8") as handle:
             handle.write(text)
         assert _run(argv) == (0, False, out, err), argv
+    if foreign and not usage:
+        try:
+            fileio.load_lattice(paths["LATTICE"])
+        except ValueError:
+            return
+        assert err == f"commlat: construct {argv[2]} does not read {flag}\n"
