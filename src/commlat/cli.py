@@ -104,16 +104,16 @@ def _cmd_construct(args):
             raise InputError(f"construct {args.kind} needs {flag}")
     if args.kind == "sublattice":
         sub = SublatticeEmbedding(lat, _parse_members(args.members))
-        ambient = fileio.load_table(args.table) if args.table \
-            else largest_commutator(lat)
+        ambient = fileio.load_table(args.table) \
+            if args.table is not None else largest_commutator(lat)
         if ambient.lattice != lat:
             raise InputError("--table file does not match the lattice")
         result = construct_sublattice(ambient, sub)
     elif args.kind == "pullback":
         theta = congruence_generated(lat, _parse_pairs(args.seed_pairs))
         image, projection = quotient(lat, theta)
-        target = fileio.load_table(args.table) if args.table \
-            else largest_commutator(image)
+        target = fileio.load_table(args.table) \
+            if args.table is not None else largest_commutator(image)
         if target.lattice != image:
             raise InputError("--table file does not match the quotient")
         result = construct_pullback(lat, projection, target)

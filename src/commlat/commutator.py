@@ -55,11 +55,16 @@ class CommutatorTable:
     __slots__ = ("lattice", "entries", "_violations")
 
     def __init__(self, lattice, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != lattice.n or any(len(r) != lattice.n for r in entries):
+        n = lattice.n
+        try:
+            entries = tuple(tuple(row) for row in entries)
+        except TypeError:
+            entries = ()  # n >= 1, so this is refused as a shape
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise InputError("table shape does not match the lattice")
-        if any(not 0 <= v < lattice.n for row in entries for v in row):
-            raise InputError("table entry out of range")
+        for v in (v for row in entries for v in row):
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(f"table entry {v!r} out of range")
         self.lattice = lattice
         self.entries = entries
         self._violations = None
@@ -132,13 +137,6 @@ class CommutatorTable:
         table = cls(lattice, entries)
         table.require_valid()
         return table
-
-    def __eq__(self, other):
-        return (isinstance(other, CommutatorTable)
-                and self.lattice == other.lattice and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.lattice, self.entries))
 
     def __repr__(self):
         return f"CommutatorTable({self.entries})"

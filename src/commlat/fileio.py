@@ -3,11 +3,11 @@
 A lattice file is a JSON object with fields ``n`` and ``covers``; the cover
 list is read order-insensitively but must be duplicate-free and irredundant
 (the lattice constructor rejects redundant or cyclic covers).  A table file
-adds an n x n integer matrix under ``table``.  Readers refuse a key repeated
-within one object and ignore keys they do not read, so a table file is also
-a lattice file.  Writers always emit the canonical form: sorted keys, sorted
-cover list, two-space indent, trailing newline — so equal objects produce
-byte-identical files.
+adds an n x n matrix under ``table``, which CommutatorTable checks.  Readers
+refuse a key repeated within one object and ignore keys they do not read, so
+a table file is also a lattice file.  Writers always emit the canonical form:
+sorted keys, sorted cover list, two-space indent, trailing newline — so equal
+objects produce byte-identical files.
 """
 
 import json
@@ -67,17 +67,7 @@ def table_from_doc(doc):
     lat = lattice_from_doc(doc)
     if "table" not in doc:
         raise InputError("missing field 'table'")
-    matrix = doc["table"]
-    if (not isinstance(matrix, list) or len(matrix) != lat.n
-            or any(not isinstance(row, list) or len(row) != lat.n
-                   for row in matrix)):
-        raise InputError("table must be an n x n matrix")
-    for row in matrix:
-        for v in row:
-            _expect_int(v, "table entry")
-            if not 0 <= v < lat.n:
-                raise InputError(f"table entry {v!r} out of range")
-    return CommutatorTable(lat, matrix)
+    return CommutatorTable(lat, doc["table"])
 
 
 def _unique_keys(pairs):

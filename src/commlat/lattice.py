@@ -336,13 +336,6 @@ class LatticePartition:
         if self.lattice is not lattice and self.lattice != lattice:
             raise InputError("partition belongs to a different lattice")
 
-    def __eq__(self, other):
-        return (isinstance(other, LatticePartition)
-                and self.lattice == other.lattice and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.lattice, self.blocks))
-
     def __reduce__(self):
         # the weak memo does not pickle; the copy starts without it
         return LatticePartition, (self.lattice, self.blocks)
@@ -556,13 +549,6 @@ class LatticeMap:
     def __call__(self, x):
         return self.image[x]
 
-    def __eq__(self, other):
-        return (isinstance(other, LatticeMap) and self.source == other.source
-                and self.target == other.target and self.image == other.image)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.image))
-
     def __repr__(self):
         return f"LatticeMap({self.image})"
 
@@ -638,14 +624,6 @@ class SublatticeEmbedding:
             covers.update((index[m], index[u]) for u in _bits(above)
                           if down[u] & above == 1 << u)
         return _built("as_lattice", FiniteLattice, len(order), covers), order
-
-    def __eq__(self, other):
-        return (isinstance(other, SublatticeEmbedding)
-                and self.ambient == other.ambient
-                and self._mask == other._mask)
-
-    def __hash__(self):
-        return hash((self.ambient, self._mask))
 
     def __repr__(self):
         return f"SublatticeEmbedding({self.member_list})"

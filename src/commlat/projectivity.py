@@ -26,13 +26,7 @@ from .lattice import FiniteLattice, LatticeMap, _built, _fibres, _single_bits
 PrimeInterval = namedtuple("PrimeInterval", "lo hi")
 
 
-class MeetIrreducible(namedtuple("MeetIrreducible", "element plus")):
-    __slots__ = ()
-
-    def interval(self):
-        return PrimeInterval(self.element, self.plus)
-
-
+MeetIrreducible = namedtuple("MeetIrreducible", "element plus")
 JoinIrreducible = namedtuple("JoinIrreducible", "element minus")
 SplittingPair = namedtuple("SplittingPair", "delta epsilon")
 
@@ -191,7 +185,7 @@ def two_element_quotient(lat):
     """
     classes = lat.fact(projectivity_classes)
     for eta in meet_irreducibles(lat):
-        if classes.meet_counts[classes.class_of(eta.interval())] != 1:
+        if classes.meet_counts[classes.class_of((eta.element, eta.plus))] != 1:
             continue
         image = [0 if lat.leq(x, eta.element) else 1 for x in lat.elements]
         return _built("two_element_quotient", LatticeMap, lat,

@@ -240,7 +240,7 @@ def test_criterion_6_projectivity_propositions(modular8):
         # lonesomeness transfers between the two kinds of irreducible
         for _, cid, lonesome in joins:
             for eta in irr_meet:
-                if classes.class_of(eta.interval()) == cid:
+                if classes.class_of((eta.element, eta.plus)) == cid:
                     assert lonesome == _lonesome(lat, eta)
         # lonesome <=> meet prime <=> a two-element image separates the pair
         primes = order.meet_primes()

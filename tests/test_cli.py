@@ -250,6 +250,7 @@ def test_construct_rejects_splitting_pair_out_of_range(capsys, b22_file, pair):
 # input refusals that no other test reaches, each with its files as text
 _M3 = '{"n": 5, "covers": [[0,1],[0,2],[0,3],[1,4],[2,4],[3,4]]}'
 _C3 = '{"n": 3, "covers": [[0,1],[1,2]]}'
+_B22 = '{"n": 4, "covers": [[0,1],[0,2],[1,3],[2,3]]}'
 _C2 = '{"n": 2, "covers": [[0,1]], "table": '
 
 
@@ -279,6 +280,16 @@ _C2 = '{"n": 2, "covers": [[0,1]], "table": '
                   "--table", "{t}"],
                  "construct splitting does not read --table",
                  id="splitting-table"),
+    pytest.param({"l": _M3},
+                 ["construct", "{l}", "sublattice", "--members", "0,1,4",
+                  "--table", ""],
+                 "cannot read : [Errno 2] No such file or directory: ''",
+                 id="sublattice-empty-table"),
+    pytest.param({"l": _B22},
+                 ["construct", "{l}", "pullback", "--seed-pairs", "2,3",
+                  "--table", ""],
+                 "cannot read : [Errno 2] No such file or directory: ''",
+                 id="pullback-empty-table"),
     pytest.param({"l": "[1, 2]"}, ["analyze", "{l}"],
                  "expected a JSON object", id="not-an-object"),
     pytest.param({"l": '{"n": 0, "covers": []}'}, ["analyze", "{l}"],
@@ -288,7 +299,7 @@ _C2 = '{"n": 2, "covers": [[0,1]], "table": '
     pytest.param({"l": _M3}, ["check-table", "{l}"],
                  "missing field 'table'", id="no-table"),
     pytest.param({"t": _C2 + "[[0,0]]}"}, ["check-table", "{t}"],
-                 "table must be an n x n matrix", id="not-square"),
+                 "table shape does not match the lattice", id="not-square"),
     pytest.param({"t": _C2 + "[[0,0],[0,2]]}"}, ["check-table", "{t}"],
                  "table entry 2 out of range", id="entry-out-of-range"),
     pytest.param({}, ["analyze", "{dir}"], "cannot read {dir}: ",
@@ -346,7 +357,7 @@ def _entry_out_of_range(monkeypatch):
                  "of range", id="quotient-projection-image"),
     pytest.param(["largest", "{c3}"], _entry_out_of_range,
                  "largest_commutator built an invalid CommutatorTable: "
-                 "table entry out of range", id="largest-descent-entry"),
+                 "table entry 3 out of range", id="largest-descent-entry"),
 ])
 def test_a_refused_internal_build_exits_3(capsys, tmp_path, monkeypatch,
                                           argv, fault, message):
@@ -633,6 +644,18 @@ def test_the_record_surfaces_are_pinned():
         "ProjectivityClasses": [
             "ceilings", "class_of", "meet_counts", "n"],
     }
+    # only lattices compare by value; partitions, maps, embeddings and
+    # tables compare by identity, and a caller compares their fields
+    assert {cls.__name__: sorted({"__eq__", "__hash__"} & vars(cls).keys())
+            for cls in (commlat.FiniteLattice, commlat.LatticePartition,
+                        commlat.LatticeMap, commlat.SublatticeEmbedding,
+                        commlat.CommutatorTable)} == {
+        "FiniteLattice": ["__eq__", "__hash__"], "LatticePartition": [],
+        "LatticeMap": [], "SublatticeEmbedding": [], "CommutatorTable": []}
+    # a bare named tuple, like JoinIrreducible: its fields and the tuple's
+    assert commlat.MeetIrreducible.__bases__ == (tuple,)
+    assert _public(dir(commlat.MeetIrreducible)) == [
+        "count", "element", "index", "plus"]
     functions = [name for name, value in vars(corpus).items()
                  if callable(value) and value.__module__ == corpus.__name__]
     assert _public(functions) == [

@@ -284,7 +284,7 @@ def _lonesome(lat, eta):
     """Whether the meet irreducible eta is the only one whose canonical
     interval lies in its class, read off the projectivity record."""
     classes = lat.fact(projectivity_classes)
-    return classes.meet_counts[classes.class_of(eta.interval())] == 1
+    return classes.meet_counts[classes.class_of((eta.element, eta.plus))] == 1
 
 
 def test_lonesome(b22, m3, chain3):
@@ -423,14 +423,14 @@ def test_cover_transposes_to_separating_irreducible(modular8):
     for lat in modular8:
         classes = projectivity_classes(lat)
         irr_meet = meet_irreducibles(lat)
-        meet_ids = {classes.class_of(m.interval()) for m in irr_meet}
+        meet_ids = {classes.class_of((m.element, m.plus)) for m in irr_meet}
         join_ids = {classes.class_of((j.minus, j.element))
                     for j in join_irreducibles(lat)}
         for lo, hi in lat.cover_pairs():
             for eta in irr_meet:
                 if lat.leq(lo, eta.element) and not lat.leq(hi, eta.element):
                     assert _transposes_up(lat, PrimeInterval(lo, hi),
-                                          eta.interval())
+                                          PrimeInterval(eta.element, eta.plus))
         assert meet_ids == join_ids == set(range(len(classes.ceilings)))
 
 
@@ -454,7 +454,7 @@ def test_two_element_quotient_existence_is_exact(modular8):
 def _recounted_lonesome(lat, irreducibles):
     # the irreducibles alone in their projectivity class, counted afresh
     classes = projectivity_classes(lat)
-    ids = [classes.class_of(r.interval()) for r in irreducibles]
+    ids = [classes.class_of((r.element, r.plus)) for r in irreducibles]
     return [r for r, cid in zip(irreducibles, ids) if ids.count(cid) == 1]
 
 

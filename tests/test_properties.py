@@ -56,7 +56,7 @@ def test_congruence_generated_idempotent(data):
     lat = data.draw(st.sampled_from(LATTICES))
     part = congruence_generated(lat, data.draw(_pairs(lat.n)))
     pairs = [(b[0], x) for b in part.blocks for x in b[1:]]
-    assert congruence_generated(lat, pairs) == part
+    assert congruence_generated(lat, pairs).blocks == part.blocks
 
 
 @given(st.data())

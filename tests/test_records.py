@@ -118,7 +118,6 @@ def test_records_are_immutable(record, field):
 
 
 def test_record_methods_and_properties():
-    assert MeetIrreducible(1, 4).interval() == PrimeInterval(1, 4)
     report = series(largest_commutator(corpus.diamond()))
     assert report.kind == "abelian"
     assert report.is_nilpotent and report.is_solvable
