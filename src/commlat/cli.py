@@ -14,6 +14,7 @@ import sys
 
 from . import classify, fileio
 from .commutator import (
+    CommutatorTable,
     construct_pullback,
     construct_splitting,
     construct_sublattice,
@@ -67,8 +68,8 @@ def _cmd_largest(args):
 
 
 def _cmd_check_table(args):
-    table = fileio.load_table(args.path)
-    violations = table.violations()
+    violations = CommutatorTable.violations(
+        *fileio.table_from_doc(fileio.load_doc(args.path)))
     _emit({"valid": not violations,
            "violations": [v._asdict() for v in violations]})
     return 0

@@ -7,7 +7,8 @@ A commutator multiplication is a binary operation t on the lattice with
   join distributivity t(x v x', y) = t(x, y) v t(x', y),  t(bottom, y) = bottom
 
 (the nullary case makes the binary law cover arbitrary finite families, and
-monotonicity in each argument follows).  This module validates tables,
+monotonicity in each argument follows).  A :class:`CommutatorTable` is one:
+its constructor checks the laws, so no reader checks it again.  This module
 computes the residuation and the derived/lower central series, realizes the
 three constructions (sublattice closure, pullback along a (0,1)-map, and the
 splitting construction), enumerates all multiplications on very small
@@ -35,8 +36,8 @@ each b in K to the least z with h(z) >= b, O(|L| |K|), and reads every
 entry off that lift table; the sublattice restriction closes each distinct
 value once; the residuation (x : y) reads row y of the symmetric table,
 O(n).  The descent and the constructions build their tables through
-``lattice._built`` with ``CommutatorTable._valid``, which validates them,
-O(n^3) at worst, so an invalid one raises VerificationError.
+``lattice._built``, and the constructor's check, O(n^3) at worst, turns an
+invalid one into VerificationError.
 """
 
 from collections import namedtuple
@@ -50,102 +51,95 @@ Violation = namedtuple("Violation", "law witness detail")
 
 
 class CommutatorTable:
-    """An n x n table of lattice elements, a candidate multiplication."""
+    """A commutator multiplication: an n x n table of lattice elements that
+    satisfies the laws, else InputError names the first one it breaks."""
 
-    __slots__ = ("lattice", "entries", "_violations")
+    __slots__ = ("lattice", "entries")
 
     def __init__(self, lattice, entries):
-        n = lattice.n
-        try:
-            entries = tuple(tuple(row) for row in entries)
-        except TypeError:
-            entries = ()  # n >= 1, so this is refused as a shape
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise InputError("table shape does not match the lattice")
-        for v in (v for row in entries for v in row):
-            if type(v) is not int or not 0 <= v < n:
-                raise InputError(f"table entry {v!r} out of range")
+        entries = _rows(lattice, entries)
+        bad = self.violations(lattice, entries)
+        if bad:
+            raise InputError(f"{bad[0].law} fails: {bad[0].detail}")
         self.lattice = lattice
         self.entries = entries
-        self._violations = None
 
     def value(self, x, y):
         return self.entries[x][y]
 
-    def violations(self):
-        """All axiom violations, each with a witness; empty iff valid."""
-        if self._violations is None:
-            self._violations = tuple(self._check())
-        return self._violations
-
-    def _check(self):
-        # reads the rows of the lattice's tables and its down-sets.  The
-        # checks over x' at one (x, y) are two bytes.translate calls: t(x v x',
-        # y) is row x of the join table read through column y of t, and
-        # t(x, y) v t(x', y) is column y read through row t(x, y) of the join
-        # table.  Only an x with a failing (x, y) is scanned entry by entry,
-        # so the violations come in the same order either way.
-        lat, t = self.lattice, self.entries
-        n = lat.n
-        meet, join, down = lat._meet, lat._join, lat._down
-        columns = [bytes(column) for column in zip(*t)]
-        for x in range(n):
-            if bytes(t[x]) == columns[x]:
-                continue
-            for y in range(x + 1, n):
-                if t[x][y] != t[y][x]:
-                    yield Violation("symmetry", (x, y),
-                                    f"t({x},{y})={t[x][y]} != t({y},{x})={t[y][x]}")
-        for x in range(n):
-            for y, (v, m) in enumerate(zip(t[x], meet[x])):
-                if not down[m] >> v & 1:
-                    yield Violation("boundedness", (x, y),
-                                    f"t({x},{y})={v} above {x}^{y}")
-        through = [_translation(column) for column in columns]
-        joined = [_translation(row) for row in join]
-        for x in range(n):
-            tx, tail = t[x], join[x][x:]
-            if all(tail.translate(through[y]) == columns[y][x:].translate(joined[v])
-                   for y, v in enumerate(tx)):
-                continue
-            for x2 in range(x, n):
-                tj, tx2 = t[join[x][x2]], t[x2]
-                for y in range(n):
-                    if tj[y] != join[tx[y]][tx2[y]]:
-                        yield Violation(
-                            "join-distributivity", (x, x2, y),
-                            f"t({x}v{x2},{y})={tj[y]} != "
-                            f"t({x},{y})vt({x2},{y})="
-                            f"{join[tx[y]][tx2[y]]}")
-        for y in range(n):
-            if t[lat.bottom][y] != lat.bottom:
-                yield Violation("bottom-annihilation", (y,),
-                                f"t(bottom,{y})={t[lat.bottom][y]}")
-
-    @property
-    def is_valid(self):
-        return not self.violations()
-
-    def require_valid(self):
-        bad = self.violations()
-        if bad:
-            raise InputError(f"{bad[0].law} fails: {bad[0].detail}")
-
     @classmethod
-    def _valid(cls, lattice, entries):
-        """The table, which must be a multiplication: else InputError."""
-        table = cls(lattice, entries)
-        table.require_valid()
-        return table
+    def violations(cls, lattice, entries):
+        """Every law the candidate table breaks, each with a witness, in a
+        fixed order; empty iff it is a multiplication.  A table of the wrong
+        shape, or with an entry that is no element, raises InputError."""
+        return tuple(_broken_laws(lattice, _rows(lattice, entries)))
 
     def __repr__(self):
         return f"CommutatorTable({self.entries})"
 
 
+def _rows(lattice, entries):
+    """The entries as a tuple of rows, refused unless n x n elements."""
+    n = lattice.n
+    try:
+        entries = tuple(tuple(row) for row in entries)
+    except TypeError:
+        entries = ()  # n >= 1, so this is refused as a shape
+    if len(entries) != n or any(len(r) != n for r in entries):
+        raise InputError("table shape does not match the lattice")
+    for v in (v for row in entries for v in row):
+        if type(v) is not int or not 0 <= v < n:
+            raise InputError(f"table entry {v!r} out of range")
+    return entries
+
+
+def _broken_laws(lat, t):
+    # reads the rows of the lattice's tables and its down-sets.  The checks
+    # over x' at one (x, y) are two bytes.translate calls: t(x v x', y) is
+    # row x of the join table read through column y of t, and t(x, y) v
+    # t(x', y) is column y read through row t(x, y) of the join table.  Only
+    # an x with a failing (x, y) is scanned entry by entry, so the violations
+    # come in the same order either way.
+    n = lat.n
+    meet, join, down = lat._meet, lat._join, lat._down
+    columns = [bytes(column) for column in zip(*t)]
+    for x in range(n):
+        if bytes(t[x]) == columns[x]:
+            continue
+        for y in range(x + 1, n):
+            if t[x][y] != t[y][x]:
+                yield Violation("symmetry", (x, y),
+                                f"t({x},{y})={t[x][y]} != t({y},{x})={t[y][x]}")
+    for x in range(n):
+        for y, (v, m) in enumerate(zip(t[x], meet[x])):
+            if not down[m] >> v & 1:
+                yield Violation("boundedness", (x, y),
+                                f"t({x},{y})={v} above {x}^{y}")
+    through = [_translation(column) for column in columns]
+    joined = [_translation(row) for row in join]
+    for x in range(n):
+        tx, tail = t[x], join[x][x:]
+        if all(tail.translate(through[y]) == columns[y][x:].translate(joined[v])
+               for y, v in enumerate(tx)):
+            continue
+        for x2 in range(x, n):
+            tj, tx2 = t[join[x][x2]], t[x2]
+            for y in range(n):
+                if tj[y] != join[tx[y]][tx2[y]]:
+                    yield Violation(
+                        "join-distributivity", (x, x2, y),
+                        f"t({x}v{x2},{y})={tj[y]} != "
+                        f"t({x},{y})vt({x2},{y})="
+                        f"{join[tx[y]][tx2[y]]}")
+    for y in range(n):
+        if t[lat.bottom][y] != lat.bottom:
+            yield Violation("bottom-annihilation", (y,),
+                            f"t(bottom,{y})={t[lat.bottom][y]}")
+
+
 def residuation(table, x, y):
-    """The largest z with t(z, y) <= x, i.e. the join of all such z; a valid
-    table is symmetric, so those z are read off row y in O(n)."""
-    table.require_valid()
+    """The largest z with t(z, y) <= x, i.e. the join of all such z; a
+    multiplication is symmetric, so those z are read off row y in O(n)."""
     lat = table.lattice
     if not (0 <= x < lat.n and 0 <= y < lat.n):
         raise InputError(f"residuation at ({x}, {y}) out of range")
@@ -179,7 +173,7 @@ def _iterate(start, step):
 
 
 def series(table):
-    """Series report for a valid table.
+    """Series report for a multiplication.
 
     The verdicts are cross-checked against their fixed-point restatements
     (no nonzero x with t(x,x) = x for solvability, none with t(top,x) = x
@@ -187,7 +181,6 @@ def series(table):
     (lo, hi) equal to top, read as t(top, hi) <= lo); any disagreement
     raises, since it can only be a bug.
     """
-    table.require_valid()
     lat = table.lattice
     derived = _iterate(lat.top, lambda g: table.value(g, g))
     central = _iterate(lat.top, lambda m: table.value(lat.top, m))
@@ -232,7 +225,6 @@ def construct_sublattice(ambient_table, sub):
     """Restrict a multiplication to a sublattice by closing each value
     upward into the sublattice, once per distinct value.  The result is
     always valid and lies pointwise above the plain restriction."""
-    ambient_table.require_valid()
     if sub.ambient != ambient_table.lattice:
         raise InputError("sublattice does not live in the table's lattice")
     sub_lat, embed = sub.as_lattice()
@@ -244,7 +236,7 @@ def construct_sublattice(ambient_table, sub):
         if not sub.ambient.leq(raw, member):
             raise VerificationError("closure went down")
         closed[raw] = index[member]
-    return _built("construct_sublattice", CommutatorTable._valid, sub_lat,
+    return _built("construct_sublattice", CommutatorTable, sub_lat,
                   [[closed[v] for v in row] for row in rows])
 
 
@@ -252,7 +244,6 @@ def construct_pullback(source, hom, target_table):
     """Pull a multiplication back along a (0,1)-map h: t(x, y) =
     lift[t_K(h(x), h(y))], lift[b] being the meet of all z with h(z) >= b
     (never empty, as h(top) = top), computed once per target element b."""
-    target_table.require_valid()
     if hom.source != source or hom.target != target_table.lattice:
         raise InputError("map endpoints do not match the inputs")
     if not hom.is_zero_one:
@@ -261,7 +252,7 @@ def construct_pullback(source, hom, target_table):
     tgt = target_table.lattice
     lift = [source.meet_all(z for z in source.elements if tgt.leq(b, hom(z)))
             for b in tgt.elements]
-    out = _built("construct_pullback", CommutatorTable._valid, source,
+    out = _built("construct_pullback", CommutatorTable, source,
                  [[lift[target_table.value(hom(x), hom(y))]
                    for y in source.elements] for x in source.elements])
     for x in source.elements:
@@ -292,7 +283,7 @@ def construct_splitting(lat, pair, theta):
     entries = [[lat.bottom if lat.leq(x, delta) and lat.leq(y, delta)
                 else s[lat.meet(x, y)]
                 for y in lat.elements] for x in lat.elements]
-    return _built("construct_splitting", CommutatorTable._valid, lat, entries)
+    return _built("construct_splitting", CommutatorTable, lat, entries)
 
 
 # -- the largest multiplication ---------------------------------------------
@@ -323,7 +314,7 @@ def largest_commutator(lat):
                     if meet[b][v] != b:
                         tx2[y] = t[y][x2] = meet[b][v]
                         changed = True
-    return _built("largest_commutator", CommutatorTable._valid, lat, t)
+    return _built("largest_commutator", CommutatorTable, lat, t)
 
 
 ENUMERATION_MAX_N = 5
@@ -358,11 +349,11 @@ def enumerate_commutators(lat):
 
     def search(k):
         if k == len(pairs):
-            table = _built("enumerate_commutators", CommutatorTable, lat,
-                           [[spread(x, y) for y in lat.elements]
-                            for x in lat.elements])
-            if table.is_valid:
-                found.append(table)
+            entries = [[spread(x, y) for y in lat.elements]
+                       for x in lat.elements]
+            if not _built("enumerate_commutators", CommutatorTable.violations,
+                          lat, entries):
+                found.append(CommutatorTable(lat, entries))
             return
         a, b = pairs[k]
         # every other seed pair below (a, b) is assigned already, so with

@@ -3,11 +3,12 @@
 A lattice file is a JSON object with fields ``n`` and ``covers``; the cover
 list is read order-insensitively but must be duplicate-free and irredundant
 (the lattice constructor rejects redundant or cyclic covers).  A table file
-adds an n x n matrix under ``table``, which CommutatorTable checks.  Readers
-refuse a key repeated within one object and ignore keys they do not read, so
-a table file is also a lattice file.  Writers always emit the canonical form:
-sorted keys, sorted cover list, two-space indent, trailing newline — so equal
-objects produce byte-identical files.
+adds an n x n matrix under ``table``, which ``load_table`` refuses unless it
+is a multiplication (``table_from_doc`` leaves it unchecked).  Readers refuse
+a key repeated within one object and ignore keys they do not read, so a table
+file is also a lattice file.  Writers always emit the canonical form: sorted
+keys, sorted cover list, two-space indent, trailing newline — so equal objects
+produce byte-identical files.
 """
 
 import json
@@ -64,10 +65,11 @@ def table_to_doc(table):
 
 
 def table_from_doc(doc):
+    """``(lattice, entries)``, the entries not yet checked."""
     lat = lattice_from_doc(doc)
     if "table" not in doc:
         raise InputError("missing field 'table'")
-    return CommutatorTable(lat, doc["table"])
+    return lat, doc["table"]
 
 
 def _unique_keys(pairs):
@@ -105,4 +107,4 @@ def load_lattice(path):
 
 
 def load_table(path):
-    return table_from_doc(load_doc(path))
+    return CommutatorTable(*table_from_doc(load_doc(path)))

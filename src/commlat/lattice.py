@@ -44,6 +44,18 @@ def _built(producer, build, *args):
             f"{producer} built an invalid {built}: {exc}") from exc
 
 
+def _elements(lattice, xs, what):
+    """``xs`` as a tuple of elements of the lattice, ints (not bools) in
+    0..n-1; else InputError, "``what`` out of range"."""
+    try:
+        xs = tuple(xs)
+    except TypeError:
+        xs = (None,)  # not a sequence: refused as a non-element
+    if any(type(x) is not int or not 0 <= x < lattice.n for x in xs):
+        raise InputError(f"{what} out of range")
+    return xs
+
+
 def _bits(mask):
     """Yield the indices of the set bits of ``mask`` in increasing order."""
     while mask:
@@ -64,18 +76,22 @@ class FiniteLattice:
                  "bottom", "top", "_hash", "_facts", "__weakref__")
 
     def __init__(self, n, covers=()):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InputError(f"element count must be a positive int, got {n!r}")
         if n > MAX_N:
             raise InputError(f"{n} elements; lattices are limited to "
                              f"{MAX_N}")
         lower, upper = [0] * n, [0] * n
-        for pair in covers:
-            x, y = pair
-            if not (0 <= x < n and 0 <= y < n) or x == y:
-                raise InputError(f"bad cover pair {pair!r} for n={n}")
-            lower[y] |= 1 << x
-            upper[x] |= 1 << y
+        pair = covers  # named below if covers is not iterable
+        try:
+            for pair in covers:
+                x, y = pair
+                if not (0 <= x < n and 0 <= y < n) or x == y:
+                    raise InputError
+                lower[y] |= 1 << x
+                upper[x] |= 1 << y
+        except (TypeError, ValueError):  # not a pair of elements
+            raise InputError(f"bad cover pair {pair!r} for n={n}") from None
         self.n, self._lower, self._upper = n, lower, upper
 
         # Kahn's topological sort, reading bits inline, highest first (a
@@ -263,34 +279,25 @@ class LatticePartition:
     """A partition of the elements satisfying the congruence property:
     x = y implies x^z = y^z and xvz = yvz for every z.
 
-    For finite lattices this is the same as a complete congruence.
-    ``blocks`` are sorted tuples, the one-element ones shared by every
-    partition, and ``class_of[x]`` is the index of x's block, as ``bytes``
-    (n < 256): facts keep partitions on their lattice, so they stay small.
-    Blocks that repeat an element, miss one or are empty raise
-    :class:`InputError`; they are not repaired.
+    For finite lattices this is the same as a complete congruence.  It is
+    built from one hashable label per element, equal labels sharing a block,
+    else :class:`InputError`.  ``blocks`` are sorted tuples, numbered by
+    their least member, the one-element ones shared by every partition, and
+    ``class_of[x]`` is the index of x's block, as ``bytes`` (n < 256): facts
+    keep partitions on their lattice, so they stay small.
     """
 
     __slots__ = ("lattice", "blocks", "class_of", "_projection")
 
-    def __init__(self, lattice, blocks):
-        n, label = lattice.n, {}
-        for i, block in enumerate(map(tuple, blocks)):
-            if not block:
-                raise InputError(f"block {i} is empty")
-            for x in block:
-                if x in label:
-                    raise InputError(f"element {x} appears twice in the blocks")
-                label[x] = i
-        if label.keys() != set(range(n)):
-            raise InputError(f"blocks do not partition 0..{n - 1}")
-        self._fill(lattice, map(label.__getitem__, range(n)))
-
-    def _fill(self, lattice, labels):
-        # the one path from labels to blocks: elements with equal labels
-        # share a class, numbered by first appearance, which is least member
+    def __init__(self, lattice, labels):
         number = {}
-        cls = bytes([number.setdefault(v, len(number)) for v in labels])
+        try:
+            ids = [number.setdefault(v, len(number)) for v in labels]
+        except TypeError:
+            ids = ()  # a label that cannot be hashed
+        if len(ids) != lattice.n:
+            raise InputError(f"expected {lattice.n} hashable partition labels")
+        cls = bytes(ids)
         rows = [[] for _ in number]
         for x, c in enumerate(cls):
             rows[c].append(x)
@@ -299,7 +306,6 @@ class LatticePartition:
                              for b in rows])
         self._projection = None
         self._check_congruence()
-        return self
 
     def _check_congruence(self):
         # x ~ y must give x^z ~ y^z and xvz ~ yvz for every z: the rows of
@@ -338,7 +344,7 @@ class LatticePartition:
 
     def __reduce__(self):
         # the weak memo does not pickle; the copy starts without it
-        return LatticePartition, (self.lattice, self.blocks)
+        return LatticePartition, (self.lattice, self.class_of)
 
     def __repr__(self):
         return f"LatticePartition({self.blocks})"
@@ -395,8 +401,8 @@ def _fibres(lattice, reach):
         raise VerificationError(f"below keeps {next(_bits(missed))} of the "
                                 "reach apart from its lower cover")
     kept = j_mask & ~collapsed
-    return _built("_fibres", LatticePartition.__new__(LatticePartition)._fill,
-                  lattice, [d & kept for d in lattice._down])
+    return _built("_fibres", LatticePartition, lattice,
+                  [d & kept for d in lattice._down])
 
 
 def congruence_generated(lattice, seed):
@@ -513,11 +519,9 @@ class LatticeMap:
     __slots__ = ("source", "target", "image", "__weakref__")
 
     def __init__(self, source, target, image):
-        image = tuple(image)
+        image = _elements(target, image, "image element")
         if len(image) != source.n:
             raise InputError("image length does not match the source lattice")
-        if min(image) < 0 or max(image) >= target.n:
-            raise InputError("image element out of range")
         # row x of each source table read through the image must equal row
         # image[x] of the target table read at the images; tables are
         # symmetric, so the first failing row fails first past the diagonal
@@ -559,11 +563,9 @@ class SublatticeEmbedding:
     __slots__ = ("ambient", "member_list", "_mask")
 
     def __init__(self, ambient, members):
-        member_list = tuple(sorted(set(members)))
+        member_list = tuple(sorted(set(_elements(ambient, members, "member"))))
         if not member_list:
             raise InputError("a sublattice needs at least one member")
-        if member_list[0] < 0 or member_list[-1] >= ambient.n:
-            raise InputError("member out of range")
         mask = sum(1 << x for x in member_list)
         for x in member_list:
             for y in member_list:
@@ -578,11 +580,9 @@ class SublatticeEmbedding:
     @classmethod
     def generated(cls, ambient, seed):
         """The least sublattice containing the seed elements."""
-        members = set(seed)
+        members = set(_elements(ambient, seed, "seed element"))
         if not members:
             raise InputError("cannot generate a sublattice from nothing")
-        if any(not 0 <= x < ambient.n for x in members):
-            raise InputError("seed element out of range")
         while True:
             new = set()
             for x in members:

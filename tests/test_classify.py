@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import tracemalloc
+import types
 
 import pytest
 
@@ -161,9 +162,10 @@ def test_witness_failing_its_check_is_a_bug(monkeypatch):
 
 def test_broken_abelian_certificate_is_a_bug(m3, monkeypatch):
     # M3 is its own witness and carries only the zero table, so a largest
-    # table whose [top, top] is not bottom contradicts it
-    from test_commutator import _meets
-    monkeypatch.setattr(classify, "largest_commutator", _meets)
+    # table whose [top, top] is not bottom contradicts it: a stand-in that
+    # reads M3's meet table, which no CommutatorTable can hold
+    monkeypatch.setattr(classify, "largest_commutator",
+                        lambda lat: types.SimpleNamespace(value=lat.meet))
     with pytest.raises(VerificationError, match="certify"):
         forces_abelian_type(m3)
 

@@ -134,7 +134,7 @@ def test_enumerate_too_large(capsys, tmp_path):
 
 
 def test_check_table(capsys, tmp_path, m3):
-    from test_commutator import _meets, _zeros
+    from test_commutator import _meet_entries, _table_doc, _zeros
 
     good = tmp_path / "good.json"
     good.write_text(fileio.canonical_dumps(fileio.table_to_doc(_zeros(m3))))
@@ -142,7 +142,7 @@ def test_check_table(capsys, tmp_path, m3):
     assert code == 0 and json.loads(out)["valid"] is True
 
     bad = tmp_path / "bad.json"
-    bad.write_text(fileio.canonical_dumps(fileio.table_to_doc(_meets(m3))))
+    bad.write_text(fileio.canonical_dumps(_table_doc(m3, _meet_entries(m3))))
     code, out, _ = run(capsys, "check-table", str(bad))
     assert code == 0
     doc = json.loads(out)
@@ -154,19 +154,19 @@ def test_check_table_violations_are_pinned(capsys, tmp_path, m3, b22, chain3):
     # SHA-256 of the check-table stdout for four invalid tables that between
     # them break all four laws: M3's meet table, an asymmetric table, a table
     # above the meet and a nonzero bottom row
-    from test_commutator import _meets
+    from test_commutator import _meet_entries, _table_doc
 
     tables = [
-        _meets(m3),
-        CommutatorTable(b22, [[0, 0, 0, 0], [0, 1, 0, 1],
-                              [0, 0, 0, 0], [0, 0, 0, 0]]),
-        CommutatorTable(chain3, [[2] * 3] * 3),
-        CommutatorTable(chain3, [[0, 0, 1], [0, 0, 1], [1, 1, 2]]),
+        _table_doc(m3, _meet_entries(m3)),
+        _table_doc(b22, [[0, 0, 0, 0], [0, 1, 0, 1],
+                         [0, 0, 0, 0], [0, 0, 0, 0]]),
+        _table_doc(chain3, [[2] * 3] * 3),
+        _table_doc(chain3, [[0, 0, 1], [0, 0, 1], [1, 1, 2]]),
     ]
     outputs, laws = [], set()
-    for i, table in enumerate(tables):
+    for i, doc in enumerate(tables):
         path = tmp_path / f"bad{i}.json"
-        path.write_text(fileio.canonical_dumps(fileio.table_to_doc(table)))
+        path.write_text(fileio.canonical_dumps(doc))
         code, out, _ = run(capsys, "check-table", str(path))
         assert code == 0
         outputs.append(out)
@@ -290,6 +290,11 @@ _C2 = '{"n": 2, "covers": [[0,1]], "table": '
                   "--table", ""],
                  "cannot read : [Errno 2] No such file or directory: ''",
                  id="pullback-empty-table"),
+    pytest.param({"l": _B22, "t": _C2 + "[[0,1],[1,1]]}"},
+                 ["construct", "{l}", "pullback", "--seed-pairs", "2,3",
+                  "--table", "{t}"],
+                 "boundedness fails: t(0,1)=1 above 0^1",
+                 id="pullback-table-breaks-a-law"),
     pytest.param({"l": "[1, 2]"}, ["analyze", "{l}"],
                  "expected a JSON object", id="not-an-object"),
     pytest.param({"l": '{"n": 0, "covers": []}'}, ["analyze", "{l}"],
@@ -635,8 +640,7 @@ def test_the_record_surfaces_are_pinned():
         "SublatticeEmbedding": [
             "ambient", "as_lattice", "closure", "generated", "member_list"],
         "CommutatorTable": [
-            "entries", "is_valid", "lattice", "require_valid", "value",
-            "violations"],
+            "entries", "lattice", "value", "violations"],
         # count and index are the tuple's
         "SeriesReport": [
             "count", "derived", "index", "is_nilpotent", "is_solvable", "kind",

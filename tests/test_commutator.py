@@ -6,6 +6,7 @@ import random
 import pytest
 
 from commlat import commutator, corpus, fileio
+from commlat.classify import analyze
 from commlat.commutator import (
     CommutatorTable,
     construct_pullback,
@@ -20,6 +21,7 @@ from commlat.errors import InputError, VerificationError
 from commlat.lattice import (
     FiniteLattice,
     LatticeMap,
+    LatticePartition,
     SublatticeEmbedding,
     congruence_generated,
     quotient,
@@ -35,10 +37,21 @@ def _zeros(lat):
     return CommutatorTable(lat, [[lat.bottom] * lat.n] * lat.n)
 
 
+def _meet_entries(lat):
+    """The meet table's entries, which dominate every multiplication."""
+    return [[lat.meet(x, y) for y in lat.elements] for x in lat.elements]
+
+
 def _meets(lat):
-    """The meet table, which dominates every multiplication."""
-    return CommutatorTable(lat, [[lat.meet(x, y) for y in lat.elements]
-                                 for x in lat.elements])
+    """The meet table, a multiplication on a distributive lattice."""
+    return CommutatorTable(lat, _meet_entries(lat))
+
+
+def _table_doc(lat, entries):
+    """A table file's document, whether or not the entries are a
+    multiplication."""
+    return dict(fileio.lattice_to_doc(lat),
+                table=[list(row) for row in entries])
 
 
 # -- validation ---------------------------------------------------------------
@@ -46,15 +59,15 @@ def _meets(lat):
 
 def test_zero_table_is_valid(all5):
     for lat in all5:
-        assert _zeros(lat).is_valid
+        assert not CommutatorTable.violations(lat, _zeros(lat).entries)
 
 
 def test_meet_table_on_b2_valid(b2):
-    assert _meets(b2).is_valid
+    assert not CommutatorTable.violations(b2, _meets(b2).entries)
 
 
 def test_meet_table_on_m3_invalid(m3):
-    violations = _meets(m3).violations()
+    violations = CommutatorTable.violations(m3, _meet_entries(m3))
     assert violations
     assert violations[0].law == "join-distributivity"
     assert violations[0].witness == (1, 2, 3)  # (a v b) ^ c = c but 0 v 0 = 0
@@ -62,13 +75,14 @@ def test_meet_table_on_m3_invalid(m3):
 
 def test_validation_witnesses():
     lat = corpus.chain(2)
-    asym = CommutatorTable(lat, [[0, 0], [1, 1]])
-    laws = {v.law for v in asym.violations()}
+    asym = CommutatorTable.violations(lat, [[0, 0], [1, 1]])
+    laws = {v.law for v in asym}
     assert "symmetry" in laws
-    too_big = CommutatorTable(lat, [[0, 1], [1, 1]])
-    assert any(v.law == "boundedness" for v in too_big.violations())
-    bad_zero = CommutatorTable(corpus.chain(3), [[0, 0, 1], [0, 0, 1], [1, 1, 2]])
-    assert any(v.law == "bottom-annihilation" for v in bad_zero.violations())
+    too_big = CommutatorTable.violations(lat, [[0, 1], [1, 1]])
+    assert any(v.law == "boundedness" for v in too_big)
+    bad_zero = CommutatorTable.violations(
+        corpus.chain(3), [[0, 0, 1], [0, 0, 1], [1, 1, 2]])
+    assert any(v.law == "bottom-annihilation" for v in bad_zero)
 
 
 # -- residuation and series ----------------------------------------------------
@@ -274,10 +288,11 @@ def test_constructions_always_validate(all5):
     for lat in all5:
         big = largest_commutator(lat)
         whole = SublatticeEmbedding(lat, lat.elements)
-        assert construct_sublattice(big, whole).is_valid
         image, proj = quotient(lat, congruence_generated(
             lat, [(lat.bottom, lat.top)]))
-        assert construct_pullback(lat, proj, largest_commutator(image)).is_valid
+        for out in (construct_sublattice(big, whole),
+                    construct_pullback(lat, proj, largest_commutator(image))):
+            assert not CommutatorTable.violations(out.lattice, out.entries)
 
 
 def test_constructions_compute_each_value_once(monkeypatch):
@@ -335,6 +350,22 @@ def test_constructions_at_scale_are_pinned():
         digest.update(bytes(residuation(table, lo, hi) for lo, hi in lat.cover_pairs()))
     assert digest.hexdigest() == (
         "90b45603f0cc87adafa586ec5f910d65a188e1b7d0ed3b5da1925a7ad977a16c")
+
+
+def test_analyze_checks_its_table_once(monkeypatch):
+    # the constructor is a table's one check, so analyze checks the largest
+    # table once where it is built and no reader checks it again (34 checks
+    # on B4 while residuation, series and the transfers each re-checked)
+    calls = []
+    violations = CommutatorTable.violations.__func__
+
+    def counted(cls, lattice, entries):
+        calls.append(lattice)
+        return violations(cls, lattice, entries)
+
+    monkeypatch.setattr(CommutatorTable, "violations", classmethod(counted))
+    analyze(corpus.boolean(4))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("producer", [
@@ -400,6 +431,36 @@ def test_an_invalid_output_table_is_a_bug(producer, b22, chain3, monkeypatch):
     pytest.param(lambda c3, m3, b22: LatticeMap(c3, corpus.chain(2), (0, 1)),
                  "^image length does not match the source lattice$",
                  id="image-length"),
+    pytest.param(lambda c3, m3, b22: FiniteLattice(2, [(0.0, 1)]),
+                 r"^bad cover pair \(0\.0, 1\) for n=2$", id="cover-a-float"),
+    pytest.param(lambda c3, m3, b22: FiniteLattice(2, [5]),
+                 "^bad cover pair 5 for n=2$", id="cover-not-a-pair"),
+    pytest.param(lambda c3, m3, b22: FiniteLattice(2, [(0, 1, 2)]),
+                 r"^bad cover pair \(0, 1, 2\) for n=2$", id="cover-a-triple"),
+    pytest.param(lambda c3, m3, b22: FiniteLattice(True),
+                 "^element count must be a positive int, got True$",
+                 id="count-a-bool"),
+    pytest.param(lambda c3, m3, b22: LatticeMap(c3, corpus.chain(2),
+                                                (0.0, 1, 1)),
+                 "^image element out of range$", id="image-a-float"),
+    pytest.param(lambda c3, m3, b22: LatticeMap(c3, corpus.chain(2), 5),
+                 "^image element out of range$", id="image-not-a-sequence"),
+    pytest.param(lambda c3, m3, b22: LatticeMap(c3, corpus.chain(2),
+                                                (False, True, True)),
+                 "^image element out of range$", id="image-a-bool"),
+    pytest.param(lambda c3, m3, b22: SublatticeEmbedding(m3, [0.5]),
+                 "^member out of range$", id="member-a-float"),
+    pytest.param(lambda c3, m3, b22: SublatticeEmbedding(m3, ["a"]),
+                 "^member out of range$", id="member-a-string"),
+    pytest.param(lambda c3, m3, b22: SublatticeEmbedding(m3, [False, True]),
+                 "^member out of range$", id="member-a-bool"),
+    pytest.param(lambda c3, m3, b22: SublatticeEmbedding.generated(m3, [0.5]),
+                 "^seed element out of range$", id="seed-a-float"),
+    pytest.param(lambda c3, m3, b22: LatticePartition(c3, [0, 0]),
+                 "^expected 3 hashable partition labels$", id="label-count"),
+    pytest.param(lambda c3, m3, b22: LatticePartition(c3, [0, [1], 2]),
+                 "^expected 3 hashable partition labels$",
+                 id="label-unhashable"),
 ])
 def test_inputs_that_do_not_fit_are_bad_input(build, message, chain3, m3,
                                               b22):

@@ -22,7 +22,7 @@ from commlat.cli import main
 from commlat.commutator import largest_commutator
 from commlat.lattice import FiniteLattice
 from families import N5
-from test_commutator import _meets
+from test_commutator import _meet_entries, _table_doc
 
 LATTICES = [corpus.diamond(), corpus.boolean(2), corpus.chain(3),
             FiniteLattice(*N5)]
@@ -174,8 +174,9 @@ def test_hostile_input_exits_0_or_2(tmp_path, data):
     lat = data.draw(st.sampled_from(LATTICES))
     valid = {
         "LATTICE": fileio.lattice_to_doc(lat),
-        "TABLE": fileio.table_to_doc(data.draw(st.sampled_from(
-            [largest_commutator(lat), _meets(lat)]))),
+        "TABLE": data.draw(st.sampled_from(
+            [fileio.table_to_doc(largest_commutator(lat)),
+             _table_doc(lat, _meet_entries(lat))])),
     }
     if argv[-1] in FLAGS:
         argv = argv + _flag_value(data, argv[-1])

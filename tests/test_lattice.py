@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import hashlib
 import itertools
@@ -306,20 +307,20 @@ def test_all_congruences_at_scale():
 
 def _count_calls(monkeypatch):
     """The reach of every congruence the kernel builds, and the labels of
-    every partition filled, from now on."""
+    every partition built, from now on."""
     calls, built = [], []
-    fibres, fill = lattice._fibres, LatticePartition._fill
+    fibres, init = lattice._fibres, LatticePartition.__init__
 
     def counted(lat, reach):
         calls.append(reach)
         return fibres(lat, reach)
 
-    def counted_fill(self, lat, labels):
+    def counted_init(self, lat, labels):
         built.append(labels)
-        return fill(self, lat, labels)
+        init(self, lat, labels)
 
     monkeypatch.setattr(lattice, "_fibres", counted)
-    monkeypatch.setattr(LatticePartition, "_fill", counted_fill)
+    monkeypatch.setattr(LatticePartition, "__init__", counted_init)
     return calls, built
 
 
@@ -681,7 +682,7 @@ def _built_census(chain3, m3, b22):
          lambda: construct_pullback(chain3, hom, target)),
         ("construct_splitting", CommutatorTable, "__init__",
          lambda: construct_splitting(b22, SplittingPair(1, 2), split)),
-        ("enumerate_commutators", CommutatorTable, "__init__",
+        ("enumerate_commutators", CommutatorTable, "violations",
          lambda: enumerate_commutators(corpus.chain(2))),
         ("all_lattices", FiniteLattice, "__init__",
          lambda: corpus.all_lattices.__wrapped__(3)),
@@ -699,12 +700,18 @@ def test_every_refused_internal_build_is_a_bug(chain3, m3, b22, monkeypatch,
     census = _built_census(chain3, m3, b22)
     assert sorted(site[0] for site in census) == _built_producers()
 
-    def refuse(*args):
-        raise error("refused")
-
     for producer, cls, method, call in census:
+        # the stand-in carries the name of the method it replaces, and is a
+        # classmethod where that is one
+        original = vars(cls)[method]
+
+        @functools.wraps(getattr(original, "__func__", original))
+        def refuse(*args):
+            raise error("refused")
+
         with monkeypatch.context() as patch:
-            patch.setattr(cls, method, refuse)
+            patch.setattr(cls, method, classmethod(refuse)
+                          if isinstance(original, classmethod) else refuse)
             with pytest.raises(VerificationError, match=(
                     f"^{producer} built an invalid {cls.__name__}: "
                     "refused$")):
@@ -715,31 +722,19 @@ def test_partition_rejects_non_congruence(chain3):
     # 0 ~ 2 forces 0v1 ~ 2v1, i.e. 1 ~ 2, so {{0,2},{1}} is no congruence
     with pytest.raises(InputError,
                        match=r"^meet translation by 1 separates 0 ~ 2$"):
-        LatticePartition(chain3, [(0, 2), (1,)])
+        LatticePartition(chain3, "aba")
     with pytest.raises(ValueError):
-        LatticePartition(chain3, [(0, 1)])
-
-
-@pytest.mark.parametrize("blocks, message", [
-    ([(0, 0, 1), (2,)], r"^element 0 appears twice in the blocks$"),
-    ([(0, 1), (1, 2)], r"^element 1 appears twice in the blocks$"),
-    ([(0, 1), (), (2,)], r"^block 1 is empty$"),
-    ([(0, 1), (2, 3)], r"^blocks do not partition 0\.\.2$"),
-])
-def test_partition_refuses_bad_blocks_instead_of_repairing(chain3, blocks,
-                                                           message):
-    with pytest.raises(ValueError, match=message):
-        LatticePartition(chain3, blocks)
+        LatticePartition(chain3, [0, 0])
 
 
 def test_partition_names_the_separating_translation(chain3, m3):
     # the check compares whole rows, then names the first z that separates
     with pytest.raises(InputError,
                        match=r"^meet translation by 1 separates 0 ~ 2$"):
-        LatticePartition(chain3, [(0, 2), (1,)])
+        LatticePartition(chain3, [0, 1, 0])
     with pytest.raises(InputError,
                        match=r"^join translation by 2 separates 0 ~ 1$"):
-        LatticePartition(m3, [(0, 1), (2,), (3,), (4,)])
+        LatticePartition(m3, [0, 0, 2, 3, 4])
 
 
 def test_quotient_identity_and_full(m3):

@@ -123,6 +123,6 @@ def test_record_methods_and_properties():
     assert report.is_nilpotent and report.is_solvable
     chain = SeriesReport((2, 2), (2, 2), "none")
     assert not (chain.is_nilpotent or chain.is_solvable)
-    table = CommutatorTable(corpus.chain(3), [[0, 0, 0], [0, 1, 1], [0, 0, 2]])
-    assert [v.law for v in table.violations()] == \
+    assert [v.law for v in CommutatorTable.violations(
+        corpus.chain(3), [[0, 0, 0], [0, 1, 1], [0, 0, 2]])] == \
         ["symmetry", "join-distributivity"]
